@@ -12,7 +12,7 @@ from .dataio import (
     write_tensor,
 )
 from .hooi import TuckerResult, eig_sym_topk, hooi, hosvd
-from .pseudolabel import PseudoLabels, centroid_probs, fidelity_probs, predict, select
+from .pseudolabel import PseudoLabels, centroid_probs, fidelity_probs, predict, predict_labels, select
 from .solver import (
     ClassSubproblem,
     Hyperparams,

@@ -126,9 +126,19 @@ def read_predictions(path):
         header = fh.readline()
         if header.strip() != "index,label,confidence":
             raise ValueError(f"unexpected prediction header: {header.strip()!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    labels = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    conf = np.array([float(r[2]) for r in rows])
+        rows = []
+        for lineno, line in enumerate(fh, 2):
+            if not line.strip():
+                continue
+            try:
+                _, label, conf = line.strip().split(",")
+                rows.append((int(label), float(conf)))
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: expected index,label,confidence, got {line.strip()!r}"
+                ) from exc
+    labels = np.array([r[0] for r in rows], dtype=np.int64)
+    conf = np.array([r[1] for r in rows], dtype=np.float64)
     return labels, conf
 
 
@@ -199,15 +209,7 @@ def cmd_predict(args) -> int:
             f"{tuple(u.shape[0] for u in model.u_source)}"
         )
     target = LabeledTensorSet(samples=samples, class_count=model.class_count)
-    if target.n_samples == 0:
-        with open(args.out, "w") as fh:
-            fh.write("index,label,confidence\n")
-        return 0
-    fid = pseudolabel.fidelity_probs(target, model)
-    cen = pseudolabel.centroid_probs(target, model)
-    pl = pseudolabel.select(
-        pseudolabel.predict(fid, cen, model.hyper.gamma), model.hyper.delta
-    )
+    pl = pseudolabel.predict_labels(target, model, model.hyper.gamma, model.hyper.delta)
     write_predictions(args.out, pl)
     return 0
 

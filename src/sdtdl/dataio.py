@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import Hyperparams, LabeledTensorSet, SdtdlModel
+from .tensor import dict_apply
 
 __all__ = [
     "TensorFileError",
@@ -175,24 +176,27 @@ def save_model(path, model: SdtdlModel) -> None:
             fh.write(blob)
 
 
+def _manifest_field(fmt: str, buf: bytes, pos: int):
+    if len(buf) < pos + struct.calcsize(fmt):
+        raise TruncatedPayloadError("truncated model manifest")
+    return struct.unpack_from(fmt, buf, pos)
+
+
 def load_model(path) -> SdtdlModel:
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != MODEL_MAGIC:
         raise BadMagicError(f"bad model magic {buf[:4]!r}")
-    version, count = struct.unpack_from("<HI", buf, 4)
+    version, count = _manifest_field("<HI", buf, 4)
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported model version {version}")
     pos = 10
     tensors = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", buf, pos)
-        pos += 2
-        name = buf[pos : pos + name_len].decode()
-        pos += name_len
-        (off,) = struct.unpack_from("<Q", buf, pos)
-        pos += 8
-        tensors[name], _ = tensor_from_bytes(buf, off)
+        (name_len,) = _manifest_field("<H", buf, pos)
+        name, off = _manifest_field(f"<{name_len}sQ", buf, pos + 2)
+        pos += 2 + name_len + 8
+        tensors[name.decode()], _ = tensor_from_bytes(buf, off)
     hp_vec = tensors["hyper"]
     ranks = tuple(int(r) for r in tensors["ranks"])
     hyper = Hyperparams(
@@ -271,12 +275,6 @@ def _shifted_orth(rng, base, shift):
     return q * np.sign(np.diag(r))
 
 
-def _apply_dict(codes, factors):
-    from .tensor import multi_product_skip
-
-    return multi_product_skip(codes, list(factors) + [None], skip=codes.ndim - 1)
-
-
 def draw_structure(rng, spec: SyntheticSpec):
     """Draw the ground-truth dictionaries and means of a synthetic problem.
 
@@ -337,7 +335,7 @@ def generate_synthetic(spec: SyntheticSpec):
         for j, c in enumerate(labels):
             d_code = dom_mean + rng.standard_normal(ranks)
             c_code = means[c - 1] + rng.standard_normal(ranks)
-            x = _apply_dict(d_code[..., None], u_dom) + _apply_dict(c_code[..., None], w[c - 1])
+            x = dict_apply(d_code[..., None], u_dom) + dict_apply(c_code[..., None], w[c - 1])
             if spec.noise > 0:
                 x = x + spec.noise * rng.standard_normal(x.shape)
             samples[..., j] = x[..., 0]

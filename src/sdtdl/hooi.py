@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import core_of, mode_flatten, mode_product, multi_product_skip
+from .tensor import core_of, dict_project, mode_flatten, mode_product
 
 __all__ = ["TuckerResult", "eig_sym_topk", "hosvd", "hooi"]
 
@@ -71,9 +71,7 @@ def _check_ranks(t: np.ndarray, ranks, skip_last: bool):
 
 def _project(t: np.ndarray, factors, skip_last: bool) -> np.ndarray:
     """Core of ``t`` under ``factors`` on the leading modes."""
-    if skip_last:
-        return multi_product_skip(t, [u.T for u in factors] + [None], skip=t.ndim - 1)
-    return core_of(t, factors)
+    return dict_project(t, factors) if skip_last else core_of(t, factors)
 
 
 def hosvd(t: np.ndarray, ranks, skip_last: bool = False) -> TuckerResult:

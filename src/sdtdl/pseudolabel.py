@@ -8,17 +8,19 @@ invariant to a positive rescaling of that sample's errors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import multi_product_skip
+from .tensor import dict_apply, dict_project
 
 __all__ = [
     "PseudoLabels",
     "fidelity_probs",
     "centroid_probs",
     "predict",
+    "predict_labels",
     "select",
     "selection_count",
 ]
@@ -42,74 +44,63 @@ class PseudoLabels:
 def _softmax_rows(errors: np.ndarray) -> np.ndarray:
     """Row-stochastic matrix from nonnegative error rows.
 
-    Each row is scaled by the median of its entries; rows whose scale is
-    degenerate (all errors zero) become uniform.
+    Each row is scaled by the median of its entries (by their mean when the
+    median is zero); rows whose scale is degenerate (all errors zero) become
+    uniform.
     """
-    n, c = errors.shape
-    probs = np.empty((n, c))
-    for j in range(n):
-        row = errors[j]
-        sigma = float(np.median(row))
-        if sigma <= _EPS:
-            sigma = float(np.mean(row))
-        if sigma <= _EPS:
-            probs[j] = 1.0 / c
-            continue
-        z = -row / sigma
-        z -= z.max()  # guard against underflow only; softmax is shift-free
-        e = np.exp(z)
-        probs[j] = e / e.sum()
+    sigma = np.median(errors, axis=1)
+    low = sigma <= _EPS
+    sigma[low] = np.mean(errors[low], axis=1)
+    flat = sigma <= _EPS
+    z = -errors / np.where(flat, 1.0, sigma)[:, None]
+    z -= z.max(axis=1, keepdims=True)  # guard against underflow only; softmax is shift-free
+    e = np.exp(z)
+    probs = e / e.sum(axis=1, keepdims=True)
+    probs[flat] = 1.0 / errors.shape[1]
     return probs
 
 
-def _domain_residuals(target, model) -> np.ndarray:
-    """Targets minus their target-dictionary reconstruction; the target
-    dictionary contribution is zero when the model has none yet."""
-    y = target.samples
-    if model.u_target is None:
-        return y
-    b0 = multi_product_skip(y, [u.T for u in model.u_target] + [None], skip=y.ndim - 1)
-    rec = multi_product_skip(b0, list(model.u_target) + [None], skip=y.ndim - 1)
-    return y - rec
+def _sample_sq_norms(t: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each sample (last-mode slice) of ``t``."""
+    return np.sum(t.reshape(math.prod(t.shape[:-1]), t.shape[-1]) ** 2, axis=0)
 
 
-def _class_codes(resid: np.ndarray, w) -> np.ndarray:
-    return multi_product_skip(resid, [wm.T for wm in w] + [None], skip=resid.ndim - 1)
-
-
-def fidelity_probs(target, model) -> np.ndarray:
+def fidelity_probs(resid: np.ndarray, codes) -> np.ndarray:
     """Row-stochastic class probabilities from squared reconstruction error.
 
-    The error of sample j against class c is the residual after removing the
-    target-dictionary part and projecting what remains on the class
-    dictionary.
+    ``resid`` is the targets' domain residual and ``codes[c]`` its projection
+    on class dictionary c. The factors are orthonormal, so the error of
+    sample j against class c is ``||r_j||^2 - ||k_cj||^2``, clamped at zero
+    against cancellation.
     """
-    resid = _domain_residuals(target, model)
-    n = target.n_samples
-    C = model.class_count
-    errors = np.empty((n, C))
-    for c in range(C):
-        codes = _class_codes(resid, model.w_class[c])
-        rec = multi_product_skip(
-            codes, list(model.w_class[c]) + [None], skip=codes.ndim - 1
-        )
-        diff = resid - rec
-        errors[:, c] = np.sum(diff.reshape(-1, n) ** 2, axis=0)
+    r2 = _sample_sq_norms(resid)
+    errors = np.stack([np.maximum(r2 - _sample_sq_norms(k), 0.0) for k in codes], axis=1)
     return _softmax_rows(errors)
 
 
-def centroid_probs(target, model) -> np.ndarray:
+def centroid_probs(codes, means) -> np.ndarray:
     """Row-stochastic class probabilities from the deviation of each class
-    code from the source class mean (source means are the reliable ones)."""
-    resid = _domain_residuals(target, model)
-    n = target.n_samples
-    C = model.class_count
-    dists = np.empty((n, C))
-    for c in range(C):
-        codes = _class_codes(resid, model.w_class[c])
-        diff = codes - model.class_means_source[c][..., None]
-        dists[:, c] = np.sum(diff.reshape(-1, n) ** 2, axis=0)
+    code ``codes[c]`` from the source class mean ``means[c]`` (source means
+    are the reliable ones)."""
+    dists = np.stack([_sample_sq_norms(k - m[..., None]) for k, m in zip(codes, means)], axis=1)
     return _softmax_rows(dists)
+
+
+def predict_labels(target, model, gamma: float, delta: float) -> PseudoLabels:
+    """One prediction pass: labels and selection of ``target`` under ``model``.
+
+    The domain residual (targets minus their target-dictionary
+    reconstruction, or the raw targets when the model has no target
+    dictionary yet) is projected once per class; both probability matrices
+    are taken from those codes.
+    """
+    resid = target.samples
+    if model.u_target is not None:
+        resid = resid - dict_apply(dict_project(resid, model.u_target), model.u_target)
+    codes = [dict_project(resid, w) for w in model.w_class]
+    fid = fidelity_probs(resid, codes)
+    cen = centroid_probs(codes, model.class_means_source)
+    return select(predict(fid, cen, gamma), delta)
 
 
 def predict(fid: np.ndarray, cen: np.ndarray, gamma: float) -> PseudoLabels:

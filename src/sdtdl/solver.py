@@ -27,11 +27,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .hooi import eig_sym_topk, hooi
+from .pseudolabel import predict_labels
 from .tensor import (
+    dict_apply,
+    dict_project,
     frobenius_norm,
     mode_flatten,
     mode_product,
-    multi_product_skip,
     require_orthonormal,
     stack_last,
 )
@@ -215,16 +217,6 @@ def mmd_term(mean_a: np.ndarray, mean_b: np.ndarray) -> float:
     return frobenius_norm(mean_a - mean_b) ** 2
 
 
-def _dict_apply(codes: np.ndarray, factors) -> np.ndarray:
-    """Reconstruct sample tensors from codes: apply factors on leading modes."""
-    return multi_product_skip(codes, list(factors) + [None], skip=codes.ndim - 1)
-
-
-def _dict_project(samples: np.ndarray, factors) -> np.ndarray:
-    """Codes of samples under a dictionary: transposed factors on leading modes."""
-    return multi_product_skip(samples, [f.T for f in factors] + [None], skip=samples.ndim - 1)
-
-
 def objective(
     model: SdtdlModel,
     source: LabeledTensorSet,
@@ -247,7 +239,7 @@ def objective(
         xc = source.samples[..., src_idx]
         a0c = codes.a0[..., src_idx]
         ac = codes.a_class[c - 1]
-        rec_s = _dict_apply(a0c, model.u_source) + _dict_apply(ac, w)
+        rec_s = dict_apply(a0c, model.u_source) + dict_apply(ac, w)
         total += frobenius_norm(xc - rec_s) ** 2
 
         tgt_idx = target_selected.class_indices(c)
@@ -255,7 +247,7 @@ def objective(
         if tgt_idx.size:
             yc = target_selected.samples[..., tgt_idx]
             b0c = codes.b0[..., tgt_idx]
-            rec_t = _dict_apply(b0c, model.u_target) + _dict_apply(bc, w)
+            rec_t = dict_apply(b0c, model.u_target) + dict_apply(bc, w)
             total += hp.theta * frobenius_norm(yc - rec_t) ** 2
             mean_a = class_means(ac)
             mean_b = class_means(bc)
@@ -391,8 +383,8 @@ def update_class_dict(
         w = _class_dict_sweeps(z, ranks, inner_sweeps, w_init, quad=quad)
     else:
         raise ValueError(f"unknown class-update method: {method}")
-    a_c = _dict_project(sub.x_tilde, w)
-    b_c = _dict_project(sub.y_tilde, w)
+    a_c = dict_project(sub.x_tilde, w)
+    b_c = dict_project(sub.y_tilde, w)
     return w, a_c, b_c
 
 
@@ -403,7 +395,7 @@ def _class_residuals(tensor_set: LabeledTensorSet, codes_by_class, dicts_by_clas
         idx = tensor_set.class_indices(c)
         if idx.size == 0:
             continue
-        rec = _dict_apply(codes_by_class[c - 1], dicts_by_class[c - 1])
+        rec = dict_apply(codes_by_class[c - 1], dicts_by_class[c - 1])
         out[..., idx] = tensor_set.samples[..., idx] - rec
     return out
 
@@ -493,12 +485,12 @@ def fit(
     Returns ``(model, pseudo_labels, history)``; ``truth`` is used for
     accuracy reporting only.
     """
-    from . import pseudolabel as pl_mod
-
     if source.labels is None:
         raise ValueError("source set must be labeled")
     if source.samples.shape[:-1] != target.samples.shape[:-1]:
         raise ValueError("source and target sample dims differ")
+    if target.n_samples == 0:
+        raise ValueError("target has no samples")
     C = source.class_count
     ranks = hyper.ranks
     if len(ranks) != source.order:
@@ -535,18 +527,14 @@ def fit(
     codes.a0 = res.core
 
     # --- init step 2: predict target labels with the U_t contribution zeroed
-    fid = pl_mod.fidelity_probs(target, model)
-    cen = pl_mod.centroid_probs(target, model)
-    pl = pl_mod.predict(fid, cen, hyper.gamma)
-    pl = pl_mod.select(pl, hyper.delta)
-    init_pl = pl
+    pl = predict_labels(target, model, hyper.gamma, hyper.delta)
 
     # --- init step 3: target dictionary from the selected residuals
     selected = _selected_set(target, pl)
     b_class = []
     for c in range(1, C + 1):
         yc = selected.class_samples(c)
-        b_class.append(_dict_project(yc, model.w_class[c - 1]))
+        b_class.append(dict_project(yc, model.w_class[c - 1]))
     codes.b_class = b_class
     model.class_means_target = _class_mean_list(b_class, ranks)
     t_resid = _class_residuals(selected, codes.b_class, model.w_class)
@@ -563,16 +551,13 @@ def fit(
         )
     ]
     if hyper.max_outer_iters == 0:
-        return model, init_pl, history
+        return model, pl, history
 
     prev_labels = pl.labels
     for it in range(1, hyper.max_outer_iters + 1):
-        fid = pl_mod.fidelity_probs(target, model)
-        cen = pl_mod.centroid_probs(target, model)
-        pl = pl_mod.predict(fid, cen, hyper.gamma)
-        pl = pl_mod.select(pl, hyper.delta)
+        pl = predict_labels(target, model, hyper.gamma, hyper.delta)
         if np.array_equal(pl.labels, prev_labels) and it > 1:
-            break
+            break  # the model is unchanged since this pass: its labels are final
         prev_labels = pl.labels
         selected = _selected_set(target, pl)
 
@@ -586,21 +571,19 @@ def fit(
                 accuracy=_accuracy(pl.labels, truth),
             )
         )
-
-    # final prediction with the final model, so a later standalone predict
-    # on the same target reproduces the fit output exactly
-    fid = pl_mod.fidelity_probs(target, model)
-    cen = pl_mod.centroid_probs(target, model)
-    final_pl = pl_mod.select(pl_mod.predict(fid, cen, hyper.gamma), hyper.delta)
+    else:
+        # the last block pass changed the model: predict with the final
+        # model, so a later standalone predict reproduces the fit output
+        pl = predict_labels(target, model, hyper.gamma, hyper.delta)
     history.append(
         FitHistoryRow(
             iteration=history[-1].iteration + 1,
             objective=history[-1].objective,
-            n_selected=int(np.sum(final_pl.selected)),
-            accuracy=_accuracy(final_pl.labels, truth),
+            n_selected=int(np.sum(pl.selected)),
+            accuracy=_accuracy(pl.labels, truth),
         )
     )
-    return model, final_pl, history
+    return model, pl, history
 
 
 def compute_codes(
@@ -613,18 +596,18 @@ def compute_codes(
     refreshes the model's class means.
     """
     ranks = model.hyper.ranks
-    a0 = _dict_project(source.samples, model.u_source)
-    b0 = _dict_project(target_selected.samples, model.u_target)
+    a0 = dict_project(source.samples, model.u_source)
+    b0 = dict_project(target_selected.samples, model.u_target)
     a_class, b_class = [], []
     for c in range(1, model.class_count + 1):
         src_idx = source.class_indices(c)
-        x_tilde = source.samples[..., src_idx] - _dict_apply(a0[..., src_idx], model.u_source)
-        a_class.append(_dict_project(x_tilde, model.w_class[c - 1]))
+        x_tilde = source.samples[..., src_idx] - dict_apply(a0[..., src_idx], model.u_source)
+        a_class.append(dict_project(x_tilde, model.w_class[c - 1]))
         tgt_idx = target_selected.class_indices(c)
-        y_tilde = target_selected.samples[..., tgt_idx] - _dict_apply(
+        y_tilde = target_selected.samples[..., tgt_idx] - dict_apply(
             b0[..., tgt_idx], model.u_target
         )
-        b_class.append(_dict_project(y_tilde, model.w_class[c - 1]))
+        b_class.append(dict_project(y_tilde, model.w_class[c - 1]))
     model.class_means_source = _class_mean_list(a_class, ranks)
     model.class_means_target = _class_mean_list(b_class, ranks)
     return SdtdlCodes(a0=a0, b0=b0, a_class=a_class, b_class=b_class)
@@ -665,10 +648,10 @@ def run_block_updates(
     for c in range(1, C + 1):
         src_idx = source.class_indices(c)
         tgt_idx = selected.class_indices(c)
-        x_tilde = source.samples[..., src_idx] - _dict_apply(
+        x_tilde = source.samples[..., src_idx] - dict_apply(
             codes.a0[..., src_idx], model.u_source
         )
-        y_tilde = selected.samples[..., tgt_idx] - _dict_apply(
+        y_tilde = selected.samples[..., tgt_idx] - dict_apply(
             codes.b0[..., tgt_idx], model.u_target
         )
         phi = build_phi(src_idx.size, tgt_idx.size, hyper.theta, hyper.lam)

@@ -18,6 +18,8 @@ __all__ = [
     "mode_product",
     "multi_product",
     "multi_product_skip",
+    "dict_apply",
+    "dict_project",
     "tucker_reconstruct",
     "core_of",
     "stack_last",
@@ -97,6 +99,18 @@ def multi_product_skip(t: np.ndarray, factors, skip: int) -> np.ndarray:
             continue
         t = mode_product(t, u, m)
     return t
+
+
+def dict_apply(codes: np.ndarray, factors) -> np.ndarray:
+    """Sample tensors from codes: ``factors`` act on the leading modes, and the
+    last (sample) mode is left untouched."""
+    return multi_product_skip(codes, list(factors) + [None], skip=codes.ndim - 1)
+
+
+def dict_project(samples: np.ndarray, factors) -> np.ndarray:
+    """Codes of samples: the transposed ``factors`` act on the leading modes,
+    and the last (sample) mode is left untouched."""
+    return multi_product_skip(samples, [f.T for f in factors] + [None], skip=samples.ndim - 1)
 
 
 def tucker_reconstruct(core: np.ndarray, factors) -> np.ndarray:

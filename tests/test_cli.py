@@ -216,6 +216,30 @@ class TestFitPredict:
         assert code == 0, err
         assert pred.read_text() == "index,label,confidence\n"
 
+    def test_fit_empty_target(self, tmp_path, capsys):
+        d = synth_dir(tmp_path, capsys)
+        dataio.write_tensor(d / "target.stdl", np.zeros((8, 8, 0)))
+        args = fit_args(d, tmp_path / "run")
+        del args[args.index("--truth") : args.index("--truth") + 2]
+        code, _, err = run(capsys, *args)
+        assert code == 2
+        assert "target has no samples" in err
+
+    def test_predict_model_cut_inside_manifest(self, tmp_path, capsys):
+        d = synth_dir(tmp_path, capsys)
+        out = tmp_path / "run"
+        code, _, _ = run(capsys, *fit_args(d, out))
+        assert code == 0
+        cut = tmp_path / "cut.stdm"
+        # inside the name of the first manifest entry
+        cut.write_bytes((out / "model.stdm").read_bytes()[:14])
+        code, _, err = run(
+            capsys, "predict", "--model", str(cut),
+            "--target", str(d / "target.stdl"), "--out", str(tmp_path / "p.txt"),
+        )
+        assert code == 3
+        assert "truncated model manifest" in err
+
     def test_predict_dims_mismatch(self, tmp_path, capsys):
         d = synth_dir(tmp_path, capsys)
         out = tmp_path / "run"
@@ -260,6 +284,19 @@ class TestEval:
             capsys, "eval", "--predictions", str(pred), "--truth", str(truth)
         )
         assert code == 2
+
+    def test_short_prediction_row(self, tmp_path, capsys):
+        pred = tmp_path / "pred.txt"
+        pred.write_text("index,label,confidence\n0,1,0.9\n0\n")
+        truth = tmp_path / "truth.txt"
+        truth.write_text("1\n2\n")
+        code, _, err = run(
+            capsys, "eval", "--predictions", str(pred), "--truth", str(truth)
+        )
+        assert code == 2
+        assert "pred.txt:3" in err
+        with pytest.raises(ValueError, match="index,label,confidence"):
+            read_predictions(pred)
 
 
 class TestBaseline:

@@ -4,6 +4,7 @@ import pytest
 from sdtdl.dataio import (
     BadMagicError,
     SyntheticSpec,
+    TensorFileError,
     TruncatedPayloadError,
     UnsupportedVersionError,
     draw_structure,
@@ -154,6 +155,16 @@ class TestModelFile:
             assert np.array_equal(a, b)
         for a, b in zip(model.class_means_target, back.class_means_target):
             assert np.array_equal(a, b)
+
+    def test_every_proper_prefix_is_a_file_error(self, tmp_path):
+        path = tmp_path / "model.stdm"
+        save_model(path, make_model(np.random.default_rng(2)))
+        buf = path.read_bytes()
+        cut = tmp_path / "cut.stdm"
+        for length in range(len(buf)):
+            cut.write_bytes(buf[:length])
+            with pytest.raises(TensorFileError):
+                load_model(cut)
 
     def test_model_magic_checked(self, tmp_path):
         path = tmp_path / "model.stdm"

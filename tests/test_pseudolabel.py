@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+from sdtdl import pseudolabel
+from sdtdl.dataio import SyntheticSpec, generate_synthetic
 from sdtdl.pseudolabel import (
     PseudoLabels,
     _softmax_rows,
     centroid_probs,
     fidelity_probs,
     predict,
+    predict_labels,
     select,
     selection_count,
 )
-from sdtdl.solver import Hyperparams, LabeledTensorSet, SdtdlModel
+from sdtdl.solver import Hyperparams, LabeledTensorSet, SdtdlModel, fit
+from sdtdl.tensor import dict_apply, dict_project
 
 
 def rand_orth(rng, n, k):
@@ -31,7 +35,40 @@ def make_model(rng, dims=(4, 4), ranks=(2, 2), C=2, with_target=True):
     )
 
 
+def softmax_rows_loop(errors):
+    """Row-by-row form of the median-scaled softmax, the reference for the
+    vectorized ``_softmax_rows``."""
+    n, c = errors.shape
+    probs = np.empty((n, c))
+    for j in range(n):
+        row = errors[j]
+        sigma = float(np.median(row))
+        if sigma <= 1e-300:
+            sigma = float(np.mean(row))
+        if sigma <= 1e-300:
+            probs[j] = 1.0 / c
+            continue
+        z = -row / sigma
+        z -= z.max()
+        e = np.exp(z)
+        probs[j] = e / e.sum()
+    return probs
+
+
 class TestSoftmaxRows:
+    @pytest.mark.parametrize("c", [1, 2, 3, 5, 8, 13])
+    def test_bitwise_equal_to_row_loop(self, c):
+        rng = np.random.default_rng(10 + c)
+        errors = rng.uniform(0.0, 5.0, size=(300, c)) * 10.0 ** rng.integers(-8, 8, size=(300, 1))
+        errors[::7] = 0.0  # all-zero rows
+        zero_median = errors[3::11]
+        zero_median[:, : c // 2 + 1] = 0.0  # a zero median: mean-scaled, or all zero
+        errors[3::11] = rng.permuted(zero_median, axis=1)
+        assert np.array_equal(_softmax_rows(errors), softmax_rows_loop(errors))
+
+    def test_no_rows(self):
+        assert _softmax_rows(np.zeros((0, 4))).shape == (0, 4)
+
     def test_single_class_is_one(self):
         assert np.allclose(_softmax_rows(np.array([[3.7], [0.0]])), 1.0)
 
@@ -162,12 +199,21 @@ class TestSelection:
             select(pl, 0.0)
 
 
+def pass_inputs(target, model):
+    """The domain residual and class codes of one prediction pass, written
+    out with explicit reconstructions."""
+    y = target.samples
+    resid = y - dict_apply(dict_project(y, model.u_target), model.u_target)
+    return resid, [dict_project(resid, w) for w in model.w_class]
+
+
 class TestProbabilityMatrices:
     def test_row_stochastic_on_model(self):
         rng = np.random.default_rng(4)
         model = make_model(rng, C=3)
         target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 7)), class_count=3)
-        for probs in (fidelity_probs(target, model), centroid_probs(target, model)):
+        pl = predict_labels(target, model, 0.25, 0.8)
+        for probs in (pl.fidelity_probs, pl.centroid_probs):
             assert probs.shape == (7, 3)
             assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-9
 
@@ -175,7 +221,7 @@ class TestProbabilityMatrices:
         rng = np.random.default_rng(5)
         model = make_model(rng, C=1)
         target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 3)), class_count=1)
-        pl = predict(fidelity_probs(target, model), centroid_probs(target, model), 0.25)
+        pl = predict_labels(target, model, 0.25, 0.8)
         assert np.all(pl.labels == 1)
         assert np.allclose(pl.combined_conf, 1.0)
 
@@ -183,15 +229,16 @@ class TestProbabilityMatrices:
         rng = np.random.default_rng(6)
         model = make_model(rng, with_target=False)
         target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 5)), class_count=2)
-        got = fidelity_probs(target, model)
+        got = predict_labels(target, model, 0.25, 0.8)
         # zero target factors act as an explicit zero reconstruction
         zero = make_model(rng, with_target=True)
         zero.u_source = model.u_source
         zero.w_class = model.w_class
         zero.class_means_source = model.class_means_source
         zero.u_target = [np.zeros_like(u) for u in zero.u_target]
-        want = fidelity_probs(target, zero)
-        assert np.allclose(got, want, atol=1e-12)
+        want = predict_labels(target, zero, 0.25, 0.8)
+        assert np.allclose(got.fidelity_probs, want.fidelity_probs, atol=1e-12)
+        assert np.allclose(got.centroid_probs, want.centroid_probs, atol=1e-12)
 
     def test_fidelity_prefers_representable_class(self):
         rng = np.random.default_rng(7)
@@ -201,7 +248,7 @@ class TestProbabilityMatrices:
         codes = rng.standard_normal(ranks + (6,))
         samples = np.einsum("ia,jb,abn->ijn", *model.w_class[0], codes)
         target = LabeledTensorSet(samples=samples, class_count=2)
-        probs = fidelity_probs(target, model)
+        probs = predict_labels(target, model, 0.25, 0.8).fidelity_probs
         assert np.all(probs[:, 0] > probs[:, 1])
 
     def test_centroid_prefers_matching_mean(self):
@@ -212,5 +259,111 @@ class TestProbabilityMatrices:
         mean = model.class_means_source[0]
         sample = np.einsum("ia,jb,ab->ij", *model.w_class[0], mean)
         target = LabeledTensorSet(samples=sample[..., None], class_count=2)
-        probs = centroid_probs(target, model)
+        probs = predict_labels(target, model, 0.25, 0.8).centroid_probs
         assert probs[0, 0] > probs[0, 1]
+
+    def test_centroid_distance_from_codes(self):
+        rng = np.random.default_rng(9)
+        model = make_model(rng, C=3)
+        target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 6)), class_count=3)
+        _, codes = pass_inputs(target, model)
+        dists = np.stack(
+            [
+                [np.sum((k[..., j] - m) ** 2) for j in range(6)]
+                for k, m in zip(codes, model.class_means_source)
+            ],
+            axis=1,
+        )
+        got = centroid_probs(codes, model.class_means_source)
+        assert np.max(np.abs(got - softmax_rows_loop(dists))) <= 1e-12
+
+    def test_pass_is_fidelity_then_centroid_then_select(self):
+        rng = np.random.default_rng(11)
+        model = make_model(rng, C=3)
+        target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 9)), class_count=3)
+        resid, codes = pass_inputs(target, model)
+        want = select(
+            predict(
+                fidelity_probs(resid, codes),
+                centroid_probs(codes, model.class_means_source),
+                0.3,
+            ),
+            0.6,
+        )
+        got = predict_labels(target, model, 0.3, 0.6)
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.selected, want.selected)
+        assert np.array_equal(got.combined_conf, want.combined_conf)
+
+    def test_empty_target(self):
+        rng = np.random.default_rng(12)
+        model = make_model(rng, C=3)
+        target = LabeledTensorSet(samples=np.zeros((4, 4, 0)), class_count=3)
+        pl = predict_labels(target, model, 0.25, 0.8)
+        assert pl.labels.shape == (0,) and pl.selected.shape == (0,)
+        assert pl.fidelity_probs.shape == (0, 3)
+
+
+class TestFidelityError:
+    """The pass takes the error against class c as ``||r||^2 - ||W_c^T r||^2``
+    (orthonormal factors), clamped at zero, instead of reconstructing."""
+
+    def errors(self, monkeypatch, resid, codes):
+        seen = []
+        monkeypatch.setattr(pseudolabel, "_softmax_rows", lambda e: seen.append(e) or e)
+        fidelity_probs(resid, codes)
+        return seen[0]
+
+    def test_matches_explicit_reconstruction(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        model = make_model(rng, dims=(6, 5, 4), ranks=(3, 2, 2), C=4)
+        target = LabeledTensorSet(
+            samples=rng.standard_normal((6, 5, 4, 40)) * 10.0 ** rng.integers(-6, 6, size=40),
+            class_count=4,
+        )
+        resid, codes = pass_inputs(target, model)
+        got = self.errors(monkeypatch, resid, codes)
+        r2 = np.sum(resid**2, axis=(0, 1, 2))
+        for c, (k, w) in enumerate(zip(codes, model.w_class)):
+            want = np.sum((resid - dict_apply(k, w)) ** 2, axis=(0, 1, 2))
+            assert np.all(np.abs(got[:, c] - want) <= 1e-12 * r2)
+
+    def test_sample_in_class_span_clamps_to_zero(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        model = make_model(rng, dims=(5, 5), ranks=(2, 2), C=2, with_target=False)
+        w = model.w_class[0]
+        resid = dict_apply(rng.standard_normal((2, 2, 200)), w)
+        codes = [dict_project(resid, wc) for wc in model.w_class]
+        got = self.errors(monkeypatch, resid, codes)
+        r2 = np.sum(resid.reshape(25, -1) ** 2, axis=0)
+        raw = r2 - np.sum(codes[0].reshape(4, -1) ** 2, axis=0)
+        # rounding leaves the unclamped difference negative on some samples
+        assert np.any(raw < 0)
+        assert np.all(got[raw < 0, 0] == 0.0)
+        assert np.all(got >= 0.0)
+        explicit = np.sum((resid - dict_apply(codes[0], w)) ** 2, axis=(0, 1))
+        assert np.all(np.abs(got[:, 0] - explicit) <= 1e-12 * r2)
+
+
+class TestPassesInFit:
+    def test_converged_fit_reuses_its_last_pass(self, monkeypatch):
+        spec = SyntheticSpec(
+            class_count=3, dims=(8, 8), ranks=(3, 3), n_source_per_class=30,
+            n_target_per_class=30, noise=0.05, shift=0.5, seed=0,
+        )
+        source, target, truth = generate_synthetic(spec)
+        hyper = Hyperparams(ranks=(3, 3), theta=2.0, lam=0.1, max_outer_iters=10)
+        calls = []
+        real = pseudolabel.fidelity_probs
+        monkeypatch.setattr(
+            pseudolabel, "fidelity_probs", lambda *a: calls.append(1) or real(*a)
+        )
+        model, pl, history = fit(source, target, hyper, truth=truth)
+        # labels stopped changing at iteration 2: the initial pass and the
+        # passes of iterations 1 and 2, with no repeat of the last one
+        assert [row.iteration for row in history] == [0, 1, 2]
+        assert len(calls) == 3
+        again = predict_labels(target, model, hyper.gamma, hyper.delta)
+        assert np.array_equal(pl.labels, again.labels)
+        assert np.array_equal(pl.selected, again.selected)
+        assert np.array_equal(pl.combined_conf, again.combined_conf)

@@ -502,9 +502,7 @@ class TestFit:
         )
         from sdtdl import pseudolabel as plm
 
-        fid = plm.fidelity_probs(target, init_model)
-        cen = plm.centroid_probs(target, init_model)
-        want = plm.select(plm.predict(fid, cen, hyper.gamma), hyper.delta)
+        want = plm.predict_labels(target, init_model, hyper.gamma, hyper.delta)
         assert np.array_equal(pl.labels, want.labels)
 
     def test_factors_stay_orthonormal(self):
