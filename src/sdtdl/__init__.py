@@ -23,7 +23,6 @@ from .solver import (
     class_means,
     digit_preset,
     fit,
-    mmd_term,
     nearest_centroid_labels,
     object_preset,
     objective,

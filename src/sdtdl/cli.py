@@ -306,7 +306,6 @@ def _add_fit_options(p):
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--inner-sweeps", dest="inner_sweeps", type=int)
     p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
 

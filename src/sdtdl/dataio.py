@@ -16,6 +16,8 @@ tensor blob; every blob is a complete tensor file as above.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from dataclasses import dataclass
 
@@ -68,26 +70,35 @@ def tensor_to_bytes(t: np.ndarray) -> bytes:
     return header + t.tobytes()
 
 
-def tensor_from_bytes(buf: bytes, offset: int = 0):
-    """Decode one tensor blob; returns (array, next_offset)."""
-    if buf[offset : offset + 4] != TENSOR_MAGIC:
-        raise BadMagicError(f"bad magic {buf[offset:offset + 4]!r}")
-    if len(buf) < offset + 8:
+def _read_header(read):
+    """Parse a tensor header from ``read(n)``, which returns at most ``n``
+    bytes; returns the dims. Each length is checked before its bytes are
+    decoded, so a cut file reads as truncated, never as bad magic."""
+    head = read(8)
+    if len(head) < 8:
         raise TruncatedPayloadError("truncated header")
-    version, order = struct.unpack_from("<HH", buf, offset + 4)
+    if head[:4] != TENSOR_MAGIC:
+        raise BadMagicError(f"bad magic {head[:4]!r}")
+    version, order = struct.unpack_from("<HH", head, 4)
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported version {version}")
-    pos = offset + 8
-    if len(buf) < pos + 8 * order:
+    dims = read(8 * order)
+    if len(dims) < 8 * order:
         raise TruncatedPayloadError("truncated dims")
-    dims = struct.unpack_from(f"<{order}Q", buf, pos)
-    pos += 8 * order
-    count = int(np.prod(dims, dtype=np.int64)) if order else 1
-    nbytes = 8 * count
-    if len(buf) < pos + nbytes:
+    return struct.unpack(f"<{order}Q", dims)
+
+
+def tensor_from_bytes(buf: bytes, offset: int = 0):
+    """Decode one tensor blob; returns (array, next_offset)."""
+    stream = io.BytesIO(buf)
+    stream.seek(offset)
+    dims = _read_header(stream.read)
+    pos = stream.tell()
+    count = math.prod(dims)
+    if len(buf) < pos + 8 * count:
         raise TruncatedPayloadError("truncated payload")
     values = np.frombuffer(buf, dtype="<f8", count=count, offset=pos)
-    return values.reshape(dims).copy(), pos + nbytes
+    return values.reshape(dims).copy(), pos + 8 * count
 
 
 def write_tensor(path, t: np.ndarray) -> None:
@@ -96,9 +107,11 @@ def write_tensor(path, t: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
+    """Read a tensor file straight into the returned array."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    t, _ = tensor_from_bytes(buf)
+        t = np.empty(_read_header(fh.read), dtype="<f8")
+        if fh.readinto(t) < t.nbytes:
+            raise TruncatedPayloadError("truncated payload")
     if not np.all(np.isfinite(t)):
         raise TensorFileError("tensor contains non-finite values")
     return t
@@ -185,9 +198,9 @@ def _manifest_field(fmt: str, buf: bytes, pos: int):
 def load_model(path) -> SdtdlModel:
     with open(path, "rb") as fh:
         buf = fh.read()
-    if buf[:4] != MODEL_MAGIC:
-        raise BadMagicError(f"bad model magic {buf[:4]!r}")
-    version, count = _manifest_field("<HI", buf, 4)
+    magic, version, count = _manifest_field("<4sHI", buf, 0)
+    if magic != MODEL_MAGIC:
+        raise BadMagicError(f"bad model magic {magic!r}")
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported model version {version}")
     pos = 10

@@ -62,7 +62,8 @@ def _softmax_rows(errors: np.ndarray) -> np.ndarray:
 
 def _sample_sq_norms(t: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of each sample (last-mode slice) of ``t``."""
-    return np.sum(t.reshape(math.prod(t.shape[:-1]), t.shape[-1]) ** 2, axis=0)
+    flat = t.reshape(math.prod(t.shape[:-1]), t.shape[-1])
+    return np.einsum("ij,ij->j", flat, flat)
 
 
 def fidelity_probs(resid: np.ndarray, codes) -> np.ndarray:
@@ -96,7 +97,8 @@ def predict_labels(target, model, gamma: float, delta: float) -> PseudoLabels:
     """
     resid = target.samples
     if model.u_target is not None:
-        resid = resid - dict_apply(dict_project(resid, model.u_target), model.u_target)
+        rec = dict_apply(dict_project(resid, model.u_target), model.u_target)
+        resid = np.subtract(resid, rec, out=rec)
     codes = [dict_project(resid, w) for w in model.w_class]
     fid = fidelity_probs(resid, codes)
     cen = centroid_probs(codes, model.class_means_source)

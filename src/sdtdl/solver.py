@@ -44,11 +44,11 @@ __all__ = [
     "SdtdlModel",
     "SdtdlCodes",
     "ClassSubproblem",
+    "SampleOperator",
     "FitHistoryRow",
     "object_preset",
     "digit_preset",
     "class_means",
-    "mmd_term",
     "objective",
     "build_phi",
     "class_update_quadratic_form",
@@ -198,11 +198,16 @@ class SdtdlCodes:
 
 @dataclass
 class ClassSubproblem:
-    """Residual tensors and the Phi matrix of one class-dictionary update."""
+    """Residual tensors of one class-dictionary update.
+
+    ``phi`` optionally gives the ``eigen-phi`` route a dense sample-mode
+    weighting in place of the published Phi, which
+    :func:`update_class_dict` otherwise applies in structured form.
+    """
 
     x_tilde: np.ndarray
     y_tilde: np.ndarray
-    phi: np.ndarray
+    phi: np.ndarray | None = None
 
 
 def class_means(codes: np.ndarray) -> np.ndarray:
@@ -210,11 +215,6 @@ def class_means(codes: np.ndarray) -> np.ndarray:
     if codes.shape[-1] == 0:
         raise ValueError("cannot take class mean of an empty class")
     return codes.mean(axis=-1)
-
-
-def mmd_term(mean_a: np.ndarray, mean_b: np.ndarray) -> float:
-    """Squared distance between two class-conditional code means."""
-    return frobenius_norm(mean_a - mean_b) ** 2
 
 
 def objective(
@@ -265,6 +265,8 @@ def build_phi(n_s: int, n_t: int, theta: float, lam: float) -> np.ndarray:
     sqrt(lam)/n_s ones on the top-right, sqrt(lam)/n_t ones on the
     bottom-left, and (sqrt(theta)-sqrt(lam)) I on the target diagonal.
     With ``n_t == 0`` the matrix degrades to the source block alone.
+    ``fit`` applies Phi as :meth:`SampleOperator.phi`; this dense form is
+    its reference.
     """
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
@@ -292,7 +294,9 @@ def class_update_quadratic_form(n_s: int, n_t: int, theta: float, lam: float) ->
         E = [I; -(1/n_t) 1 1^T],  F = [-(1/n_s) 1 1^T; I].
 
     This generally differs from Phi^T Phi, which is why the published eigen
-    update is not always optimal for the written objective.
+    update is not always optimal for the written objective. ``fit`` applies
+    Q as :meth:`SampleOperator.quadratic_form`; this dense form is its
+    reference.
     """
     if n_t == 0:
         return np.eye(n_s)
@@ -305,6 +309,54 @@ def class_update_quadratic_form(n_s: int, n_t: int, theta: float, lam: float) ->
     return q
 
 
+@dataclass(frozen=True)
+class SampleOperator:
+    """A sample-mode operator on ``n_s`` source samples stacked before
+    ``n_t`` target samples, kept in structured form.
+
+    Entry ``(i, j)`` is ``scale[d(i)] * [i == j] + block[d(i)][d(j)]``, where
+    ``d`` maps a sample to its domain (0 source, 1 target): a scaled identity
+    on each domain's diagonal block plus one constant per block. Phi and Q
+    both have this form, so :meth:`apply` costs a per-sample scale and a
+    broadcast of the per-domain sample sums, ``O(N F)`` for ``N`` samples of
+    ``F`` entries, where the dense ``N x N`` matrix costs ``O(N^2 F)``.
+    """
+
+    n_s: int
+    scale: tuple  # (source, target)
+    block: tuple  # ((source-source, source-target), (target-source, target-target))
+
+    @classmethod
+    def phi(cls, n_s: int, n_t: int, theta: float, lam: float) -> SampleOperator:
+        """The published Phi; :func:`build_phi` is its dense form."""
+        sl = math.sqrt(lam)
+        cross = (sl / n_s, sl / n_t) if n_t else (0.0, 0.0)
+        return cls(n_s, (1.0 - sl, math.sqrt(theta) - sl), ((0.0, cross[0]), (cross[1], 0.0)))
+
+    @classmethod
+    def quadratic_form(cls, n_s: int, n_t: int, theta: float, lam: float) -> SampleOperator:
+        """The exact form Q; :func:`class_update_quadratic_form` is its dense
+        form. Without target samples it is the identity."""
+        if n_t == 0:
+            return cls(n_s, (1.0, 1.0), ((0.0, 0.0), (0.0, 0.0)))
+        cross = lam * (1.0 / n_s + 1.0 / n_t)
+        return cls(
+            n_s,
+            (1.0 - lam, theta - lam),
+            ((-lam * n_t / n_s**2, cross), (cross, -lam * n_s / n_t**2)),
+        )
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        """``z x_N M``: the operator acting on the last (sample) mode of ``z``."""
+        flat = z.reshape(math.prod(z.shape[:-1]), z.shape[-1])
+        domains = (slice(None, self.n_s), slice(self.n_s, None))
+        sums = [flat[:, cols].sum(axis=1) for cols in domains]
+        out = np.empty_like(flat)
+        for (b_s, b_t), scale, cols in zip(self.block, self.scale, domains):
+            out[:, cols] = scale * flat[:, cols] + (b_s * sums[0] + b_t * sums[1])[:, None]
+        return out.reshape(z.shape)
+
+
 def _mode_form(h, m, quad):
     """Symmetric mode-``m`` matrix whose top eigenvectors maximize the route's
     form: the Gram matrix of ``h``'s mode-``m`` flattening, or with ``quad``
@@ -312,7 +364,7 @@ def _mode_form(h, m, quad):
     g = mode_flatten(h, m)
     if quad is None:
         return g @ g.T
-    s = g @ mode_flatten(mode_product(h, quad, h.ndim - 1), m).T
+    s = g @ mode_flatten(quad.apply(h), m).T
     return 0.5 * (s + s.T)
 
 
@@ -322,7 +374,7 @@ def _class_dict_sweeps(z_weighted, ranks, sweeps, w_init, quad=None):
     When ``quad`` is None the update maximizes the core norm of
     ``z_weighted`` (the Phi route; the weighting is already baked in).
     Otherwise ``z_weighted`` is the raw stacked residual and ``quad`` the
-    sample-mode quadratic form.
+    sample-mode quadratic form, a :class:`SampleOperator`.
 
     Without ``w_init`` each mode starts from the top eigenvectors of its
     form on the uncompressed tensor: the HOSVD of ``z_weighted`` on the Phi
@@ -361,28 +413,33 @@ def update_class_dict(
 
     Returns ``(w_c, a_c, b_c)``: the updated factor matrices and the class
     codes of the source / target residuals under them. ``method`` selects the
-    published Phi eigen route or the exact quadratic form (which requires
-    ``theta`` and ``lam``).
+    published Phi eigen route or the exact quadratic form. Both apply their
+    sample-mode operator in structured form (:class:`SampleOperator`) built
+    from ``theta`` and ``lam``; the ``eigen-phi`` route applies
+    ``sub.phi`` instead when it is given.
     """
     n_s = sub.x_tilde.shape[-1]
     n_t = sub.y_tilde.shape[-1]
-    if sub.phi.shape != (n_s + n_t, n_s + n_t):
+    if sub.phi is not None and sub.phi.shape != (n_s + n_t, n_s + n_t):
         raise ValueError("phi shape does not match class sample counts")
     z = stack_last(sub.x_tilde, sub.y_tilde)
     ranks = [int(r) for r in ranks]
     for m, r in enumerate(ranks):
         if r > z.shape[m]:
             raise ValueError(f"rank {r} exceeds mode-{m} extent {z.shape[m]}")
-    if method == "eigen-phi":
+    if method not in ("eigen-phi", "exact"):
+        raise ValueError(f"unknown class-update method: {method}")
+    if method == "eigen-phi" and sub.phi is not None:
         z_phi = mode_product(z, sub.phi, z.ndim - 1)
         w = _class_dict_sweeps(z_phi, ranks, inner_sweeps, w_init)
-    elif method == "exact":
-        if theta is None or lam is None:
-            raise ValueError("exact method requires theta and lam")
-        quad = class_update_quadratic_form(n_s, n_t, theta, lam)
-        w = _class_dict_sweeps(z, ranks, inner_sweeps, w_init, quad=quad)
+    elif theta is None or lam is None:
+        raise ValueError(f"{method} method requires theta and lam")
+    elif method == "eigen-phi":
+        z_phi = SampleOperator.phi(n_s, n_t, theta, lam).apply(z)
+        w = _class_dict_sweeps(z_phi, ranks, inner_sweeps, w_init)
     else:
-        raise ValueError(f"unknown class-update method: {method}")
+        quad = SampleOperator.quadratic_form(n_s, n_t, theta, lam)
+        w = _class_dict_sweeps(z, ranks, inner_sweeps, w_init, quad=quad)
     a_c = dict_project(sub.x_tilde, w)
     b_c = dict_project(sub.y_tilde, w)
     return w, a_c, b_c
@@ -654,10 +711,8 @@ def run_block_updates(
         y_tilde = selected.samples[..., tgt_idx] - dict_apply(
             codes.b0[..., tgt_idx], model.u_target
         )
-        phi = build_phi(src_idx.size, tgt_idx.size, hyper.theta, hyper.lam)
-        sub = ClassSubproblem(x_tilde=x_tilde, y_tilde=y_tilde, phi=phi)
         w, a_c, b_c = update_class_dict(
-            sub,
+            ClassSubproblem(x_tilde=x_tilde, y_tilde=y_tilde),
             ranks,
             hyper.inner_sweeps,
             method=class_update,

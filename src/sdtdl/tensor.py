@@ -9,6 +9,8 @@ consistent across flatten/unflatten/product. Modes are 0-based.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -48,7 +50,8 @@ def mode_flatten(t: np.ndarray, mode: int) -> np.ndarray:
     """Mode-``mode`` flattening: an ``I_m x prod(other dims)`` matrix whose
     rows are the mode-``mode`` fibers of ``t``."""
     _check_mode(t, mode)
-    return np.moveaxis(t, mode, 0).reshape(t.shape[mode], -1)
+    rest = math.prod(t.shape[:mode] + t.shape[mode + 1 :])
+    return np.moveaxis(t, mode, 0).reshape(t.shape[mode], rest)
 
 
 def mode_unflatten(mat: np.ndarray, mode: int, dims) -> np.ndarray:
@@ -65,16 +68,26 @@ def mode_unflatten(mat: np.ndarray, mode: int, dims) -> np.ndarray:
 
 
 def mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
-    """Multiply ``t`` along ``mode`` by the matrix ``u`` (acting on the left)."""
+    """Multiply ``t`` along ``mode`` by the matrix ``u`` (acting on the left).
+
+    Equal to unflattening ``u @ mode_flatten(t, mode)``, but computed on the
+    C-order ``(prod(dims[:mode]), I_mode, prod(dims[mode+1:]))`` view of
+    ``t``, so a contiguous ``t`` is neither flattened nor unflattened by copy.
+    """
     _check_mode(t, mode)
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != t.shape[mode]:
         raise ValueError(
             f"matrix of shape {u.shape} cannot act on mode {mode} with extent {t.shape[mode]}"
         )
-    new_dims = list(t.shape)
-    new_dims[mode] = u.shape[0]
-    return mode_unflatten(u @ mode_flatten(t, mode), mode, new_dims)
+    t = np.asarray(t, dtype=np.float64)
+    lead, trail = math.prod(t.shape[:mode]), math.prod(t.shape[mode + 1 :])
+    new_dims = t.shape[:mode] + (u.shape[0],) + t.shape[mode + 1 :]
+    if mode == t.ndim - 1:
+        out = t.reshape(lead, t.shape[mode]) @ u.T
+    else:
+        out = u @ t.reshape(lead, t.shape[mode], trail)
+    return out.reshape(new_dims)
 
 
 def multi_product(t: np.ndarray, factors) -> np.ndarray:

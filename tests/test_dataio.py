@@ -73,6 +73,16 @@ class TestTensorFile:
         with pytest.raises(TruncatedPayloadError):
             tensor_from_bytes(buf[:10])
 
+    def test_every_proper_prefix_is_truncated(self, tmp_path):
+        buf = tensor_to_bytes(np.arange(6.0).reshape(2, 3))
+        cut = tmp_path / "cut.stdl"
+        for length in range(len(buf)):
+            with pytest.raises(TruncatedPayloadError):
+                tensor_from_bytes(buf[:length])
+            cut.write_bytes(buf[:length])
+            with pytest.raises(TruncatedPayloadError):
+                read_tensor(cut)
+
     def test_nonfinite_rejected(self, tmp_path):
         path = tmp_path / "bad.stdl"
         with open(path, "wb") as fh:
@@ -163,7 +173,7 @@ class TestModelFile:
         cut = tmp_path / "cut.stdm"
         for length in range(len(buf)):
             cut.write_bytes(buf[:length])
-            with pytest.raises(TensorFileError):
+            with pytest.raises(TruncatedPayloadError):
                 load_model(cut)
 
     def test_model_magic_checked(self, tmp_path):

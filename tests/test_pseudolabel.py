@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,21 @@ class TestProbabilityMatrices:
         pl = predict_labels(target, model, 0.25, 0.8)
         assert pl.labels.shape == (0,) and pl.selected.shape == (0,)
         assert pl.fidelity_probs.shape == (0, 3)
+
+    def test_peak_memory_under_twice_the_target(self):
+        # the pass holds one samples-sized array at a time: the target's
+        # reconstruction, turned into the residual in place
+        rng = np.random.default_rng(13)
+        model = make_model(rng, dims=(16, 16), ranks=(4, 4), C=5)
+        target = LabeledTensorSet(samples=rng.standard_normal((16, 16, 5000)), class_count=5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            predict_labels(target, model, 0.25, 0.8)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * target.samples.nbytes, peak / target.samples.nbytes
 
 
 class TestFidelityError:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdtdl.solver as S
 from sdtdl.dataio import SyntheticSpec, generate_synthetic
@@ -8,14 +10,15 @@ from sdtdl.solver import (
     ClassSubproblem,
     Hyperparams,
     LabeledTensorSet,
+    SampleOperator,
     SdtdlCodes,
     SdtdlModel,
     build_phi,
     class_means,
+    class_update_quadratic_form,
     compute_codes,
     digit_preset,
     fit,
-    mmd_term,
     nearest_centroid_labels,
     object_preset,
     objective,
@@ -24,7 +27,7 @@ from sdtdl.solver import (
     update_domain_source,
     update_domain_target,
 )
-from sdtdl.tensor import frobenius_norm, multi_product_skip, stack_last
+from sdtdl.tensor import frobenius_norm, mode_product, multi_product_skip, stack_last
 
 
 def rand_orth(rng, n, k):
@@ -129,24 +132,6 @@ class TestClassMeans:
             class_means(np.zeros((2, 2, 0)))
 
 
-class TestMmdTerm:
-    def test_equal_means(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((3, 3))
-        assert mmd_term(a, a) == 0.0
-
-    def test_against_zero(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((3, 3))
-        assert np.isclose(mmd_term(a, np.zeros_like(a)), frobenius_norm(a) ** 2)
-
-    def test_matches_norm_oracle(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((2, 4))
-        b = rng.standard_normal((2, 4))
-        assert np.isclose(mmd_term(a, b), frobenius_norm(a - b) ** 2, atol=1e-12)
-
-
 class TestBuildPhi:
     def test_degenerate_identity(self):
         assert np.allclose(build_phi(1, 1, 1.0, 0.0), np.eye(2), atol=1e-15)
@@ -187,6 +172,33 @@ class TestBuildPhi:
             build_phi(0, 1, 1.0, 0.0)
         with pytest.raises(ValueError):
             build_phi(1, -1, 1.0, 0.0)
+
+
+class TestSampleOperator:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_s=st.integers(1, 12),
+        n_t=st.integers(0, 12),
+        theta=st.floats(1e-3, 50.0),
+        lam=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+        lead=st.lists(st.integers(1, 3), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_structured_equals_dense_oracle(self, n_s, n_t, theta, lam, lead, seed):
+        # orders 1-3: zero to two leading modes before the sample mode
+        z = np.random.default_rng(seed).standard_normal(tuple(lead) + (n_s + n_t,))
+        pairs = (
+            (SampleOperator.phi, build_phi),
+            (SampleOperator.quadratic_form, class_update_quadratic_form),
+        )
+        for structured, dense in pairs:
+            m = dense(n_s, n_t, theta, lam)
+            got = structured(n_s, n_t, theta, lam).apply(z)
+            want = mode_product(z, m, z.ndim - 1)
+            # relative to the magnitudes summed into each entry
+            scale = mode_product(np.abs(z), np.abs(m), z.ndim - 1)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 def zero_model(dims, ranks, C, hyper):
@@ -536,6 +548,22 @@ class TestFit:
         hyper = Hyperparams(ranks=(3, 3), theta=2.0, lam=0.1, max_outer_iters=10)
         model, pl, history = fit(source, target, hyper, truth=truth)
         assert history[-1].accuracy >= history[0].accuracy
+
+    @pytest.mark.parametrize("route", ["eigen-phi", "exact"])
+    def test_fit_builds_no_dense_sample_operator(self, route, monkeypatch):
+        def dense(*args):
+            raise AssertionError("fit built a dense (n_s+n_t)^2 operator")
+
+        monkeypatch.setattr(S, "build_phi", dense)
+        monkeypatch.setattr(S, "class_update_quadratic_form", dense)
+        spec = SyntheticSpec(
+            class_count=2, dims=(5, 5), ranks=(2, 2), n_source_per_class=6,
+            n_target_per_class=6, noise=0.05, shift=0.3, seed=1,
+        )
+        source, target, _ = generate_synthetic(spec)
+        hyper = Hyperparams(ranks=(2, 2), theta=2.0, lam=0.1, max_outer_iters=2)
+        model, _, _ = fit(source, target, hyper, class_update=route)
+        model.validate()
 
     def test_missing_source_class(self):
         rng = np.random.default_rng(4)

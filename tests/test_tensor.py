@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdtdl.tensor import (
     as_tensor,
@@ -112,6 +114,33 @@ class TestModeProduct:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="cannot act"):
             mode_product(np.zeros((3, 4)), np.zeros((2, 5)), 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        empty_samples=st.booleans(),
+        transposed=st.booleans(),
+        rows=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_flatten_definition(self, dims, empty_samples, transposed, rows, seed):
+        rng = np.random.default_rng(seed)
+        if empty_samples:
+            dims[-1] = 0
+        if transposed:
+            # a non-contiguous view with extents dims
+            t = rng.standard_normal(dims[::-1]).transpose()
+        else:
+            t = rng.standard_normal(dims)
+        for m in range(t.ndim):
+            u = rng.standard_normal((rows, t.shape[m]))
+            got = mode_product(t, u, m)
+            new_dims = list(t.shape)
+            new_dims[m] = rows
+            want = mode_unflatten(u @ mode_flatten(t, m), m, new_dims)
+            scale = mode_unflatten(np.abs(u) @ np.abs(mode_flatten(t, m)), m, new_dims)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 class TestMultiProduct:
