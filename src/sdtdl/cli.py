@@ -114,6 +114,11 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _format_optional(x: float) -> str:
+    """A float field that may be missing (NaN), written empty when it is."""
+    return "" if math.isnan(x) else _format_float(x)
+
+
 def write_predictions(path, pl: pseudolabel.PseudoLabels) -> None:
     with open(path, "w") as fh:
         fh.write("index,label,confidence\n")
@@ -146,10 +151,8 @@ def write_history(path, history) -> None:
     with open(path, "w") as fh:
         fh.write("iter,objective,n_selected,accuracy_if_truth_given\n")
         for row in history:
-            acc = "" if math.isnan(row.accuracy) else _format_float(row.accuracy)
-            fh.write(
-                f"{row.iteration},{_format_float(row.objective)},{row.n_selected},{acc}\n"
-            )
+            obj, acc = _format_optional(row.objective), _format_optional(row.accuracy)
+            fh.write(f"{row.iteration},{obj},{row.n_selected},{acc}\n")
 
 
 def _load_source(args, cfg) -> LabeledTensorSet:
@@ -190,7 +193,10 @@ def cmd_fit(args) -> int:
         json.dumps(
             {
                 "iterations": last.iteration,
-                "objective": last.objective,
+                # the last evaluated objective: the final row holds none
+                "objective": next(
+                    r.objective for r in reversed(history) if not math.isnan(r.objective)
+                ),
                 "n_selected": last.n_selected,
                 "accuracy": None if math.isnan(last.accuracy) else last.accuracy,
                 "out": out,

@@ -340,18 +340,25 @@ def generate_synthetic(spec: SyntheticSpec):
     rng = np.random.default_rng(spec.seed)
     C, dims, ranks = spec.class_count, spec.dims, spec.ranks
     u_s, u_t, w, means, dom_mean_s, dom_mean_t = draw_structure(rng, spec)
+    R, F = math.prod(ranks), math.prod(dims)
+
+    def sample_last(rows, shape):
+        # one row per sample -> a tensor of ``shape`` with a trailing sample mode
+        return np.ascontiguousarray(rows.T).reshape(shape + (rows.shape[0],))
 
     def draw_domain(u_dom, dom_mean, n_per_class):
         n = C * n_per_class
         labels = np.repeat(np.arange(1, C + 1), n_per_class)
-        samples = np.zeros(dims + (n,))
-        for j, c in enumerate(labels):
-            d_code = dom_mean + rng.standard_normal(ranks)
-            c_code = means[c - 1] + rng.standard_normal(ranks)
-            x = dict_apply(d_code[..., None], u_dom) + dict_apply(c_code[..., None], w[c - 1])
-            if spec.noise > 0:
-                x = x + spec.noise * rng.standard_normal(x.shape)
-            samples[..., j] = x[..., 0]
+        # Sample by sample, as one block: its domain code, its class code,
+        # then its noise (drawn only when there is any).
+        draws = rng.standard_normal((n, 2 * R + (F if spec.noise > 0 else 0)))
+        samples = dict_apply(dom_mean[..., None] + sample_last(draws[:, :R], ranks), u_dom)
+        for c in range(C):
+            cols = slice(c * n_per_class, (c + 1) * n_per_class)
+            c_codes = means[c][..., None] + sample_last(draws[cols, R : 2 * R], ranks)
+            samples[..., cols] += dict_apply(c_codes, w[c])
+        if spec.noise > 0:
+            samples += spec.noise * sample_last(draws[:, 2 * R :], dims)
         return samples, labels
 
     src_samples, src_labels = draw_domain(u_s, dom_mean_s, spec.n_source_per_class)

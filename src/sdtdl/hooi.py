@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import core_of, dict_project, mode_flatten, mode_product
+from .tensor import core_of, dict_project, mode_gram, mode_product
 
-__all__ = ["TuckerResult", "eig_sym_topk", "hosvd", "hooi"]
+__all__ = ["TuckerResult", "eig_sym_topk", "hosvd", "sweep", "hooi"]
 
 
 @dataclass
@@ -61,17 +61,12 @@ def eig_sym_topk(s: np.ndarray, k: int):
 def _check_ranks(t: np.ndarray, ranks, skip_last: bool):
     n_modes = t.ndim - 1 if skip_last else t.ndim
     ranks = [int(r) for r in ranks]
-    if len(ranks) != n_modes:
-        raise ValueError(f"expected {n_modes} ranks, got {len(ranks)}")
+    if not ranks or len(ranks) != n_modes:
+        raise ValueError(f"expected {n_modes} ranks (at least one), got {len(ranks)}")
     for m, r in enumerate(ranks):
         if not 1 <= r <= t.shape[m]:
             raise ValueError(f"rank {r} out of range for mode {m} with extent {t.shape[m]}")
     return ranks
-
-
-def _project(t: np.ndarray, factors, skip_last: bool) -> np.ndarray:
-    """Core of ``t`` under ``factors`` on the leading modes."""
-    return dict_project(t, factors) if skip_last else core_of(t, factors)
 
 
 def hosvd(t: np.ndarray, ranks, skip_last: bool = False) -> TuckerResult:
@@ -79,13 +74,36 @@ def hosvd(t: np.ndarray, ranks, skip_last: bool = False) -> TuckerResult:
     the mode flattening. Standard deterministic initializer for HOOI."""
     t = np.asarray(t, dtype=np.float64)
     ranks = _check_ranks(t, ranks, skip_last)
-    factors = []
-    for m, r in enumerate(ranks):
-        g = mode_flatten(t, m)
-        _, vecs = eig_sym_topk(g @ g.T, r)
-        factors.append(vecs)
-    core = _project(t, factors, skip_last)
+    factors = [eig_sym_topk(mode_gram(t, m), r)[1] for m, r in enumerate(ranks)]
+    core = dict_project(t, factors) if skip_last else core_of(t, factors)
     return TuckerResult(core=core, factors=factors, fit_history=[float(np.sum(core**2))])
+
+
+def sweep(t: np.ndarray, factors: list, ranks, form=mode_gram):
+    """One sweep of per-mode eigen updates, replacing ``factors`` in place.
+
+    Mode ``m`` takes the top ``ranks[m]`` eigenvectors of the symmetric
+    matrix ``form(h, m)``, where ``h = t x_{k != m} U_k^T`` is ``t``
+    projected on every other factor, the modes before ``m`` already updated.
+    The suffix projections ``t x_{k > m} U_k^T`` are built once, from the
+    back, and each is released once its mode has used it; mode ``m`` then
+    adds only its ``m`` products by the updated factors. A sweep over ``M``
+    factors makes ``(M-1) + M(M-1)/2`` mode products. Modes of ``t`` past
+    the factors (a skipped sample mode) stay untouched.
+
+    Returns the last mode's partial projection ``h`` and top eigenvalues.
+    When ``form`` is the Gram matrix (the default), their sum is the squared
+    norm of the core under the updated factors, ``h x_{M-1} U_{M-1}^T``.
+    """
+    suffix = [t]
+    for k in range(len(factors) - 1, 0, -1):
+        suffix.append(mode_product(suffix[-1], factors[k].T, k))
+    for m in range(len(factors)):
+        h = suffix.pop()
+        for k in range(m):
+            h = mode_product(h, factors[k].T, k)
+        vals, factors[m] = eig_sym_topk(form(h, m), ranks[m])
+    return h, vals
 
 
 def hooi(
@@ -98,12 +116,16 @@ def hooi(
 ) -> TuckerResult:
     """Higher-order orthogonal iteration.
 
-    Each sweep updates every compressed mode in turn: the factor becomes the
-    top eigenvectors of the Gram matrix of the partial projection flattened
-    at that mode. Initialized from HOSVD unless ``init_factors`` warm-starts
-    it. Stops when the relative change of the core squared norm falls below
-    ``tol`` or after ``max_sweeps`` sweeps; the recorded fit history is
-    non-decreasing.
+    Each :func:`sweep` updates every compressed mode in turn: the factor
+    becomes the top eigenvectors of the Gram matrix of the partial
+    projection flattened at that mode. Initialized from HOSVD unless
+    ``init_factors`` warm-starts it. A sweep's fit history value is the
+    squared norm of the core under its factors, read from the sum of the
+    last mode's top eigenvalues, so no sweep projects the tensor again.
+    Stops when the relative change of that value falls below ``tol`` or
+    after ``max_sweeps`` sweeps; the recorded fit history is non-decreasing.
+    The returned core is formed once, from the last sweep's last partial
+    projection.
     """
     t = np.asarray(t, dtype=np.float64)
     ranks = _check_ranks(t, ranks, skip_last)
@@ -117,26 +139,12 @@ def hooi(
         if len(init_factors) != len(ranks):
             raise ValueError("init_factors length does not match ranks")
         factors = [np.asarray(u, dtype=np.float64) for u in init_factors]
-    skip_mode = t.ndim - 1 if skip_last else None
     history = []
-    prev = None
     for _ in range(max_sweeps):
-        for m, r in enumerate(ranks):
-            # project all modes except m (the sample mode stays untouched
-            # when skip_last: factors simply has no entry for it)
-            h = t
-            for k, u in enumerate(factors):
-                if k == m:
-                    continue
-                h = mode_product(h, u.T, k)
-            g = mode_flatten(h, m)
-            _, vecs = eig_sym_topk(g @ g.T, r)
-            factors[m] = vecs
-        core = _project(t, factors, skip_last)
-        fit = float(np.sum(core**2))
-        history.append(fit)
-        if prev is not None and abs(fit - prev) <= tol * max(prev, 1e-300):
+        h, vals = sweep(t, factors, ranks)
+        history.append(float(np.sum(vals)))
+        if len(history) > 1 and abs(history[-1] - history[-2]) <= tol * max(history[-2], 1e-300):
             break
-        prev = fit
-    core = _project(t, factors, skip_last)
+    last = len(ranks) - 1
+    core = mode_product(h, factors[last].T, last)
     return TuckerResult(core=core, factors=factors, fit_history=history)

@@ -21,18 +21,19 @@ Class-dictionary updates support two routes:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .hooi import eig_sym_topk, hooi
+from .hooi import eig_sym_topk, hooi, sweep
 from .pseudolabel import predict_labels
 from .tensor import (
     dict_apply,
     dict_project,
     frobenius_norm,
-    mode_flatten,
+    mode_gram,
     mode_product,
     require_orthonormal,
     stack_last,
@@ -361,15 +362,15 @@ def _mode_form(h, m, quad):
     """Symmetric mode-``m`` matrix whose top eigenvectors maximize the route's
     form: the Gram matrix of ``h``'s mode-``m`` flattening, or with ``quad``
     on the sample mode, ``H_(m) (I kron Q) H_(m)^T`` symmetrized."""
-    g = mode_flatten(h, m)
     if quad is None:
-        return g @ g.T
-    s = g @ mode_flatten(quad.apply(h), m).T
+        return mode_gram(h, m)
+    s = mode_gram(h, m, quad.apply(h))
     return 0.5 * (s + s.T)
 
 
 def _class_dict_sweeps(z_weighted, ranks, sweeps, w_init, quad=None):
-    """Alternating per-mode eigen updates on a sample-weighted residual tensor.
+    """Alternating per-mode eigen updates on a sample-weighted residual tensor,
+    one :func:`sdtdl.hooi.sweep` at a time.
 
     When ``quad`` is None the update maximizes the core norm of
     ``z_weighted`` (the Phi route; the weighting is already baked in).
@@ -381,22 +382,15 @@ def _class_dict_sweeps(z_weighted, ranks, sweeps, w_init, quad=None):
     route, and of ``Z_(m) (I kron Q) Z_(m)^T`` on the exact route. With
     ``Q = Phi^T Phi`` the two starts coincide.
     """
-    n_modes = z_weighted.ndim - 1
+    form = functools.partial(_mode_form, quad=quad)
     if w_init is None:
         factors = [
-            eig_sym_topk(_mode_form(z_weighted, m, quad), ranks[m])[1] for m in range(n_modes)
+            eig_sym_topk(form(z_weighted, m), r)[1] for m, r in enumerate(ranks)
         ]
     else:
         factors = [np.asarray(w, dtype=np.float64) for w in w_init]
     for _ in range(sweeps):
-        for m in range(n_modes):
-            h = z_weighted
-            for k in range(n_modes):
-                if k == m:
-                    continue
-                h = mode_product(h, factors[k].T, k)
-            _, vecs = eig_sym_topk(_mode_form(h, m, quad), ranks[m])
-            factors[m] = vecs
+        sweep(z_weighted, factors, ranks, form)
     return factors
 
 
@@ -490,7 +484,7 @@ def update_domain_target(target_selected: LabeledTensorSet, model: SdtdlModel, c
 @dataclass
 class FitHistoryRow:
     iteration: int
-    objective: float
+    objective: float  # NaN on the final, prediction-only row
     n_selected: int
     accuracy: float  # NaN when no ground truth was supplied
 
@@ -540,7 +534,9 @@ def fit(
     ``max_outer_iters`` iterations.
 
     Returns ``(model, pseudo_labels, history)``; ``truth`` is used for
-    accuracy reporting only.
+    accuracy reporting only. After at least one outer iteration the last
+    history row records the final prediction pass alone, and its objective
+    is NaN.
     """
     if source.labels is None:
         raise ValueError("source set must be labeled")
@@ -632,10 +628,11 @@ def fit(
         # the last block pass changed the model: predict with the final
         # model, so a later standalone predict reproduces the fit output
         pl = predict_labels(target, model, hyper.gamma, hyper.delta)
+    # the final row records the prediction pass only: no objective is computed
     history.append(
         FitHistoryRow(
             iteration=history[-1].iteration + 1,
-            objective=history[-1].objective,
+            objective=float("nan"),
             n_selected=int(np.sum(pl.selected)),
             accuracy=_accuracy(pl.labels, truth),
         )

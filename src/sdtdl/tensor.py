@@ -18,6 +18,7 @@ __all__ = [
     "mode_flatten",
     "mode_unflatten",
     "mode_product",
+    "mode_gram",
     "multi_product",
     "multi_product_skip",
     "dict_apply",
@@ -88,6 +89,27 @@ def mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
     else:
         out = u @ t.reshape(lead, t.shape[mode], trail)
     return out.reshape(new_dims)
+
+
+def mode_gram(t: np.ndarray, mode: int, other: np.ndarray | None = None) -> np.ndarray:
+    """``T_(mode) O_(mode)^T`` for ``O = other`` (``t`` itself when None).
+
+    Equal to ``mode_flatten(t, mode) @ mode_flatten(other, mode).T``, but
+    computed on the C-order ``(lead, I_mode, trail)`` views, as one product
+    per leading index summed, so neither tensor is flattened by copy.
+    """
+    _check_mode(t, mode)
+    o = t if other is None else other
+    if o.shape != t.shape:
+        raise ValueError(f"shape {o.shape} does not match {t.shape}")
+    lead, trail = math.prod(t.shape[:mode]), math.prod(t.shape[mode + 1 :])
+    t3 = t.reshape(lead, t.shape[mode], trail)
+    o3 = o.reshape(lead, t.shape[mode], trail)
+    if lead == 1:
+        return t3[0] @ o3[0].T
+    if trail == 1:
+        return t3[:, :, 0].T @ o3[:, :, 0]
+    return np.matmul(t3, o3.transpose(0, 2, 1)).sum(axis=0)
 
 
 def multi_product(t: np.ndarray, factors) -> np.ndarray:

@@ -98,6 +98,22 @@ class TestFitPredict:
         assert lines[0] == "iter,objective,n_selected,accuracy_if_truth_given"
         assert len(lines) >= 2
 
+    def test_final_history_row_has_no_objective(self, tmp_path, capsys):
+        d = synth_dir(tmp_path, capsys)
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, *fit_args(d, out))
+        assert code == 0, err
+        with open(out / "history.csv") as fh:
+            rows = [line.split(",") for line in fh.read().strip().splitlines()[1:]]
+        assert len(rows) >= 3
+        # the final row records the prediction pass only; every earlier row
+        # holds the objective after its block pass
+        assert rows[-1][1] == ""
+        assert all(np.isfinite(float(row[1])) for row in rows[:-1])
+        summary = json.loads(stdout)
+        assert summary["iterations"] == int(rows[-1][0])
+        assert summary["objective"] == float(rows[-2][1])
+
     def test_predict_reproduces_fit_predictions(self, tmp_path, capsys):
         d = synth_dir(tmp_path, capsys)
         out = tmp_path / "run"

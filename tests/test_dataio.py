@@ -19,6 +19,7 @@ from sdtdl.dataio import (
     write_tensor,
 )
 from sdtdl.solver import Hyperparams, SdtdlModel, nearest_centroid_labels
+from sdtdl.tensor import dict_apply
 
 
 def rand_orth(rng, n, k):
@@ -213,6 +214,30 @@ class TestSyntheticSpec:
             )
 
 
+def loop_generator(spec):
+    """The per-sample generator that the batched one replaced: two one-sample
+    dict_apply calls and, with noise, one noise draw per sample."""
+    rng = np.random.default_rng(spec.seed)
+    C, dims, ranks = spec.class_count, spec.dims, spec.ranks
+    u_s, u_t, w, means, dom_mean_s, dom_mean_t = draw_structure(rng, spec)
+
+    def draw_domain(u_dom, dom_mean, n_per_class):
+        labels = np.repeat(np.arange(1, C + 1), n_per_class)
+        samples = np.zeros(dims + (labels.size,))
+        for j, c in enumerate(labels):
+            d_code = dom_mean + rng.standard_normal(ranks)
+            c_code = means[c - 1] + rng.standard_normal(ranks)
+            x = dict_apply(d_code[..., None], u_dom) + dict_apply(c_code[..., None], w[c - 1])
+            if spec.noise > 0:
+                x = x + spec.noise * rng.standard_normal(x.shape)
+            samples[..., j] = x[..., 0]
+        return samples, labels
+
+    src = draw_domain(u_s, dom_mean_s, spec.n_source_per_class)
+    tgt = draw_domain(u_t, dom_mean_t, spec.n_target_per_class)
+    return src, tgt
+
+
 class TestGenerator:
     def spec(self, **overrides):
         base = dict(
@@ -296,3 +321,23 @@ class TestGenerator:
             self.spec(shift=0.0, noise=0.0, n_source_per_class=10, n_target_per_class=10)
         )
         assert np.array_equal(nearest_centroid_labels(source, target), truth)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"noise": 0.0},
+            {"class_count": 1},
+            {"dims": (4, 5, 6), "ranks": (2, 3, 2), "n_target_per_class": 3},
+            {"dims": (7,), "ranks": (3,), "shift": 0.0},
+        ],
+    )
+    def test_equals_per_sample_loop(self, overrides):
+        spec = self.spec(**overrides)
+        source, target, truth = generate_synthetic(spec)
+        (src, src_labels), (tgt, tgt_labels) = loop_generator(spec)
+        for got, want in ((source.samples, src), (target.samples, tgt)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(source.labels, src_labels)
+        assert np.array_equal(truth, tgt_labels)

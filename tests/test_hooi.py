@@ -1,8 +1,26 @@
+import functools
+import importlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sdtdl.hooi import eig_sym_topk, hooi, hosvd
-from sdtdl.tensor import frobenius_norm, multi_product, multi_product_skip
+from sdtdl.hooi import eig_sym_topk, hooi, hosvd, sweep
+from sdtdl.solver import ClassSubproblem, SampleOperator, _mode_form, update_class_dict
+from sdtdl.tensor import (
+    core_of,
+    dict_project,
+    frobenius_norm,
+    mode_flatten,
+    mode_product,
+    multi_product,
+    multi_product_skip,
+)
+
+# the module itself: the package attribute ``sdtdl.hooi`` is the function
+H = importlib.import_module("sdtdl.hooi")
 
 
 def rand_orth(rng, n, k):
@@ -165,3 +183,122 @@ class TestHooi:
             hooi(t, (2, 2), max_sweeps=0)
         with pytest.raises(ValueError, match="tol"):
             hooi(t, (2, 2), tol=0.0)
+        with pytest.raises(ValueError, match="at least one"):
+            hooi(np.zeros(3), (), skip_last=True)
+
+
+def flatten_form(h, m, quad=None):
+    """The per-mode forms as written before the shared sweep: a Gram matrix
+    of mode_flatten copies, with ``quad`` on the last mode symmetrized."""
+    g = mode_flatten(h, m)
+    if quad is None:
+        return g @ g.T
+    s = g @ mode_flatten(quad.apply(h), m).T
+    return 0.5 * (s + s.T)
+
+
+def reference_sweep(t, factors, ranks, form):
+    """The per-mode loop that rebuilt every partial projection from ``t``."""
+    for m, r in enumerate(ranks):
+        h = t
+        for k, u in enumerate(factors):
+            if k != m:
+                h = mode_product(h, u.T, k)
+        factors[m] = eig_sym_topk(form(h, m), r)[1]
+
+
+def low_rank_tensor(rng, dims, ranks):
+    """A Tucker tensor of the given multilinear ranks plus 1e-3 noise, so that
+    every mode's top subspace is well separated from the rest."""
+    t = rng.standard_normal(tuple(ranks) + tuple(dims[len(ranks) :]))
+    for m, d in enumerate(dims[: len(ranks)]):
+        t = mode_product(t, np.linalg.qr(rng.standard_normal((d, ranks[m])))[0], m)
+    return t + 1e-3 * rng.standard_normal(dims)
+
+
+def projector_gap(a, b):
+    return max(np.linalg.norm(u @ u.T - v @ v.T, 2) for u, v in zip(a, b))
+
+
+class TestSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        order=st.integers(1, 4),
+        skip_last=st.booleans(),
+        route=st.sampled_from(["gram", "exact"]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_mode_loop(self, order, skip_last, route, data, seed):
+        # order counts the compressed modes; skip_last adds a sample mode
+        rng = np.random.default_rng(seed)
+        dims = data.draw(st.lists(st.integers(2, 5), min_size=order, max_size=order))
+        ranks = [data.draw(st.integers(1, d)) for d in dims]
+        dims = dims + ([data.draw(st.integers(2, 6))] if skip_last else [])
+        # each mode's form must have rank >= its rank, or its top subspace
+        # is not unique
+        extents = ranks + dims[order:]
+        assume(all(r <= math.prod(extents) // r for r in ranks))
+        t = low_rank_tensor(rng, dims, ranks)
+        quad = None
+        if route == "exact":
+            n_s = data.draw(st.integers(1, dims[-1] - 1))
+            quad = SampleOperator.quadratic_form(n_s, dims[-1] - n_s, 2.0, 0.1)
+        start = [
+            eig_sym_topk(flatten_form(t, m, quad), r)[1] for m, r in enumerate(ranks)
+        ]
+        got, want = list(start), list(start)
+        for _ in range(2):
+            sweep(t, got, ranks, functools.partial(_mode_form, quad=quad))
+            reference_sweep(t, want, ranks, functools.partial(flatten_form, quad=quad))
+        assert projector_gap(got, want) <= 1e-10
+
+    @pytest.mark.parametrize("skip_last", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_history_is_core_norm_and_core_is_projection(self, skip_last, seed):
+        rng = np.random.default_rng(seed)
+        dims, ranks = ((5, 4, 6, 7), (3, 2, 4)) if skip_last else ((5, 4, 6), (3, 2, 4))
+        t = rng.standard_normal(dims)
+        project = dict_project if skip_last else core_of
+        full = hooi(t, ranks, skip_last=skip_last, max_sweeps=6, tol=1e-300)
+        assert len(full.fit_history) == 6
+        for i, value in enumerate(full.fit_history):
+            # the same deterministic path, stopped after sweep i
+            factors = hooi(t, ranks, skip_last=skip_last, max_sweeps=i + 1, tol=1e-300).factors
+            want = float(np.sum(project(t, factors) ** 2))
+            assert abs(value - want) <= 1e-12 * want
+        assert np.max(np.abs(full.core - project(t, full.factors))) <= 1e-12 * np.max(
+            np.abs(full.core)
+        )
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_product_count(self, order, monkeypatch):
+        rng = np.random.default_rng(order)
+        dims = (3,) * order + (4,)
+        ranks = [2] * order
+        t = rng.standard_normal(dims)
+        factors = hosvd(t, ranks, skip_last=True).factors
+        calls = []
+        real = H.mode_product
+        monkeypatch.setattr(H, "mode_product", lambda *a: calls.append(a[2]) or real(*a))
+        per_sweep = (order - 1) + order * (order - 1) // 2
+        sweep(t, list(factors), ranks)
+        assert len(calls) == per_sweep
+
+        # hooi: the sweeps' products plus the one that forms the returned core,
+        # and no projection of the tensor
+        def no_projection(*args):
+            raise AssertionError("hooi projected the tensor")
+
+        monkeypatch.setattr(H, "dict_project", no_projection)
+        monkeypatch.setattr(H, "core_of", no_projection)
+        calls.clear()
+        res = hooi(t, ranks, skip_last=True, max_sweeps=3, tol=1e-300, init_factors=factors)
+        assert len(calls) == len(res.fit_history) * per_sweep + 1
+
+        # the class update: the same sweep, inner_sweeps times
+        sub = ClassSubproblem(x_tilde=t[..., :2], y_tilde=t[..., 2:])
+        for method in ("eigen-phi", "exact"):
+            calls.clear()
+            update_class_dict(sub, ranks, 5, method=method, theta=2.0, lam=0.1, w_init=factors)
+            assert len(calls) == 5 * per_sweep

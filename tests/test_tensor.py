@@ -9,6 +9,7 @@ from sdtdl.tensor import (
     frobenius_norm,
     is_orthonormal,
     mode_flatten,
+    mode_gram,
     mode_product,
     mode_unflatten,
     multi_product,
@@ -141,6 +142,36 @@ class TestModeProduct:
             scale = mode_unflatten(np.abs(u) @ np.abs(mode_flatten(t, m)), m, new_dims)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+class TestModeGram:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dims=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+        with_other=st.booleans(),
+        transposed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_flatten_product(self, dims, with_other, transposed, seed):
+        rng = np.random.default_rng(seed)
+        if transposed:
+            # a non-contiguous view with extents dims
+            t = rng.standard_normal(dims[::-1]).transpose()
+        else:
+            t = rng.standard_normal(dims)
+        o = rng.standard_normal(dims) if with_other else None
+        for m in range(t.ndim):
+            got = mode_gram(t, m, o)
+            a = mode_flatten(t, m)
+            b = a if o is None else mode_flatten(o, m)
+            want = a @ b.T
+            scale = np.abs(a) @ np.abs(b).T
+            assert got.shape == want.shape == (dims[m], dims[m])
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="does not match"):
+            mode_gram(np.zeros((2, 3)), 0, np.zeros((2, 4)))
 
 
 class TestMultiProduct:
