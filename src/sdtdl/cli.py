@@ -9,6 +9,7 @@ override it. Exit codes: 0 success, 2 configuration error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -51,16 +52,12 @@ def _merged(args, cfg: dict, key: str, default=None):
     value = getattr(args, key, None)
     if value is not None:
         return value
-    if key in cfg:
-        return cfg[key]
-    return default
+    return cfg.get(key, default)
 
 
 def _parse_ranks(value):
     if value is None:
         return None
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
     try:
         return tuple(int(v) for v in str(value).split(",") if v.strip())
     except ValueError as exc:
@@ -75,37 +72,25 @@ def _require_file(path, what):
     return path
 
 
-def _build_hyper(args, cfg, n_modes=None) -> Hyperparams:
+def _build_hyper(args, cfg) -> Hyperparams:
+    """Hyperparameters from the preset, overridden by each option given."""
+    presets = {"object": solver.object_preset, "digit": solver.digit_preset}
     preset = _merged(args, cfg, "preset")
-    if preset == "object":
-        hp = solver.object_preset()
-    elif preset == "digit":
-        hp = solver.digit_preset()
-    elif preset in (None, "custom"):
-        hp = None
-    else:
+    if preset not in (None, "custom", *presets):
         raise ConfigError(f"unknown preset {preset!r}")
-
-    def pick(key, cast, fallback):
-        v = _merged(args, cfg, key)
-        return cast(v) if v is not None else fallback
-
+    given = {}
     ranks = _parse_ranks(_merged(args, cfg, "ranks"))
-    if ranks is None:
-        if hp is None:
-            raise ConfigError("ranks are required (flag --ranks or a preset)")
-        ranks = hp.ranks
+    if ranks is not None:
+        given["ranks"] = ranks
+    elif preset not in presets:
+        raise ConfigError("ranks are required (flag --ranks or a preset)")
     try:
-        return Hyperparams(
-            ranks=ranks,
-            theta=pick("theta", float, hp.theta if hp else 20.0),
-            lam=pick("lam", float, hp.lam if hp else 0.1),
-            gamma=pick("gamma", float, hp.gamma if hp else 0.25),
-            delta=pick("delta", float, hp.delta if hp else 0.8),
-            max_outer_iters=pick("max_iters", int, hp.max_outer_iters if hp else 10),
-            inner_sweeps=pick("inner_sweeps", int, hp.inner_sweeps if hp else 20),
-            tol=pick("tol", float, hp.tol if hp else 1e-6),
-        )
+        # every field after ranks, cast to the type of its default
+        for f in dataclasses.fields(Hyperparams)[1:]:
+            value = _merged(args, cfg, "max_iters" if f.name == "max_outer_iters" else f.name)
+            if value is not None:
+                given[f.name] = type(f.default)(value)
+        return presets.get(preset, Hyperparams)(**given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -155,19 +140,15 @@ def write_history(path, history) -> None:
             fh.write(f"{row.iteration},{obj},{row.n_selected},{acc}\n")
 
 
-def _load_source(args, cfg) -> LabeledTensorSet:
+def _load_problem(args, cfg):
+    """The labeled source, the target and the optional target truth labels."""
     src_path = _require_file(_merged(args, cfg, "source"), "--source")
     lab_path = _require_file(_merged(args, cfg, "source_labels"), "--source-labels")
     samples = dataio.read_tensor(src_path)
     labels = dataio.read_labels(lab_path)
     if labels.size == 0:
         raise ConfigError(f"no labels in {lab_path}")
-    return LabeledTensorSet(samples=samples, class_count=int(labels.max()), labels=labels)
-
-
-def cmd_fit(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    source = _load_source(args, cfg)
+    source = LabeledTensorSet(samples=samples, class_count=int(labels.max()), labels=labels)
     tgt_path = _require_file(_merged(args, cfg, "target"), "--target")
     target = LabeledTensorSet(
         samples=dataio.read_tensor(tgt_path), class_count=source.class_count
@@ -178,6 +159,12 @@ def cmd_fit(args) -> int:
         truth = dataio.read_labels(_require_file(truth_path, "--truth"))
         if truth.shape[0] != target.n_samples:
             raise ConfigError("truth label count does not match target sample count")
+    return source, target, truth
+
+
+def cmd_fit(args) -> int:
+    cfg = _load_config(args.config) if args.config else {}
+    source, target, truth = _load_problem(args, cfg)
     hyper = _build_hyper(args, cfg)
     out = _merged(args, cfg, "out", ".")
     os.makedirs(out, exist_ok=True)
@@ -209,11 +196,9 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     model = dataio.load_model(_require_file(args.model, "--model"))
     samples = dataio.read_tensor(_require_file(args.target, "--target"))
-    if samples.shape[:-1] != tuple(u.shape[0] for u in model.u_source):
-        raise ConfigError(
-            f"target dims {samples.shape[:-1]} do not match model dims "
-            f"{tuple(u.shape[0] for u in model.u_source)}"
-        )
+    dims = tuple(u.shape[0] for u in model.u_source)
+    if samples.shape[:-1] != dims:
+        raise ConfigError(f"target dims {samples.shape[:-1]} do not match model dims {dims}")
     target = LabeledTensorSet(samples=samples, class_count=model.class_count)
     pl = pseudolabel.predict_labels(target, model, model.hyper.gamma, model.hyper.delta)
     write_predictions(args.out, pl)
@@ -282,27 +267,25 @@ def cmd_decompose(args) -> int:
 
 def cmd_baseline(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    source = _load_source(args, cfg)
-    target = LabeledTensorSet(
-        samples=dataio.read_tensor(_require_file(_merged(args, cfg, "target"), "--target")),
-        class_count=source.class_count,
-    )
+    source, target, truth = _load_problem(args, cfg)
     labels = solver.nearest_centroid_labels(source, target)
     out = {"labels": labels.tolist()}
-    truth_path = _merged(args, cfg, "truth")
-    if truth_path is not None:
-        truth = dataio.read_labels(_require_file(truth_path, "--truth"))
+    if truth is not None:
         out["accuracy"] = float(np.mean(labels == truth))
     print(json.dumps(out))
     return 0
 
 
-def _add_fit_options(p):
+def _add_data_options(p):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--source")
     p.add_argument("--source-labels", dest="source_labels")
     p.add_argument("--target")
     p.add_argument("--truth")
+
+
+def _add_fit_options(p):
+    _add_data_options(p)
     p.add_argument("--preset", choices=["object", "digit", "custom"])
     p.add_argument("--theta", type=float)
     p.add_argument("--lambda", dest="lam", type=float)
@@ -365,11 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("baseline", help="no-adaptation nearest-centroid accuracy")
-    p.add_argument("--config")
-    p.add_argument("--source")
-    p.add_argument("--source-labels", dest="source_labels")
-    p.add_argument("--target")
-    p.add_argument("--truth")
+    _add_data_options(p)
     p.set_defaults(func=cmd_baseline)
 
     return parser

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -31,6 +32,8 @@ __all__ = [
     "BadMagicError",
     "UnsupportedVersionError",
     "TruncatedPayloadError",
+    "tensor_to_bytes",
+    "tensor_from_bytes",
     "read_tensor",
     "write_tensor",
     "read_labels",
@@ -107,11 +110,14 @@ def write_tensor(path, t: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a tensor file straight into the returned array."""
+    """Read a tensor file straight into the returned array. The payload the
+    header declares is checked against the file size before it is allocated."""
     with open(path, "rb") as fh:
-        t = np.empty(_read_header(fh.read), dtype="<f8")
-        if fh.readinto(t) < t.nbytes:
+        dims = _read_header(fh.read)
+        if 8 * math.prod(dims) > os.fstat(fh.fileno()).st_size - fh.tell():
             raise TruncatedPayloadError("truncated payload")
+        t = np.empty(dims, dtype="<f8")
+        fh.readinto(t)
     if not np.all(np.isfinite(t)):
         raise TensorFileError("tensor contains non-finite values")
     return t
@@ -210,30 +216,44 @@ def load_model(path) -> SdtdlModel:
         name, off = _manifest_field(f"<{name_len}sQ", buf, pos + 2)
         pos += 2 + name_len + 8
         tensors[name.decode()], _ = tensor_from_bytes(buf, off)
-    hp_vec = tensors["hyper"]
-    ranks = tuple(int(r) for r in tensors["ranks"])
-    hyper = Hyperparams(
-        ranks=ranks,
-        theta=float(hp_vec[0]),
-        lam=float(hp_vec[1]),
-        gamma=float(hp_vec[2]),
-        delta=float(hp_vec[3]),
-        max_outer_iters=int(hp_vec[4]),
-        inner_sweeps=int(hp_vec[5]),
-        tol=float(hp_vec[6]),
-    )
-    C = int(hp_vec[7])
+
+    def entry(name, shape=None):
+        if name not in tensors:
+            raise TensorFileError(f"model file has no entry {name!r}")
+        if shape is not None and tensors[name].shape != shape:
+            raise TensorFileError(
+                f"model entry {name!r} has shape {tensors[name].shape}, expected {shape}"
+            )
+        return tensors[name]
+
+    hp_vec = entry("hyper", (9,))
+    try:
+        ranks = tuple(int(r) for r in entry("ranks").ravel())
+        hyper = Hyperparams(
+            ranks=ranks,
+            theta=float(hp_vec[0]),
+            lam=float(hp_vec[1]),
+            gamma=float(hp_vec[2]),
+            delta=float(hp_vec[3]),
+            max_outer_iters=int(hp_vec[4]),
+            inner_sweeps=int(hp_vec[5]),
+            tol=float(hp_vec[6]),
+        )
+        C = int(hp_vec[7])
+    except (ValueError, OverflowError) as exc:
+        raise TensorFileError(f"model entries 'hyper' and 'ranks': {exc}") from exc
     has_target = bool(hp_vec[8])
     order = len(ranks)
-    u_source = [tensors[f"u_source/{m}"] for m in range(order)]
-    u_target = [tensors[f"u_target/{m}"] for m in range(order)] if has_target else None
-    w_class = [[tensors[f"w/{c}/{m}"] for m in range(order)] for c in range(C)]
+    u_source = [entry(f"u_source/{m}") for m in range(order)]
+    u_target = [entry(f"u_target/{m}") for m in range(order)] if has_target else None
+    w_class = [[entry(f"w/{c}/{m}") for m in range(order)] for c in range(C)]
+    # the class means are ranks-shaped, which catches a short 'ranks' entry
     return SdtdlModel(
         u_source=u_source,
         u_target=u_target,
         w_class=w_class,
-        class_means_source=[tensors[f"mean_src/{c}"] for c in range(C)],
-        class_means_target=[tensors[f"mean_tgt/{c}"] for c in range(C)],
+        class_means_source=[entry(f"mean_src/{c}", ranks) for c in range(C)],
+        class_means_target=[entry(f"mean_tgt/{c}", ranks) for c in range(C)],
         hyper=hyper,
     )
 

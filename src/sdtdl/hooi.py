@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import core_of, dict_project, mode_gram, mode_product
+from .tensor import core_of, dict_project, mode_gram, mode_product, multi_product
 
 __all__ = ["TuckerResult", "eig_sym_topk", "hosvd", "sweep", "hooi"]
 
@@ -24,10 +24,9 @@ class TuckerResult:
     fit_history: list = field(default_factory=list)  # core squared norm per sweep
 
     def reconstruct(self) -> np.ndarray:
-        t = self.core
-        for m, u in enumerate(self.factors):
-            t = mode_product(t, u, m)
-        return t
+        """The Tucker tensor; a skipped sample mode stays as it is in the core."""
+        skipped = [None] * (self.core.ndim - len(self.factors))
+        return multi_product(self.core, list(self.factors) + skipped)
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -439,6 +439,12 @@ def update_class_dict(
     return w, a_c, b_c
 
 
+def _domain_residual(tensor_set: LabeledTensorSet, c: int, domain_codes, factors):
+    """Class-``c`` samples minus their domain-dictionary reconstruction."""
+    idx = tensor_set.class_indices(c)
+    return tensor_set.samples[..., idx] - dict_apply(domain_codes[..., idx], factors)
+
+
 def _class_residuals(tensor_set: LabeledTensorSet, codes_by_class, dicts_by_class):
     """Samples minus their class-dictionary reconstruction, in set order."""
     out = np.zeros_like(tensor_set.samples)
@@ -451,34 +457,33 @@ def _class_residuals(tensor_set: LabeledTensorSet, codes_by_class, dicts_by_clas
     return out
 
 
-def update_domain_source(source: LabeledTensorSet, model: SdtdlModel, codes: SdtdlCodes):
-    """Refresh the source dictionary on the class-residual tensor via HOOI,
-    warm-started from the current factors."""
-    resid = _class_residuals(source, codes.a_class, model.w_class)
+def _hooi_dict(samples: np.ndarray, hyper: Hyperparams, factors):
+    """HOOI on ``samples`` with the sample mode kept: warm-started from
+    ``factors``, or from HOSVD when there are none yet. Returns the factors
+    and the codes of the samples under them."""
     res = hooi(
-        resid,
-        model.hyper.ranks,
+        samples,
+        hyper.ranks,
         skip_last=True,
-        max_sweeps=model.hyper.inner_sweeps,
-        tol=model.hyper.tol,
-        init_factors=model.u_source,
+        max_sweeps=hyper.inner_sweeps,
+        tol=hyper.tol,
+        init_factors=factors or None,
     )
     return list(res.factors), res.core
+
+
+def update_domain_source(source: LabeledTensorSet, model: SdtdlModel, codes: SdtdlCodes):
+    """Refresh the source dictionary on the class-residual tensor via HOOI,
+    warm-started from the current factors; cold before there are any."""
+    resid = _class_residuals(source, codes.a_class, model.w_class)
+    return _hooi_dict(resid, model.hyper, model.u_source)
 
 
 def update_domain_target(target_selected: LabeledTensorSet, model: SdtdlModel, codes: SdtdlCodes):
     """Target-side analogue of :func:`update_domain_source`. The target
     weight scales the subproblem uniformly, so the same HOOI solves it."""
     resid = _class_residuals(target_selected, codes.b_class, model.w_class)
-    res = hooi(
-        resid,
-        model.hyper.ranks,
-        skip_last=True,
-        max_sweeps=model.hyper.inner_sweeps,
-        tol=model.hyper.tol,
-        init_factors=model.u_target,
-    )
-    return list(res.factors), res.core
+    return _hooi_dict(resid, model.hyper, model.u_target)
 
 
 @dataclass
@@ -489,14 +494,18 @@ class FitHistoryRow:
     accuracy: float  # NaN when no ground truth was supplied
 
 
-def _class_mean_list(codes_by_class, ranks):
-    means = []
-    for codes in codes_by_class:
-        if codes.shape[-1] == 0:
-            means.append(np.zeros(ranks))
-        else:
-            means.append(class_means(codes))
-    return means
+def _refresh_means(model: SdtdlModel, codes: SdtdlCodes) -> None:
+    """Set the model's class means from the class codes; a class with no
+    samples gets a zero mean."""
+
+    def means(codes_by_class):
+        return [
+            class_means(k) if k.shape[-1] else np.zeros(model.hyper.ranks)
+            for k in codes_by_class
+        ]
+
+    model.class_means_source = means(codes.a_class)
+    model.class_means_target = means(codes.b_class)
 
 
 def _selected_set(target: LabeledTensorSet, pl) -> LabeledTensorSet:
@@ -509,10 +518,9 @@ def _selected_set(target: LabeledTensorSet, pl) -> LabeledTensorSet:
 
 
 def _accuracy(labels, truth) -> float:
-    if truth is None:
+    if truth is None or np.size(truth) == 0:
         return float("nan")
-    truth = np.asarray(truth)
-    return float(np.mean(labels == truth)) if truth.size else float("nan")
+    return float(np.mean(labels == np.asarray(truth)))
 
 
 def fit(
@@ -552,57 +560,42 @@ def fit(
         if source.class_indices(c).size == 0:
             raise ValueError(f"source class {c} has no samples")
 
+    def history_row(iteration, pl, objective_value):
+        return FitHistoryRow(
+            iteration, objective_value, int(np.sum(pl.selected)), _accuracy(pl.labels, truth)
+        )
+
     # --- init step 1: class dictionaries from raw class samples, then U_s
-    w_class = []
-    a_class = []
-    for c in range(1, C + 1):
-        xc = source.class_samples(c)
-        res = hooi(xc, ranks, skip_last=True, max_sweeps=hyper.inner_sweeps, tol=hyper.tol)
-        w_class.append(list(res.factors))
-        a_class.append(res.core)
+    w_class, a_class = zip(
+        *(_hooi_dict(source.class_samples(c), hyper, None) for c in range(1, C + 1))
+    )
     model = SdtdlModel(
         u_source=[],
         u_target=None,
-        w_class=w_class,
-        class_means_source=_class_mean_list(a_class, ranks),
-        class_means_target=[np.zeros(ranks) for _ in range(C)],
+        w_class=list(w_class),
+        class_means_source=[],
+        class_means_target=[],
         hyper=hyper,
     )
+    # no target is selected yet; the domain codes come from the HOOI calls below
     codes = SdtdlCodes(
-        a0=np.zeros(ranks + (source.n_samples,)),
-        b0=np.zeros(ranks + (0,)),
-        a_class=a_class,
-        b_class=[np.zeros(ranks + (0,)) for _ in range(C)],
+        a0=None, b0=None, a_class=list(a_class), b_class=[np.zeros(ranks + (0,))] * C
     )
-    resid = _class_residuals(source, codes.a_class, model.w_class)
-    res = hooi(resid, ranks, skip_last=True, max_sweeps=hyper.inner_sweeps, tol=hyper.tol)
-    model.u_source = list(res.factors)
-    codes.a0 = res.core
+    _refresh_means(model, codes)
+    model.u_source, codes.a0 = update_domain_source(source, model, codes)
 
     # --- init step 2: predict target labels with the U_t contribution zeroed
     pl = predict_labels(target, model, hyper.gamma, hyper.delta)
 
     # --- init step 3: target dictionary from the selected residuals
     selected = _selected_set(target, pl)
-    b_class = []
-    for c in range(1, C + 1):
-        yc = selected.class_samples(c)
-        b_class.append(dict_project(yc, model.w_class[c - 1]))
-    codes.b_class = b_class
-    model.class_means_target = _class_mean_list(b_class, ranks)
-    t_resid = _class_residuals(selected, codes.b_class, model.w_class)
-    res = hooi(t_resid, ranks, skip_last=True, max_sweeps=hyper.inner_sweeps, tol=hyper.tol)
-    model.u_target = list(res.factors)
-    codes.b0 = res.core
-
-    history = [
-        FitHistoryRow(
-            iteration=0,
-            objective=objective(model, source, selected, codes),
-            n_selected=int(np.sum(pl.selected)),
-            accuracy=_accuracy(pl.labels, truth),
-        )
+    codes.b_class = [
+        dict_project(selected.class_samples(c), model.w_class[c - 1]) for c in range(1, C + 1)
     ]
+    _refresh_means(model, codes)
+    model.u_target, codes.b0 = update_domain_target(selected, model, codes)
+
+    history = [history_row(0, pl, objective(model, source, selected, codes))]
     if hyper.max_outer_iters == 0:
         return model, pl, history
 
@@ -616,27 +609,13 @@ def fit(
 
         run_block_updates(source, selected, model, codes, class_update)
 
-        history.append(
-            FitHistoryRow(
-                iteration=it,
-                objective=objective(model, source, selected, codes),
-                n_selected=int(np.sum(pl.selected)),
-                accuracy=_accuracy(pl.labels, truth),
-            )
-        )
+        history.append(history_row(it, pl, objective(model, source, selected, codes)))
     else:
         # the last block pass changed the model: predict with the final
         # model, so a later standalone predict reproduces the fit output
         pl = predict_labels(target, model, hyper.gamma, hyper.delta)
     # the final row records the prediction pass only: no objective is computed
-    history.append(
-        FitHistoryRow(
-            iteration=history[-1].iteration + 1,
-            objective=float("nan"),
-            n_selected=int(np.sum(pl.selected)),
-            accuracy=_accuracy(pl.labels, truth),
-        )
-    )
+    history.append(history_row(history[-1].iteration + 1, pl, float("nan")))
     return model, pl, history
 
 
@@ -649,22 +628,17 @@ def compute_codes(
     projections of the domain residuals onto the class dictionaries. Also
     refreshes the model's class means.
     """
-    ranks = model.hyper.ranks
     a0 = dict_project(source.samples, model.u_source)
     b0 = dict_project(target_selected.samples, model.u_target)
     a_class, b_class = [], []
     for c in range(1, model.class_count + 1):
-        src_idx = source.class_indices(c)
-        x_tilde = source.samples[..., src_idx] - dict_apply(a0[..., src_idx], model.u_source)
+        x_tilde = _domain_residual(source, c, a0, model.u_source)
         a_class.append(dict_project(x_tilde, model.w_class[c - 1]))
-        tgt_idx = target_selected.class_indices(c)
-        y_tilde = target_selected.samples[..., tgt_idx] - dict_apply(
-            b0[..., tgt_idx], model.u_target
-        )
+        y_tilde = _domain_residual(target_selected, c, b0, model.u_target)
         b_class.append(dict_project(y_tilde, model.w_class[c - 1]))
-    model.class_means_source = _class_mean_list(a_class, ranks)
-    model.class_means_target = _class_mean_list(b_class, ranks)
-    return SdtdlCodes(a0=a0, b0=b0, a_class=a_class, b_class=b_class)
+    codes = SdtdlCodes(a0=a0, b0=b0, a_class=a_class, b_class=b_class)
+    _refresh_means(model, codes)
+    return codes
 
 
 def nearest_centroid_labels(source: LabeledTensorSet, target: LabeledTensorSet) -> np.ndarray:
@@ -697,20 +671,13 @@ def run_block_updates(
     mutating ``model`` and ``codes`` in place. Pseudo-labels are taken as
     fixed (they are baked into ``selected``)."""
     hyper = model.hyper
-    C = model.class_count
-    ranks = hyper.ranks
-    for c in range(1, C + 1):
-        src_idx = source.class_indices(c)
-        tgt_idx = selected.class_indices(c)
-        x_tilde = source.samples[..., src_idx] - dict_apply(
-            codes.a0[..., src_idx], model.u_source
-        )
-        y_tilde = selected.samples[..., tgt_idx] - dict_apply(
-            codes.b0[..., tgt_idx], model.u_target
-        )
+    for c in range(1, model.class_count + 1):
         w, a_c, b_c = update_class_dict(
-            ClassSubproblem(x_tilde=x_tilde, y_tilde=y_tilde),
-            ranks,
+            ClassSubproblem(
+                x_tilde=_domain_residual(source, c, codes.a0, model.u_source),
+                y_tilde=_domain_residual(selected, c, codes.b0, model.u_target),
+            ),
+            hyper.ranks,
             hyper.inner_sweeps,
             method=class_update,
             theta=hyper.theta,
@@ -720,8 +687,7 @@ def run_block_updates(
         model.w_class[c - 1] = w
         codes.a_class[c - 1] = a_c
         codes.b_class[c - 1] = b_c
-    model.class_means_source = _class_mean_list(codes.a_class, ranks)
-    model.class_means_target = _class_mean_list(codes.b_class, ranks)
+    _refresh_means(model, codes)
 
     model.u_source, codes.a0 = update_domain_source(source, model, codes)
     model.u_target, codes.b0 = update_domain_target(selected, model, codes)

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "as_tensor",
     "mode_flatten",
     "mode_unflatten",
     "mode_product",
@@ -23,23 +22,13 @@ __all__ = [
     "multi_product_skip",
     "dict_apply",
     "dict_project",
-    "tucker_reconstruct",
     "core_of",
     "stack_last",
     "frobenius_norm",
-    "is_orthonormal",
     "require_orthonormal",
 ]
 
 ORTHO_TOL = 1e-8
-
-
-def as_tensor(values) -> np.ndarray:
-    """Return ``values`` as a C-contiguous float64 array, rejecting NaN/Inf."""
-    t = np.ascontiguousarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("tensor contains non-finite values")
-    return t
 
 
 def _check_mode(t: np.ndarray, mode: int) -> None:
@@ -113,11 +102,13 @@ def mode_gram(t: np.ndarray, mode: int, other: np.ndarray | None = None) -> np.n
 
 
 def multi_product(t: np.ndarray, factors) -> np.ndarray:
-    """Apply one matrix per mode, folding :func:`mode_product` over modes."""
+    """Apply one matrix per mode, folding :func:`mode_product` over modes; a
+    ``None`` factor leaves its mode untouched."""
     if len(factors) != t.ndim:
         raise ValueError(f"expected {t.ndim} factors, got {len(factors)}")
     for m, u in enumerate(factors):
-        t = mode_product(t, u, m)
+        if u is not None:
+            t = mode_product(t, u, m)
     return t
 
 
@@ -127,13 +118,7 @@ def multi_product_skip(t: np.ndarray, factors, skip: int) -> np.ndarray:
     ``factors[skip]`` is ignored and may be ``None``.
     """
     _check_mode(t, skip)
-    if len(factors) != t.ndim:
-        raise ValueError(f"expected {t.ndim} factors, got {len(factors)}")
-    for m, u in enumerate(factors):
-        if m == skip:
-            continue
-        t = mode_product(t, u, m)
-    return t
+    return multi_product(t, [None if m == skip else u for m, u in enumerate(factors)])
 
 
 def dict_apply(codes: np.ndarray, factors) -> np.ndarray:
@@ -146,11 +131,6 @@ def dict_project(samples: np.ndarray, factors) -> np.ndarray:
     """Codes of samples: the transposed ``factors`` act on the leading modes,
     and the last (sample) mode is left untouched."""
     return multi_product_skip(samples, [f.T for f in factors] + [None], skip=samples.ndim - 1)
-
-
-def tucker_reconstruct(core: np.ndarray, factors) -> np.ndarray:
-    """Assemble a tensor from its Tucker core and per-mode factor matrices."""
-    return multi_product(core, factors)
 
 
 def core_of(t: np.ndarray, factors) -> np.ndarray:
@@ -170,16 +150,11 @@ def frobenius_norm(t: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(t).ravel()))
 
 
-def is_orthonormal(mat: np.ndarray, tol: float = ORTHO_TOL) -> bool:
-    mat = np.asarray(mat)
-    gram = mat.T @ mat
-    return bool(np.max(np.abs(gram - np.eye(mat.shape[1]))) <= tol)
-
-
 def require_orthonormal(mat: np.ndarray, tol: float = ORTHO_TOL, name: str = "factor") -> np.ndarray:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[1] > mat.shape[0]:
         raise ValueError(f"{name} must be a tall matrix, got shape {mat.shape}")
-    if not is_orthonormal(mat, tol):
+    # written so that a NaN entry fails the check
+    if not np.max(np.abs(mat.T @ mat - np.eye(mat.shape[1]))) <= tol:
         raise ValueError(f"{name} columns are not orthonormal within {tol}")
     return mat

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -356,6 +357,21 @@ class TestBaseline:
         # 4-sigma binomial band around 1/3 with N=300
         assert abs(acc - 1.0 / 3.0) <= 4 * np.sqrt((1 / 3) * (2 / 3) / n_t)
 
+    @pytest.mark.parametrize("n_truth", [1, 31])
+    def test_truth_count_mismatch(self, tmp_path, capsys, n_truth):
+        d = synth_dir(tmp_path, capsys)  # 30 targets
+        dataio.write_labels(tmp_path / "tt.txt", [1] * n_truth)
+        code, stdout, err = run(
+            capsys, "baseline",
+            "--source", str(d / "source.stdl"),
+            "--source-labels", str(d / "source_labels.txt"),
+            "--target", str(d / "target.stdl"),
+            "--truth", str(tmp_path / "tt.txt"),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "truth label count does not match target sample count" in err
+
 
 class TestDecompose:
     def test_full_rank_exact(self, tmp_path, capsys):
@@ -403,3 +419,15 @@ class TestDecompose:
             "--ranks", "4,2", "--out", str(tmp_path / "dec"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("dims", [(131072, 65536), (2**31, 2**31)])
+    def test_oversized_header_exit_code(self, tmp_path, capsys, dims):
+        # a 24-byte file whose header claims far more payload than it holds
+        bad = tmp_path / "big.stdl"
+        bad.write_bytes(b"STDL" + struct.pack("<HH2Q", 1, 2, *dims))
+        code, _, err = run(
+            capsys, "decompose", "--input", str(bad),
+            "--ranks", "1,1", "--out", str(tmp_path / "dec"),
+        )
+        assert code == 3
+        assert "truncated payload" in err

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,15 @@ class TestTensorFile:
             with pytest.raises(TruncatedPayloadError):
                 read_tensor(cut)
 
+    @pytest.mark.parametrize("dims", [(131072, 65536), (2**31, 2**31)])
+    def test_oversized_header_is_truncated(self, tmp_path, dims):
+        # checked against the file size before the payload is allocated
+        path = tmp_path / "big.stdl"
+        path.write_bytes(tensor_to_bytes(np.zeros((0, 0)))[:8] + struct.pack("<2Q", *dims))
+        assert path.stat().st_size == 24
+        with pytest.raises(TruncatedPayloadError):
+            read_tensor(path)
+
     def test_nonfinite_rejected(self, tmp_path):
         path = tmp_path / "bad.stdl"
         with open(path, "wb") as fh:
@@ -128,6 +139,32 @@ def make_model(rng, with_target=True):
         class_means_target=[rng.standard_normal(ranks) for _ in range(C)],
         hyper=Hyperparams(ranks=ranks, theta=3.5, lam=0.25, gamma=0.4, delta=0.9),
     )
+
+
+def read_container(path):
+    """Name -> tensor of every entry of a model container."""
+    buf = path.read_bytes()
+    (count,) = struct.unpack_from("<I", buf, 6)
+    entries, pos = {}, 10
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", buf, pos)
+        name = buf[pos + 2 : pos + 2 + name_len].decode()
+        (off,) = struct.unpack_from("<Q", buf, pos + 2 + name_len)
+        entries[name] = tensor_from_bytes(buf, off)[0]
+        pos += 2 + name_len + 8
+    return entries
+
+
+def write_container(path, entries):
+    """A model container holding ``entries`` in the documented layout."""
+    names = [name.encode() for name in entries]
+    blobs = [tensor_to_bytes(t) for t in entries.values()]
+    pos = 10 + sum(2 + len(n) + 8 for n in names)
+    manifest = b"STDM" + struct.pack("<HI", 1, len(names))
+    for name, blob in zip(names, blobs):
+        manifest += struct.pack("<H", len(name)) + name + struct.pack("<Q", pos)
+        pos += len(blob)
+    path.write_bytes(manifest + b"".join(blobs))
 
 
 class TestModelFile:
@@ -176,6 +213,26 @@ class TestModelFile:
             cut.write_bytes(buf[:length])
             with pytest.raises(TruncatedPayloadError):
                 load_model(cut)
+
+    def test_malformed_container_names_the_entry(self, tmp_path):
+        path = tmp_path / "model.stdm"
+        save_model(path, make_model(np.random.default_rng(3)))
+        entries = read_container(path)
+        bad = tmp_path / "bad.stdm"
+        write_container(bad, entries)
+        assert bad.read_bytes() == path.read_bytes()
+        for name in entries:
+            write_container(bad, {k: v for k, v in entries.items() if k != name})
+            with pytest.raises(TensorFileError, match=f"no entry '{name}'"):
+                load_model(bad)
+        for name, short, shown in [
+            ("hyper", entries["hyper"][:5], "hyper"),
+            # a short 'ranks' shows as class means of the wrong shape
+            ("ranks", entries["ranks"][:1], "mean_src/0"),
+        ]:
+            write_container(bad, {**entries, name: short})
+            with pytest.raises(TensorFileError, match=f"entry '{shown}' has shape"):
+                load_model(bad)
 
     def test_model_magic_checked(self, tmp_path):
         path = tmp_path / "model.stdm"

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdtdl.hooi import TuckerResult
 from sdtdl.tensor import (
-    as_tensor,
     core_of,
     frobenius_norm,
-    is_orthonormal,
     mode_flatten,
     mode_gram,
     mode_product,
@@ -16,7 +15,6 @@ from sdtdl.tensor import (
     multi_product_skip,
     require_orthonormal,
     stack_last,
-    tucker_reconstruct,
 )
 
 
@@ -243,20 +241,24 @@ class TestTucker:
         rng = np.random.default_rng(12)
         core = rng.standard_normal((2, 2, 2))
         factors = [rand_orth(rng, 4, 2) for _ in range(3)]
-        assert np.array_equal(tucker_reconstruct(core, factors), multi_product(core, factors))
+        rec = TuckerResult(core=core, factors=factors).reconstruct()
+        assert np.array_equal(rec, multi_product(core, factors))
+        # a result with a skipped sample mode leaves that mode as it is
+        rec = TuckerResult(core=core, factors=factors[:2]).reconstruct()
+        assert np.array_equal(rec, multi_product_skip(core, factors[:2] + [None], skip=2))
 
     def test_square_orthonormal_roundtrip(self):
         rng = np.random.default_rng(13)
         t = rng.standard_normal((4, 5, 3))
         qs = [rand_orth(rng, d, d) for d in t.shape]
-        rec = tucker_reconstruct(core_of(t, qs), qs)
+        rec = multi_product(core_of(t, qs), qs)
         assert np.max(np.abs(rec - t)) <= 1e-10
 
     def test_rank_deficient_error_equals_projection_residual(self):
         rng = np.random.default_rng(14)
         t = rng.standard_normal((4, 5, 6))
         ws = [rand_orth(rng, d, 2) for d in t.shape]
-        rec = tucker_reconstruct(core_of(t, ws), ws)
+        rec = multi_product(core_of(t, ws), ws)
         # explicit projector oracle: P = W W^T applied per mode
         proj = multi_product(t, [w @ w.T for w in ws])
         assert np.max(np.abs(rec - proj)) <= 1e-10
@@ -323,16 +325,13 @@ class TestFrobeniusNorm:
 
 
 class TestValidation:
-    def test_as_tensor_rejects_nan(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            as_tensor([1.0, np.nan])
-
     def test_orthonormal_checks(self):
         rng = np.random.default_rng(21)
         q = rand_orth(rng, 5, 3)
-        assert is_orthonormal(q)
         require_orthonormal(q)
         with pytest.raises(ValueError, match="not orthonormal"):
             require_orthonormal(rng.standard_normal((5, 3)))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            require_orthonormal(np.full((5, 3), np.nan))
         with pytest.raises(ValueError, match="tall"):
             require_orthonormal(np.zeros((2, 3)))
