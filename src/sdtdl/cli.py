@@ -210,7 +210,7 @@ def cmd_eval(args) -> int:
     truth = dataio.read_labels(_require_file(args.truth, "--truth"))
     if labels.shape != truth.shape:
         raise ConfigError("prediction and truth counts differ")
-    overall = float(np.mean(labels == truth)) if truth.size else float("nan")
+    overall = float(np.mean(labels == truth)) if truth.size else None
     per_class = {}
     for c in sorted(set(truth.tolist())):
         mask = truth == c

@@ -286,14 +286,14 @@ class SyntheticSpec:
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
         self.ranks = tuple(int(r) for r in self.ranks)
-        if len(self.dims) != len(self.ranks):
-            raise ValueError("dims and ranks must have equal length")
-        if any(r > d for r, d in zip(self.ranks, self.dims)):
-            raise ValueError("ranks must not exceed dims")
+        if not self.dims or len(self.dims) != len(self.ranks):
+            raise ValueError("dims and ranks must have equal length, at least 1")
+        if not all(1 <= r <= d for r, d in zip(self.ranks, self.dims)):
+            raise ValueError("ranks must be >= 1 and not exceed dims")
         if self.class_count < 1 or self.n_source_per_class < 1 or self.n_target_per_class < 1:
             raise ValueError("class_count and per-class sample counts must be >= 1")
-        if self.noise < 0 or self.shift < 0:
-            raise ValueError("noise and shift must be nonnegative")
+        if not (0 <= self.noise < math.inf and 0 <= self.shift < math.inf):
+            raise ValueError("noise and shift must be finite and nonnegative")
 
 
 def _orth(rng, n, k):

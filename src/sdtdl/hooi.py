@@ -130,8 +130,8 @@ def hooi(
     ranks = _check_ranks(t, ranks, skip_last)
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
     if init_factors is None:
         factors = list(hosvd(t, ranks, skip_last).factors)
     else:

@@ -34,6 +34,7 @@ from .tensor import (
     dict_project,
     frobenius_norm,
     mode_gram,
+    # not called here: test_real_package_bindings_are_wrapped_and_restored wraps it
     mode_product,
     require_orthonormal,
     stack_last,
@@ -85,10 +86,10 @@ class Hyperparams:
 
     def __post_init__(self):
         self.ranks = tuple(int(r) for r in self.ranks)
-        if self.theta <= 0:
-            raise ValueError("theta must be > 0")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        if not 0 < self.theta < math.inf:
+            raise ValueError("theta must be finite and > 0")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lambda must be finite and >= 0")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
         if not 0.0 < self.delta <= 1.0:
@@ -99,8 +100,8 @@ class Hyperparams:
             raise ValueError("max_outer_iters must be >= 0")
         if self.inner_sweeps < 1:
             raise ValueError("inner_sweeps must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
 
 
 def object_preset(**overrides) -> Hyperparams:
@@ -199,16 +200,10 @@ class SdtdlCodes:
 
 @dataclass
 class ClassSubproblem:
-    """Residual tensors of one class-dictionary update.
-
-    ``phi`` optionally gives the ``eigen-phi`` route a dense sample-mode
-    weighting in place of the published Phi, which
-    :func:`update_class_dict` otherwise applies in structured form.
-    """
+    """Source and target residual tensors of one class-dictionary update."""
 
     x_tilde: np.ndarray
     y_tilde: np.ndarray
-    phi: np.ndarray | None = None
 
 
 def class_means(codes: np.ndarray) -> np.ndarray:
@@ -368,75 +363,52 @@ def _mode_form(h, m, quad):
     return 0.5 * (s + s.T)
 
 
-def _class_dict_sweeps(z_weighted, ranks, sweeps, w_init, quad=None):
-    """Alternating per-mode eigen updates on a sample-weighted residual tensor,
-    one :func:`sdtdl.hooi.sweep` at a time.
-
-    When ``quad`` is None the update maximizes the core norm of
-    ``z_weighted`` (the Phi route; the weighting is already baked in).
-    Otherwise ``z_weighted`` is the raw stacked residual and ``quad`` the
-    sample-mode quadratic form, a :class:`SampleOperator`.
-
-    Without ``w_init`` each mode starts from the top eigenvectors of its
-    form on the uncompressed tensor: the HOSVD of ``z_weighted`` on the Phi
-    route, and of ``Z_(m) (I kron Q) Z_(m)^T`` on the exact route. With
-    ``Q = Phi^T Phi`` the two starts coincide.
-    """
-    form = functools.partial(_mode_form, quad=quad)
-    if w_init is None:
-        factors = [
-            eig_sym_topk(form(z_weighted, m), r)[1] for m, r in enumerate(ranks)
-        ]
-    else:
-        factors = [np.asarray(w, dtype=np.float64) for w in w_init]
-    for _ in range(sweeps):
-        sweep(z_weighted, factors, ranks, form)
-    return factors
-
-
 def update_class_dict(
     sub: ClassSubproblem,
     ranks,
     inner_sweeps: int,
-    method: str = "eigen-phi",
-    theta: float | None = None,
-    lam: float | None = None,
+    method: str,
+    theta: float,
+    lam: float,
     w_init=None,
 ):
-    """Solve one class-dictionary subproblem.
+    """Solve one class-dictionary subproblem by ``inner_sweeps`` alternating
+    per-mode eigen updates (:func:`sdtdl.hooi.sweep`) on the stacked residual.
 
     Returns ``(w_c, a_c, b_c)``: the updated factor matrices and the class
     codes of the source / target residuals under them. ``method`` selects the
-    published Phi eigen route or the exact quadratic form. Both apply their
-    sample-mode operator in structured form (:class:`SampleOperator`) built
-    from ``theta`` and ``lam``; the ``eigen-phi`` route applies
-    ``sub.phi`` instead when it is given.
+    sample-mode operator, built from ``theta`` and ``lam`` in structured form
+    (:class:`SampleOperator`): ``"eigen-phi"`` pre-weights the stack with the
+    published Phi and maximizes its core norm; ``"exact"`` keeps the raw
+    stack and puts the quadratic form Q on the sample mode.
+
+    Without ``w_init`` each mode starts from the top eigenvectors of its
+    form on the uncompressed tensor: the HOSVD of the Phi-weighted stack on
+    the Phi route, and of ``Z_(m) (I kron Q) Z_(m)^T`` on the exact route.
+    With ``Q = Phi^T Phi`` the two starts coincide.
     """
     n_s = sub.x_tilde.shape[-1]
     n_t = sub.y_tilde.shape[-1]
-    if sub.phi is not None and sub.phi.shape != (n_s + n_t, n_s + n_t):
-        raise ValueError("phi shape does not match class sample counts")
     z = stack_last(sub.x_tilde, sub.y_tilde)
     ranks = [int(r) for r in ranks]
     for m, r in enumerate(ranks):
         if r > z.shape[m]:
             raise ValueError(f"rank {r} exceeds mode-{m} extent {z.shape[m]}")
-    if method not in ("eigen-phi", "exact"):
-        raise ValueError(f"unknown class-update method: {method}")
-    if method == "eigen-phi" and sub.phi is not None:
-        z_phi = mode_product(z, sub.phi, z.ndim - 1)
-        w = _class_dict_sweeps(z_phi, ranks, inner_sweeps, w_init)
-    elif theta is None or lam is None:
-        raise ValueError(f"{method} method requires theta and lam")
-    elif method == "eigen-phi":
-        z_phi = SampleOperator.phi(n_s, n_t, theta, lam).apply(z)
-        w = _class_dict_sweeps(z_phi, ranks, inner_sweeps, w_init)
-    else:
+    quad = None
+    if method == "eigen-phi":
+        z = SampleOperator.phi(n_s, n_t, theta, lam).apply(z)
+    elif method == "exact":
         quad = SampleOperator.quadratic_form(n_s, n_t, theta, lam)
-        w = _class_dict_sweeps(z, ranks, inner_sweeps, w_init, quad=quad)
-    a_c = dict_project(sub.x_tilde, w)
-    b_c = dict_project(sub.y_tilde, w)
-    return w, a_c, b_c
+    else:
+        raise ValueError(f"unknown class-update method: {method}")
+    form = functools.partial(_mode_form, quad=quad)
+    if w_init is None:
+        w = [eig_sym_topk(form(z, m), r)[1] for m, r in enumerate(ranks)]
+    else:
+        w = [np.asarray(u, dtype=np.float64) for u in w_init]
+    for _ in range(inner_sweeps):
+        sweep(z, w, ranks, form)
+    return w, dict_project(sub.x_tilde, w), dict_project(sub.y_tilde, w)
 
 
 def _domain_residual(tensor_set: LabeledTensorSet, c: int, domain_codes, factors):

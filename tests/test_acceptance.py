@@ -139,7 +139,7 @@ def test_criterion_3_class_update_optimality_oracle():
         x = rng.standard_normal(dims + (n_s,))
         y = rng.standard_normal(dims + (n_t,))
         phi = build_phi(n_s, n_t, theta, lam)
-        sub = ClassSubproblem(x_tilde=x, y_tilde=y, phi=phi)
+        sub = ClassSubproblem(x_tilde=x, y_tilde=y)
         objectives = {
             "eigen-phi": lambda w: _phi_objective(x, y, w, phi),
             "exact": lambda w: _class_objective(x, y, w, theta, lam),

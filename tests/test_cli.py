@@ -74,12 +74,25 @@ class TestSynth:
         assert np.array_equal(dataio.read_labels(d / "target_truth.txt"), truth)
 
     def test_bad_spec_exit_code(self, tmp_path, capsys):
-        code, _, err = run(
-            capsys, "synth", "--classes", "2", "--dims", "3,3", "--ranks", "4,4",
-            "--n-source", "1", "--n-target", "1", "--out", str(tmp_path / "x"),
-        )
-        assert code == 2
-        assert "error" in err
+        bad = [
+            ("--dims", "3,3", "--ranks", "4,4"),
+            ("--dims", "6,6", "--ranks", "0,2"),
+            ("--dims", "0,6", "--ranks", "0,2"),
+            ("--dims", ",", "--ranks", ","),
+            ("--dims", "6,6", "--ranks", "2,2", "--noise", "nan"),
+            ("--dims", "6,6", "--ranks", "2,2", "--noise", "inf"),
+            ("--dims", "6,6", "--ranks", "2,2", "--shift", "nan"),
+            ("--dims", "6,6", "--ranks", "2,2", "--shift", "-1"),
+        ]
+        for i, spec in enumerate(bad):
+            out = tmp_path / f"x{i}"
+            code, _, err = run(
+                capsys, "synth", "--classes", "2", *spec,
+                "--n-source", "1", "--n-target", "1", "--out", str(out),
+            )
+            assert code == 2, spec
+            assert "error" in err
+            assert not out.exists()
 
 
 class TestFitPredict:
@@ -242,6 +255,19 @@ class TestFitPredict:
         assert code == 2
         assert "target has no samples" in err
 
+    @pytest.mark.parametrize(
+        "option", [("--theta", "nan"), ("--lambda", "nan"), ("--theta", "inf"),
+                   ("--lambda", "inf"), ("--tol", "nan"), ("--tol", "inf")],
+    )
+    def test_non_finite_hyperparam_exit_code(self, tmp_path, capsys, option):
+        d = synth_dir(tmp_path, capsys)
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, *fit_args(d, out), *option)
+        assert code == 2
+        assert stdout == ""
+        assert "must be finite" in err
+        assert not out.exists()
+
     def test_predict_model_cut_inside_manifest(self, tmp_path, capsys):
         d = synth_dir(tmp_path, capsys)
         out = tmp_path / "run"
@@ -273,6 +299,21 @@ class TestFitPredict:
 
 
 class TestEval:
+    def test_empty_files_print_valid_json(self, tmp_path, capsys):
+        pred = tmp_path / "pred.txt"
+        pred.write_text("index,label,confidence\n")
+        truth = tmp_path / "truth.txt"
+        truth.write_text("")
+        code, stdout, err = run(
+            capsys, "eval", "--predictions", str(pred), "--truth", str(truth)
+        )
+        assert code == 0, err
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        assert json.loads(stdout, parse_constant=reject) == {"accuracy": None, "per_class": {}}
+
     def test_hand_counted_fixture(self, tmp_path, capsys):
         pred = tmp_path / "pred.txt"
         pred.write_text(
@@ -411,6 +452,19 @@ class TestDecompose:
             )
         with open(out / "report.json") as fh:
             assert json.load(fh) == report
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exit_code(self, tmp_path, capsys, tol):
+        dataio.write_tensor(tmp_path / "t.stdl", np.ones((3, 3)))
+        out = tmp_path / "dec"
+        code, stdout, err = run(
+            capsys, "decompose", "--input", str(tmp_path / "t.stdl"),
+            "--ranks", "1,1", "--tol", tol, "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "tol must be finite" in err
+        assert not out.exists()
 
     def test_bad_ranks_exit_code(self, tmp_path, capsys):
         dataio.write_tensor(tmp_path / "t.stdl", np.zeros((3, 3)))

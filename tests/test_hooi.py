@@ -8,7 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sdtdl.hooi import eig_sym_topk, hooi, hosvd, sweep
-from sdtdl.solver import ClassSubproblem, SampleOperator, _mode_form, update_class_dict
+from sdtdl.solver import (
+    ClassSubproblem,
+    SampleOperator,
+    _mode_form,
+    build_phi,
+    update_class_dict,
+)
 from sdtdl.tensor import (
     core_of,
     dict_project,
@@ -208,12 +214,22 @@ def reference_sweep(t, factors, ranks, form):
 
 
 def low_rank_tensor(rng, dims, ranks):
-    """A Tucker tensor of the given multilinear ranks plus 1e-3 noise, so that
-    every mode's top subspace is well separated from the rest."""
+    """A Tucker tensor of the given multilinear ranks plus 1e-3 noise. Its
+    random core can leave a mode's top subspace nearly degenerate, so tests
+    that compare eigensolves also assume :func:`separated`."""
     t = rng.standard_normal(tuple(ranks) + tuple(dims[len(ranks) :]))
     for m, d in enumerate(dims[: len(ranks)]):
         t = mode_product(t, np.linalg.qr(rng.standard_normal((d, ranks[m])))[0], m)
     return t + 1e-3 * rng.standard_normal(dims)
+
+
+def separated(form, r):
+    """Whether the top-``r`` eigenspace of the symmetric ``form`` is set apart
+    by a relative eigen-gap of at least 1e-4 of its largest magnitude. By
+    Davis-Kahan, rounding then turns that subspace by about eps / 1e-4, some
+    2e-12, well under the 1e-10 the comparisons below allow."""
+    v = np.linalg.eigvalsh(form)[::-1]
+    return r == v.size or v[r - 1] - v[r] >= 1e-4 * np.max(np.abs(v)) > 0
 
 
 def projector_gap(a, b):
@@ -244,14 +260,60 @@ class TestSweep:
         if route == "exact":
             n_s = data.draw(st.integers(1, dims[-1] - 1))
             quad = SampleOperator.quadratic_form(n_s, dims[-1] - n_s, 2.0, 0.1)
-        start = [
-            eig_sym_topk(flatten_form(t, m, quad), r)[1] for m, r in enumerate(ranks)
-        ]
+        forms = [flatten_form(t, m, quad) for m in range(order)]
+        assume(all(separated(f, r) for f, r in zip(forms, ranks)))
+        start = [eig_sym_topk(f, r)[1] for f, r in zip(forms, ranks)]
         got, want = list(start), list(start)
         for _ in range(2):
             sweep(t, got, ranks, functools.partial(_mode_form, quad=quad))
             reference_sweep(t, want, ranks, functools.partial(flatten_form, quad=quad))
         assert projector_gap(got, want) <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        order=st.integers(1, 3),
+        n_s=st.integers(1, 5),
+        n_t=st.integers(0, 5),
+        theta=st.floats(0.5, 4.0),
+        lam=st.one_of(st.just(0.0), st.floats(0.0, 0.8)),
+        sweeps=st.integers(1, 3),
+        warm=st.booleans(),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_class_update_equals_dense_phi_sweeps(
+        self, order, n_s, n_t, theta, lam, sweeps, warm, data, seed
+    ):
+        # the eigen-phi class update against its dense reference: sweeps on
+        # the stack weighted by build_phi's N x N matrix, from the HOSVD of
+        # that weighted stack, which is also the update's cold start
+        rng = np.random.default_rng(seed)
+        dims = data.draw(st.lists(st.integers(2, 5), min_size=order, max_size=order))
+        ranks = [data.draw(st.integers(1, d)) for d in dims]
+        t = low_rank_tensor(rng, dims + [n_s + n_t], ranks)
+        x, y = t[..., :n_s], t[..., n_s:]
+        z_phi = mode_product(t, build_phi(n_s, n_t, theta, lam), order)
+        forms = [flatten_form(z_phi, m) for m in range(order)]
+        assume(all(separated(f, r) for f, r in zip(forms, ranks)))
+        start = [eig_sym_topk(f, r)[1] for f, r in zip(forms, ranks)]
+        want = list(start)
+        for _ in range(sweeps):
+            sweep(z_phi, want, ranks)
+        got, a_c, b_c = update_class_dict(
+            ClassSubproblem(x_tilde=x, y_tilde=y),
+            ranks,
+            sweeps,
+            "eigen-phi",
+            theta,
+            lam,
+            w_init=start if warm else None,
+        )
+        assert projector_gap(got, want) <= 1e-10
+        # the codes, compared through the projections they reconstruct
+        for codes, samples in ((a_c, x), (b_c, y)):
+            rec = multi_product(codes, list(got) + [None])
+            ref = multi_product(dict_project(samples, want), list(want) + [None])
+            assert np.all(np.abs(rec - ref) <= 1e-10 * np.max(np.abs(t)))
 
     @pytest.mark.parametrize("skip_last", [False, True])
     @pytest.mark.parametrize("seed", range(4))

@@ -84,6 +84,12 @@ class TestHyperparams:
             dict(max_outer_iters=-1),
             dict(inner_sweeps=0),
             dict(tol=0.0),
+            dict(theta=float("nan")),
+            dict(theta=float("inf")),
+            dict(lam=float("nan")),
+            dict(lam=float("inf")),
+            dict(tol=float("nan")),
+            dict(tol=float("inf")),
         ],
     )
     def test_range_validation(self, kwargs):
@@ -312,8 +318,8 @@ class TestUpdateClassDict:
         x = rng.standard_normal((4, 4, 3))
         y = rng.standard_normal((4, 4, 2))
         sweeps = 6
-        sub = ClassSubproblem(x_tilde=x, y_tilde=y, phi=build_phi(3, 2, 1.0, 0.0))
-        w, a_c, b_c = update_class_dict(sub, (2, 2), sweeps)
+        sub = ClassSubproblem(x_tilde=x, y_tilde=y)
+        w, a_c, b_c = update_class_dict(sub, (2, 2), sweeps, "eigen-phi", theta=1.0, lam=0.0)
         ref = hooi(stack_last(x, y), (2, 2), skip_last=True, max_sweeps=sweeps, tol=1e-300)
         for wm, um in zip(w, ref.factors):
             assert np.max(np.abs(wm - um)) <= 1e-8
@@ -323,26 +329,17 @@ class TestUpdateClassDict:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((3, 3, 3))
         y = rng.standard_normal((3, 3, 2))
-        sub = ClassSubproblem(x_tilde=x, y_tilde=y, phi=build_phi(3, 2, 1.5, 0.2))
-        w, a_c, b_c = update_class_dict(sub, (3, 3), 3)
+        sub = ClassSubproblem(x_tilde=x, y_tilde=y)
+        w, a_c, b_c = update_class_dict(sub, (3, 3), 3, "eigen-phi", theta=1.5, lam=0.2)
         for wm in w:
             assert np.max(np.abs(wm.T @ wm - np.eye(3))) <= 1e-8
         assert frobenius_norm(x - apply_dict(a_c, w)) <= 1e-10 * max(1, frobenius_norm(x))
         assert frobenius_norm(y - apply_dict(b_c, w)) <= 1e-10 * max(1, frobenius_norm(y))
 
-    def test_phi_shape_validation(self):
-        sub = ClassSubproblem(
-            x_tilde=np.zeros((2, 2, 2)), y_tilde=np.zeros((2, 2, 1)), phi=np.eye(2)
-        )
-        with pytest.raises(ValueError, match="phi shape"):
-            update_class_dict(sub, (2, 2), 1)
-
     def test_rank_exceeds_extent(self):
-        sub = ClassSubproblem(
-            x_tilde=np.zeros((2, 2, 2)), y_tilde=np.zeros((2, 2, 1)), phi=np.eye(3)
-        )
+        sub = ClassSubproblem(x_tilde=np.zeros((2, 2, 2)), y_tilde=np.zeros((2, 2, 1)))
         with pytest.raises(ValueError, match="exceeds"):
-            update_class_dict(sub, (3, 2), 1)
+            update_class_dict(sub, (3, 2), 1, "eigen-phi", theta=1.0, lam=0.0)
 
     def class_objective(self, x, y, w, theta, lam):
         a = project_dict(x, w)
@@ -359,7 +356,7 @@ class TestUpdateClassDict:
         x = rng.standard_normal((3, 3, 3))
         y = rng.standard_normal((3, 3, 2))
         theta, lam = 2.0, 0.6
-        sub = ClassSubproblem(x_tilde=x, y_tilde=y, phi=build_phi(3, 2, theta, lam))
+        sub = ClassSubproblem(x_tilde=x, y_tilde=y)
         w, _, _ = update_class_dict(sub, (2, 2), 30, method="exact", theta=theta, lam=lam)
         val = self.class_objective(x, y, w, theta, lam)
         best = min(
@@ -378,18 +375,16 @@ class TestUpdateClassDict:
         x = rng.standard_normal((4, 3, 3))
         y = rng.standard_normal((4, 3, 2))
         theta = 2.5
-        sub = ClassSubproblem(x_tilde=x, y_tilde=y, phi=build_phi(3, 2, theta, 0.0))
-        w_eig, _, _ = update_class_dict(sub, (2, 2), sweeps)
+        sub = ClassSubproblem(x_tilde=x, y_tilde=y)
+        w_eig, _, _ = update_class_dict(sub, (2, 2), sweeps, "eigen-phi", theta=theta, lam=0.0)
         w_ex, _, _ = update_class_dict(sub, (2, 2), sweeps, method="exact", theta=theta, lam=0.0)
         for we, wx in zip(w_eig, w_ex):
             assert np.max(np.abs(we - wx)) <= 1e-10
 
     def test_unknown_method(self):
-        sub = ClassSubproblem(
-            x_tilde=np.zeros((2, 2, 1)), y_tilde=np.zeros((2, 2, 1)), phi=np.eye(2)
-        )
+        sub = ClassSubproblem(x_tilde=np.zeros((2, 2, 1)), y_tilde=np.zeros((2, 2, 1)))
         with pytest.raises(ValueError, match="unknown"):
-            update_class_dict(sub, (1, 1), 1, method="bogus")
+            update_class_dict(sub, (1, 1), 1, method="bogus", theta=1.0, lam=0.0)
 
 
 class TestDomainUpdates:
