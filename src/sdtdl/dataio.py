@@ -292,8 +292,9 @@ class SyntheticSpec:
             raise ValueError("ranks must be >= 1 and not exceed dims")
         if self.class_count < 1 or self.n_source_per_class < 1 or self.n_target_per_class < 1:
             raise ValueError("class_count and per-class sample counts must be >= 1")
-        if not (0 <= self.noise < math.inf and 0 <= self.shift < math.inf):
-            raise ValueError("noise and shift must be finite and nonnegative")
+        for name in ("noise", "shift", "mean_separation", "domain_strength"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 def _orth(rng, n, k):

@@ -118,6 +118,13 @@ def digit_preset(**overrides) -> Hyperparams:
     return Hyperparams(**base)
 
 
+def _gather(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The samples ``idx`` of ``t``, in C order. Indexing ``t[..., idx]``
+    would put the sample axis outermost in memory, which makes every later
+    mode product copy and every Gram product run on strided operands."""
+    return np.take(t, idx, axis=-1)
+
+
 @dataclass
 class LabeledTensorSet:
     """A batch of order-M samples stacked along a trailing sample mode.
@@ -156,7 +163,7 @@ class LabeledTensorSet:
         return np.flatnonzero(self.labels == c)
 
     def class_samples(self, c: int) -> np.ndarray:
-        return self.samples[..., self.class_indices(c)]
+        return _gather(self.samples, self.class_indices(c))
 
 
 @dataclass
@@ -225,10 +232,11 @@ def objective(
     the lambda-weighted discriminant term. The discriminant term pairs source
     codes with the target class mean and vice versa (the published cross
     pairing). Classes with no selected target samples contribute fidelity
-    only.
+    only. ``fit`` reads this value from norms its updates already form; this
+    reconstruction of every sample is the reference it is tested against.
     """
     hp = model.hyper
-    total = 0.0
+    total = hp.lam * _discriminant(codes)
     for c in range(1, model.class_count + 1):
         w = model.w_class[c - 1]
         src_idx = source.class_indices(c)
@@ -245,13 +253,28 @@ def objective(
             b0c = codes.b0[..., tgt_idx]
             rec_t = dict_apply(b0c, model.u_target) + dict_apply(bc, w)
             total += hp.theta * frobenius_norm(yc - rec_t) ** 2
-            mean_a = class_means(ac)
-            mean_b = class_means(bc)
-            total += hp.lam * (
-                float(np.sum((ac - mean_b[..., None]) ** 2))
-                + float(np.sum((bc - mean_a[..., None]) ** 2))
-            )
     return float(total)
+
+
+def _discriminant(codes: SdtdlCodes) -> float:
+    """The unweighted discriminant term of the objective, from the class
+    codes alone: each class's source codes against its target mean and its
+    target codes against its source mean, over the classes with selected
+    targets."""
+    total = 0.0
+    for ac, bc in zip(codes.a_class, codes.b_class):
+        if bc.shape[-1]:
+            total += float(np.sum((ac - class_means(bc)[..., None]) ** 2))
+            total += float(np.sum((bc - class_means(ac)[..., None]) ** 2))
+    return total
+
+
+def _objective_from_norms(
+    hyper: Hyperparams, codes: SdtdlCodes, fid_s: float, fid_t: float
+) -> float:
+    """The objective of :func:`objective`, from the fidelities the domain
+    updates returned and the class codes; no sample is reconstructed."""
+    return fid_s + hyper.theta * fid_t + hyper.lam * _discriminant(codes)
 
 
 def build_phi(n_s: int, n_t: int, theta: float, lam: float) -> np.ndarray:
@@ -414,7 +437,7 @@ def update_class_dict(
 def _domain_residual(tensor_set: LabeledTensorSet, c: int, domain_codes, factors):
     """Class-``c`` samples minus their domain-dictionary reconstruction."""
     idx = tensor_set.class_indices(c)
-    return tensor_set.samples[..., idx] - dict_apply(domain_codes[..., idx], factors)
+    return _gather(tensor_set.samples, idx) - dict_apply(_gather(domain_codes, idx), factors)
 
 
 def _class_residuals(tensor_set: LabeledTensorSet, codes_by_class, dicts_by_class):
@@ -425,14 +448,20 @@ def _class_residuals(tensor_set: LabeledTensorSet, codes_by_class, dicts_by_clas
         if idx.size == 0:
             continue
         rec = dict_apply(codes_by_class[c - 1], dicts_by_class[c - 1])
-        out[..., idx] = tensor_set.samples[..., idx] - rec
+        out[..., idx] = _gather(tensor_set.samples, idx) - rec
     return out
 
 
 def _hooi_dict(samples: np.ndarray, hyper: Hyperparams, factors):
     """HOOI on ``samples`` with the sample mode kept: warm-started from
-    ``factors``, or from HOSVD when there are none yet. Returns the factors
-    and the codes of the samples under them."""
+    ``factors``, or from HOSVD when there are none yet.
+
+    Returns the factors, the codes of the samples under them, and the
+    squared error of the samples' reconstruction from those codes. The
+    factors are orthonormal and the codes are the projection of the
+    samples, so that error is ``||samples||^2 - ||codes||^2``, clamped at
+    zero against cancellation.
+    """
     res = hooi(
         samples,
         hyper.ranks,
@@ -441,19 +470,25 @@ def _hooi_dict(samples: np.ndarray, hyper: Hyperparams, factors):
         tol=hyper.tol,
         init_factors=factors or None,
     )
-    return list(res.factors), res.core
+    error = max(frobenius_norm(samples) ** 2 - frobenius_norm(res.core) ** 2, 0.0)
+    return list(res.factors), res.core, error
 
 
 def update_domain_source(source: LabeledTensorSet, model: SdtdlModel, codes: SdtdlCodes):
     """Refresh the source dictionary on the class-residual tensor via HOOI,
-    warm-started from the current factors; cold before there are any."""
+    warm-started from the current factors; cold before there are any.
+
+    Returns ``(u_source, a0, fidelity)``: the factors, the source domain
+    codes and the source fidelity term of the objective under them.
+    """
     resid = _class_residuals(source, codes.a_class, model.w_class)
     return _hooi_dict(resid, model.hyper, model.u_source)
 
 
 def update_domain_target(target_selected: LabeledTensorSet, model: SdtdlModel, codes: SdtdlCodes):
     """Target-side analogue of :func:`update_domain_source`. The target
-    weight scales the subproblem uniformly, so the same HOOI solves it."""
+    weight scales the subproblem uniformly, so the same HOOI solves it; the
+    returned fidelity is not yet weighted by ``theta``."""
     resid = _class_residuals(target_selected, codes.b_class, model.w_class)
     return _hooi_dict(resid, model.hyper, model.u_target)
 
@@ -483,7 +518,7 @@ def _refresh_means(model: SdtdlModel, codes: SdtdlCodes) -> None:
 def _selected_set(target: LabeledTensorSet, pl) -> LabeledTensorSet:
     idx = np.flatnonzero(pl.selected)
     return LabeledTensorSet(
-        samples=target.samples[..., idx],
+        samples=_gather(target.samples, idx),
         class_count=target.class_count,
         labels=pl.labels[idx],
     )
@@ -514,9 +549,11 @@ def fit(
     ``max_outer_iters`` iterations.
 
     Returns ``(model, pseudo_labels, history)``; ``truth`` is used for
-    accuracy reporting only. After at least one outer iteration the last
-    history row records the final prediction pass alone, and its objective
-    is NaN.
+    accuracy reporting only. Each history objective is read from the norms
+    of the residuals and codes of the domain updates that precede it, not
+    by reconstructing the samples. After at least one outer iteration the
+    last history row records the final prediction pass alone, and its
+    objective is NaN.
     """
     if source.labels is None:
         raise ValueError("source set must be labeled")
@@ -538,7 +575,7 @@ def fit(
         )
 
     # --- init step 1: class dictionaries from raw class samples, then U_s
-    w_class, a_class = zip(
+    w_class, a_class, _ = zip(
         *(_hooi_dict(source.class_samples(c), hyper, None) for c in range(1, C + 1))
     )
     model = SdtdlModel(
@@ -554,7 +591,7 @@ def fit(
         a0=None, b0=None, a_class=list(a_class), b_class=[np.zeros(ranks + (0,))] * C
     )
     _refresh_means(model, codes)
-    model.u_source, codes.a0 = update_domain_source(source, model, codes)
+    model.u_source, codes.a0, fid_s = update_domain_source(source, model, codes)
 
     # --- init step 2: predict target labels with the U_t contribution zeroed
     pl = predict_labels(target, model, hyper.gamma, hyper.delta)
@@ -565,9 +602,12 @@ def fit(
         dict_project(selected.class_samples(c), model.w_class[c - 1]) for c in range(1, C + 1)
     ]
     _refresh_means(model, codes)
-    model.u_target, codes.b0 = update_domain_target(selected, model, codes)
+    model.u_target, codes.b0, fid_t = update_domain_target(selected, model, codes)
+    # no later step reads this selection; freed here, it is not held through
+    # the prediction passes, which set the fit's peak memory
+    del selected
 
-    history = [history_row(0, pl, objective(model, source, selected, codes))]
+    history = [history_row(0, pl, _objective_from_norms(hyper, codes, fid_s, fid_t))]
     if hyper.max_outer_iters == 0:
         return model, pl, history
 
@@ -577,11 +617,8 @@ def fit(
         if np.array_equal(pl.labels, prev_labels) and it > 1:
             break  # the model is unchanged since this pass: its labels are final
         prev_labels = pl.labels
-        selected = _selected_set(target, pl)
-
-        run_block_updates(source, selected, model, codes, class_update)
-
-        history.append(history_row(it, pl, objective(model, source, selected, codes)))
+        value = run_block_updates(source, _selected_set(target, pl), model, codes, class_update)
+        history.append(history_row(it, pl, value))
     else:
         # the last block pass changed the model: predict with the final
         # model, so a later standalone predict reproduces the fit output
@@ -638,10 +675,11 @@ def run_block_updates(
     model: SdtdlModel,
     codes: SdtdlCodes,
     class_update: str = "eigen-phi",
-) -> None:
+) -> float:
     """One full pass of class-dictionary and domain-dictionary updates,
     mutating ``model`` and ``codes`` in place. Pseudo-labels are taken as
-    fixed (they are baked into ``selected``)."""
+    fixed (they are baked into ``selected``). Returns the objective after
+    the pass, read from the norms the domain updates formed."""
     hyper = model.hyper
     for c in range(1, model.class_count + 1):
         w, a_c, b_c = update_class_dict(
@@ -661,5 +699,6 @@ def run_block_updates(
         codes.b_class[c - 1] = b_c
     _refresh_means(model, codes)
 
-    model.u_source, codes.a0 = update_domain_source(source, model, codes)
-    model.u_target, codes.b0 = update_domain_target(selected, model, codes)
+    model.u_source, codes.a0, fid_s = update_domain_source(source, model, codes)
+    model.u_target, codes.b0, fid_t = update_domain_target(selected, model, codes)
+    return _objective_from_norms(hyper, codes, fid_s, fid_t)

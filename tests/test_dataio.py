@@ -270,6 +270,17 @@ class TestSyntheticSpec:
                 n_source_per_class=1, n_target_per_class=1, noise=-0.1,
             )
 
+    @pytest.mark.parametrize("field", ["mean_separation", "domain_strength"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_scale(self, field, value):
+        # a NaN mean_separation used to keep the unscaled means silently, and
+        # an infinite domain_strength failed later on non-finite samples
+        with pytest.raises(ValueError, match=f"{field} must be finite and nonnegative"):
+            SyntheticSpec(
+                class_count=2, dims=(4, 4), ranks=(2, 2),
+                n_source_per_class=3, n_target_per_class=3, **{field: value},
+            )
+
 
 def loop_generator(spec):
     """The per-sample generator that the batched one replaced: two one-sample
