@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: fit, predict, eval, synth, decompose, baseline. A flat
-``key=value`` config file can supply any fit option; explicit flags
-override it. Exit codes: 0 success, 2 configuration error, 3 I/O error,
-4 numeric failure.
+``key=value`` config file can supply any fit option, keyed by its ``dest``
+(``lam`` for ``--lambda``); explicit flags override it, and an unknown key
+is a configuration error. Exit codes: 0 success, 2 configuration error,
+3 I/O error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .solver import Hyperparams, LabeledTensorSet
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+CLASS_UPDATES = ("eigen-phi", "exact")
 
 
 class ConfigError(Exception):
@@ -32,6 +34,10 @@ class ConfigError(Exception):
 
 
 def _load_config(path) -> dict:
+    """A config file's pairs, keyed by fit option ``dest`` for fit and baseline."""
+    fit_options = argparse.ArgumentParser()
+    _add_fit_options(fit_options)
+    known = set(vars(fit_options.parse_args([]))) - {"config"}
     cfg = {}
     try:
         with open(path) as fh:
@@ -41,8 +47,10 @@ def _load_config(path) -> dict:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                cfg[key.strip()] = value.strip()
+                key, _, value = (part.strip() for part in line.partition("="))
+                if key not in known:
+                    raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+                cfg[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return cfg
@@ -164,13 +172,16 @@ def _load_problem(args, cfg):
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
+    class_update = _merged(args, cfg, "class_update", "eigen-phi")
+    if class_update not in CLASS_UPDATES:
+        raise ConfigError(f"unknown class update {class_update!r}")
     source, target, truth = _load_problem(args, cfg)
     hyper = _build_hyper(args, cfg)
     out = _merged(args, cfg, "out", ".")
     os.makedirs(out, exist_ok=True)
 
     model, pl, history = solver.fit(
-        source, target, hyper, truth=truth, class_update=args.class_update
+        source, target, hyper, truth=truth, class_update=class_update
     )
     dataio.save_model(os.path.join(out, "model.stdm"), model)
     write_predictions(os.path.join(out, "predictions.txt"), pl)
@@ -296,6 +307,7 @@ def _add_fit_options(p):
     p.add_argument("--inner-sweeps", dest="inner_sweeps", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--out")
+    p.add_argument("--class-update", choices=CLASS_UPDATES, help="default eigen-phi")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,12 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="train a model and predict target labels")
     _add_fit_options(p)
-    p.add_argument(
-        "--class-update",
-        choices=["eigen-phi", "exact"],
-        default="eigen-phi",
-        help="class-dictionary update rule (exact is the non-canonical variant)",
-    )
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="predict labels with a saved model")

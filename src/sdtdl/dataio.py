@@ -16,11 +16,10 @@ tensor blob; every blob is a complete tensor file as above.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "UnsupportedVersionError",
     "TruncatedPayloadError",
     "tensor_to_bytes",
-    "tensor_from_bytes",
     "read_tensor",
     "write_tensor",
     "read_labels",
@@ -73,35 +71,32 @@ def tensor_to_bytes(t: np.ndarray) -> bytes:
     return header + t.tobytes()
 
 
-def _read_header(read):
-    """Parse a tensor header from ``read(n)``, which returns at most ``n``
-    bytes; returns the dims. Each length is checked before its bytes are
-    decoded, so a cut file reads as truncated, never as bad magic."""
-    head = read(8)
-    if len(head) < 8:
-        raise TruncatedPayloadError("truncated header")
+def _read(fh, n: int, what: str) -> bytes:
+    """The next ``n`` bytes of ``fh``; fewer left in the file is truncation."""
+    data = fh.read(n)
+    if len(data) < n:
+        raise TruncatedPayloadError(f"truncated {what}")
+    return data
+
+
+def _read_tensor(fh, size: int) -> np.ndarray:
+    """Decode the tensor blob at the position of ``fh``, a file of ``size``
+    bytes. Each length is checked before it is decoded or allocated, so a
+    cut file reads as truncated, never as bad magic."""
+    head = _read(fh, 8, "header")
     if head[:4] != TENSOR_MAGIC:
         raise BadMagicError(f"bad magic {head[:4]!r}")
     version, order = struct.unpack_from("<HH", head, 4)
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported version {version}")
-    dims = read(8 * order)
-    if len(dims) < 8 * order:
-        raise TruncatedPayloadError("truncated dims")
-    return struct.unpack(f"<{order}Q", dims)
-
-
-def tensor_from_bytes(buf: bytes, offset: int = 0):
-    """Decode one tensor blob; returns (array, next_offset)."""
-    stream = io.BytesIO(buf)
-    stream.seek(offset)
-    dims = _read_header(stream.read)
-    pos = stream.tell()
-    count = math.prod(dims)
-    if len(buf) < pos + 8 * count:
+    dims = struct.unpack(f"<{order}Q", _read(fh, 8 * order, "dims"))
+    if 8 * math.prod(dims) > size - fh.tell():
         raise TruncatedPayloadError("truncated payload")
-    values = np.frombuffer(buf, dtype="<f8", count=count, offset=pos)
-    return values.reshape(dims).copy(), pos + 8 * count
+    t = np.empty(dims, dtype="<f8")
+    fh.readinto(t)
+    if not np.all(np.isfinite(t)):
+        raise TensorFileError("tensor contains non-finite values")
+    return t
 
 
 def write_tensor(path, t: np.ndarray) -> None:
@@ -110,17 +105,8 @@ def write_tensor(path, t: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a tensor file straight into the returned array. The payload the
-    header declares is checked against the file size before it is allocated."""
     with open(path, "rb") as fh:
-        dims = _read_header(fh.read)
-        if 8 * math.prod(dims) > os.fstat(fh.fileno()).st_size - fh.tell():
-            raise TruncatedPayloadError("truncated payload")
-        t = np.empty(dims, dtype="<f8")
-        fh.readinto(t)
-    if not np.all(np.isfinite(t)):
-        raise TensorFileError("tensor contains non-finite values")
-    return t
+        return _read_tensor(fh, os.fstat(fh.fileno()).st_size)
 
 
 def write_labels(path, labels) -> None:
@@ -195,27 +181,31 @@ def save_model(path, model: SdtdlModel) -> None:
             fh.write(blob)
 
 
-def _manifest_field(fmt: str, buf: bytes, pos: int):
-    if len(buf) < pos + struct.calcsize(fmt):
-        raise TruncatedPayloadError("truncated model manifest")
-    return struct.unpack_from(fmt, buf, pos)
-
-
 def load_model(path) -> SdtdlModel:
+    """Read a model file: its manifest, then each blob with the checks of
+    :func:`read_tensor`. A model that is malformed, non-finite or has a
+    non-orthonormal factor raises :class:`TensorFileError`."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    magic, version, count = _manifest_field("<4sHI", buf, 0)
-    if magic != MODEL_MAGIC:
-        raise BadMagicError(f"bad model magic {magic!r}")
-    if version != VERSION:
-        raise UnsupportedVersionError(f"unsupported model version {version}")
-    pos = 10
-    tensors = {}
-    for _ in range(count):
-        (name_len,) = _manifest_field("<H", buf, pos)
-        name, off = _manifest_field(f"<{name_len}sQ", buf, pos + 2)
-        pos += 2 + name_len + 8
-        tensors[name.decode()], _ = tensor_from_bytes(buf, off)
+        size = os.fstat(fh.fileno()).st_size
+        magic, version, count = struct.unpack("<4sHI", _read(fh, 10, "model manifest"))
+        if magic != MODEL_MAGIC:
+            raise BadMagicError(f"bad model magic {magic!r}")
+        if version != VERSION:
+            raise UnsupportedVersionError(f"unsupported model version {version}")
+        manifest = []
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", _read(fh, 2, "model manifest"))
+            name, off = struct.unpack(f"<{name_len}sQ", _read(fh, name_len + 8, "model manifest"))
+            manifest.append((name.decode(), off))
+        tensors = {}
+        for name, off in manifest:
+            try:
+                if off > size:
+                    raise TruncatedPayloadError("offset past the end of the file")
+                fh.seek(off)
+                tensors[name] = _read_tensor(fh, size)
+            except TensorFileError as exc:
+                raise type(exc)(f"model entry {name!r}: {exc}") from exc
 
     def entry(name, shape=None):
         if name not in tensors:
@@ -229,15 +219,9 @@ def load_model(path) -> SdtdlModel:
     hp_vec = entry("hyper", (9,))
     try:
         ranks = tuple(int(r) for r in entry("ranks").ravel())
+        # 'hyper' holds every Hyperparams field after ranks, in field order
         hyper = Hyperparams(
-            ranks=ranks,
-            theta=float(hp_vec[0]),
-            lam=float(hp_vec[1]),
-            gamma=float(hp_vec[2]),
-            delta=float(hp_vec[3]),
-            max_outer_iters=int(hp_vec[4]),
-            inner_sweeps=int(hp_vec[5]),
-            tol=float(hp_vec[6]),
+            ranks, *(type(f.default)(v) for f, v in zip(fields(Hyperparams)[1:], hp_vec))
         )
         C = int(hp_vec[7])
     except (ValueError, OverflowError) as exc:
@@ -248,7 +232,7 @@ def load_model(path) -> SdtdlModel:
     u_target = [entry(f"u_target/{m}") for m in range(order)] if has_target else None
     w_class = [[entry(f"w/{c}/{m}") for m in range(order)] for c in range(C)]
     # the class means are ranks-shaped, which catches a short 'ranks' entry
-    return SdtdlModel(
+    model = SdtdlModel(
         u_source=u_source,
         u_target=u_target,
         w_class=w_class,
@@ -256,6 +240,11 @@ def load_model(path) -> SdtdlModel:
         class_means_target=[entry(f"mean_tgt/{c}", ranks) for c in range(C)],
         hyper=hyper,
     )
+    try:
+        model.validate()
+    except ValueError as exc:
+        raise TensorFileError(f"model file: {exc}") from exc
+    return model
 
 
 # --- synthetic benchmark ---------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sdtdl import dataio
-from sdtdl.cli import main, read_predictions
+from sdtdl.cli import build_parser, main, read_predictions
 from sdtdl.hooi import hooi
 
 
@@ -197,6 +197,86 @@ class TestFitPredict:
         assert code == 2
         assert "expected key=value" in err
 
+    @pytest.mark.parametrize("command", ["fit", "baseline"])
+    @pytest.mark.parametrize("key", ["lambda", "thetta", "config"])
+    def test_unknown_config_key(self, tmp_path, capsys, command, key):
+        # a key that is not a fit option's dest used to be ignored silently
+        d = synth_dir(tmp_path, capsys)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"ranks=3,3\n{key}=0.5\n")
+        out = tmp_path / "run"
+        code, stdout, err = run(
+            capsys, command, "--config", str(cfg),
+            "--source", str(d / "source.stdl"),
+            "--source-labels", str(d / "source_labels.txt"),
+            "--target", str(d / "target.stdl"),
+            *(["--out", str(out)] if command == "fit" else []),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert f"run.cfg:2: unknown config key {key!r}" in err
+        assert not out.exists()
+
+    def test_every_fit_option_is_a_config_key(self, tmp_path, capsys):
+        # one file with every key: fit writes what the same flags write, and
+        # baseline accepts the file too
+        d = synth_dir(tmp_path, capsys)
+        options = {
+            "source": d / "source.stdl", "source_labels": d / "source_labels.txt",
+            "target": d / "target.stdl", "truth": d / "target_truth.txt",
+            "preset": "custom", "ranks": "3,3", "theta": 2.0, "lam": 0.1, "gamma": 0.3,
+            "delta": 0.9, "max_iters": 4, "inner_sweeps": 5, "tol": 1e-7,
+            "class_update": "exact",
+        }
+        dests = set(vars(build_parser().parse_args(["fit"])))
+        assert dests - set(options) == {"command", "func", "config", "out"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "".join(f"{k}={v}\n" for k, v in options.items()) + f"out={tmp_path / 'cfg'}\n"
+        )
+        flags = ["fit", "--out", str(tmp_path / "flags")]
+        for k, v in options.items():
+            flags += ["--" + {"lam": "lambda"}.get(k, k).replace("_", "-"), str(v)]
+        for argv in (flags, ["fit", "--config", str(cfg)], ["baseline", "--config", str(cfg)]):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+        for name in ("model.stdm", "predictions.txt", "history.csv"):
+            got = (tmp_path / "cfg" / name).read_bytes()
+            assert got == (tmp_path / "flags" / name).read_bytes()
+
+    def test_class_update_from_config_and_flag(self, tmp_path, capsys):
+        d = synth_dir(tmp_path, capsys)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("class_update=exact\n")
+        models = {}
+        for name, extra in [
+            ("default", []),
+            ("exact", ["--class-update", "exact"]),
+            ("config", ["--config", str(cfg)]),
+            ("override", ["--config", str(cfg), "--class-update", "eigen-phi"]),
+        ]:
+            out = tmp_path / name
+            code, _, err = run(capsys, *fit_args(d, out), *extra)
+            assert code == 0, err
+            models[name] = (out / "model.stdm").read_bytes()
+        assert models["default"] != models["exact"]
+        assert models["config"] == models["exact"]
+        assert models["override"] == models["default"]
+
+    def test_bad_class_update_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("class_update=eigen\n")
+        out = tmp_path / "run"
+        # rejected before any input is read: the data files do not exist
+        code, stdout, err = run(
+            capsys, "fit", "--config", str(cfg), "--source", str(tmp_path / "nope.stdl"),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "unknown class update 'eigen'" in err
+        assert not out.exists()
+
     def test_unknown_preset(self, tmp_path, capsys):
         d = synth_dir(tmp_path, capsys)
         cfg = tmp_path / "p.cfg"
@@ -282,6 +362,36 @@ class TestFitPredict:
         )
         assert code == 3
         assert "truncated model manifest" in err
+
+    @pytest.mark.parametrize(
+        "field, scale, message",
+        [
+            ("u_target", np.nan, "non-finite"),
+            ("class_means_source", np.nan, "non-finite"),
+            ("u_target", 2.0, "not orthonormal"),
+        ],
+    )
+    def test_predict_rejects_a_bad_model(self, tmp_path, capsys, field, scale, message):
+        # these used to exit 0: NaN confidences with every label 1, or
+        # confidences from a fidelity that assumes orthonormal factors
+        d = synth_dir(tmp_path, capsys)
+        out = tmp_path / "run"
+        code, _, _ = run(capsys, *fit_args(d, out))
+        assert code == 0
+        model = dataio.load_model(out / "model.stdm")
+        getattr(model, field)[0][...] *= scale
+        bad = tmp_path / "bad.stdm"
+        dataio.save_model(bad, model)
+        pred = tmp_path / "p.txt"
+        code, stdout, err = run(
+            capsys, "predict", "--model", str(bad),
+            "--target", str(d / "target.stdl"), "--out", str(pred),
+        )
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("io error: ") and message in err
+        assert "Traceback" not in err
+        assert not pred.exists()
 
     def test_predict_dims_mismatch(self, tmp_path, capsys):
         d = synth_dir(tmp_path, capsys)

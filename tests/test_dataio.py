@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -15,7 +16,6 @@ from sdtdl.dataio import (
     read_labels,
     read_tensor,
     save_model,
-    tensor_from_bytes,
     tensor_to_bytes,
     write_labels,
     write_tensor,
@@ -55,33 +55,36 @@ class TestTensorFile:
         values = np.frombuffer(buf[24:], dtype="<f8")
         assert np.array_equal(values, [0, 1, 2, 3, 4, 5])
 
-    def test_bad_magic(self):
-        buf = b"NOPE" + tensor_to_bytes(np.zeros(2))[4:]
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "t.stdl"
+        path.write_bytes(b"NOPE" + tensor_to_bytes(np.zeros(2))[4:])
         with pytest.raises(BadMagicError):
-            tensor_from_bytes(buf)
+            read_tensor(path)
 
-    def test_unsupported_version(self):
+    def test_unsupported_version(self, tmp_path):
         buf = bytearray(tensor_to_bytes(np.zeros(2)))
         buf[4:6] = (99).to_bytes(2, "little")
+        path = tmp_path / "t.stdl"
+        path.write_bytes(bytes(buf))
         with pytest.raises(UnsupportedVersionError):
-            tensor_from_bytes(bytes(buf))
+            read_tensor(path)
 
-    def test_truncated_payload(self):
-        buf = tensor_to_bytes(np.zeros((2, 2)))
-        with pytest.raises(TruncatedPayloadError):
-            tensor_from_bytes(buf[:-1])
+    def test_truncated_payload(self, tmp_path):
+        path = tmp_path / "t.stdl"
+        path.write_bytes(tensor_to_bytes(np.zeros((2, 2)))[:-1])
+        with pytest.raises(TruncatedPayloadError, match="truncated payload"):
+            read_tensor(path)
 
-    def test_truncated_dims(self):
-        buf = tensor_to_bytes(np.zeros((2, 2)))
-        with pytest.raises(TruncatedPayloadError):
-            tensor_from_bytes(buf[:10])
+    def test_truncated_dims(self, tmp_path):
+        path = tmp_path / "t.stdl"
+        path.write_bytes(tensor_to_bytes(np.zeros((2, 2)))[:10])
+        with pytest.raises(TruncatedPayloadError, match="truncated dims"):
+            read_tensor(path)
 
     def test_every_proper_prefix_is_truncated(self, tmp_path):
         buf = tensor_to_bytes(np.arange(6.0).reshape(2, 3))
         cut = tmp_path / "cut.stdl"
         for length in range(len(buf)):
-            with pytest.raises(TruncatedPayloadError):
-                tensor_from_bytes(buf[:length])
             cut.write_bytes(buf[:length])
             with pytest.raises(TruncatedPayloadError):
                 read_tensor(cut)
@@ -150,7 +153,10 @@ def read_container(path):
         (name_len,) = struct.unpack_from("<H", buf, pos)
         name = buf[pos + 2 : pos + 2 + name_len].decode()
         (off,) = struct.unpack_from("<Q", buf, pos + 2 + name_len)
-        entries[name] = tensor_from_bytes(buf, off)[0]
+        (order,) = struct.unpack_from("<H", buf, off + 6)
+        dims = struct.unpack_from(f"<{order}Q", buf, off + 8)
+        payload = off + 8 + 8 * order
+        entries[name] = np.frombuffer(buf, "<f8", math.prod(dims), payload).reshape(dims)
         pos += 2 + name_len + 8
     return entries
 
@@ -233,6 +239,26 @@ class TestModelFile:
             write_container(bad, {**entries, name: short})
             with pytest.raises(TensorFileError, match=f"entry '{shown}' has shape"):
                 load_model(bad)
+
+    @pytest.mark.parametrize(
+        "pick, scale, message",
+        [
+            (lambda m: m.u_target[0], np.nan, "entry 'u_target/0': .* non-finite"),
+            (lambda m: m.class_means_source[0], np.inf, "entry 'mean_src/0': .* non-finite"),
+            (lambda m: m.u_target[0], 2.0, r"u_target\[0\] columns are not orthonormal"),
+            (lambda m: m.w_class[0][1], -2.0, r"w_class\[0\]\[1\] columns are not orthonormal"),
+        ],
+        ids=["nan-factor", "inf-mean", "scaled-factor", "scaled-class-factor"],
+    )
+    def test_bad_model_values_are_file_errors(self, tmp_path, pick, scale, message):
+        # save_model writes whatever it is given; load_model holds each blob to
+        # the tensor-file checks and the model to orthonormal factors
+        model = make_model(np.random.default_rng(4))
+        pick(model)[...] *= scale
+        path = tmp_path / "model.stdm"
+        save_model(path, model)
+        with pytest.raises(TensorFileError, match=message):
+            load_model(path)
 
     def test_model_magic_checked(self, tmp_path):
         path = tmp_path / "model.stdm"
