@@ -196,7 +196,10 @@ def load_model(path) -> SdtdlModel:
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read(fh, 2, "model manifest"))
             name, off = struct.unpack(f"<{name_len}sQ", _read(fh, name_len + 8, "model manifest"))
-            manifest.append((name.decode(), off))
+            try:
+                manifest.append((name.decode(), off))
+            except UnicodeDecodeError as exc:
+                raise TensorFileError(f"model manifest name {name!r} is not UTF-8") from exc
         tensors = {}
         for name, off in manifest:
             try:
@@ -223,14 +226,20 @@ def load_model(path) -> SdtdlModel:
         hyper = Hyperparams(
             ranks, *(type(f.default)(v) for f, v in zip(fields(Hyperparams)[1:], hp_vec))
         )
-        C = int(hp_vec[7])
     except (ValueError, OverflowError) as exc:
         raise TensorFileError(f"model entries 'hyper' and 'ranks': {exc}") from exc
-    has_target = bool(hp_vec[8])
-    order = len(ranks)
-    u_source = [entry(f"u_source/{m}") for m in range(order)]
-    u_target = [entry(f"u_target/{m}") for m in range(order)] if has_target else None
-    w_class = [[entry(f"w/{c}/{m}") for m in range(order)] for c in range(C)]
+    count, flag = hp_vec[7], hp_vec[8]
+    if not (count >= 1 and count.is_integer()) or flag not in (0, 1):
+        raise TensorFileError(
+            f"model entry 'hyper' has class count {count:g} and target flag {flag:g}, "
+            "expected a positive integer and 0 or 1"
+        )
+    C, has_target = int(count), flag == 1
+    # every factor of mode m is I_m x ranks[m], with I_m the rows of u_source/m
+    shapes = [entry(f"u_source/{m}").shape[:1] + (r,) for m, r in enumerate(ranks)]
+    u_source = [entry(f"u_source/{m}", s) for m, s in enumerate(shapes)]
+    u_target = [entry(f"u_target/{m}", s) for m, s in enumerate(shapes)] if has_target else None
+    w_class = [[entry(f"w/{c}/{m}", s) for m, s in enumerate(shapes)] for c in range(C)]
     # the class means are ranks-shaped, which catches a short 'ranks' entry
     model = SdtdlModel(
         u_source=u_source,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import core_of, dict_project, mode_gram, mode_product, multi_product
+from .tensor import dict_apply, dict_project, mode_gram, mode_product
 
 __all__ = ["TuckerResult", "eig_sym_topk", "hosvd", "sweep", "hooi"]
 
@@ -25,8 +25,7 @@ class TuckerResult:
 
     def reconstruct(self) -> np.ndarray:
         """The Tucker tensor; a skipped sample mode stays as it is in the core."""
-        skipped = [None] * (self.core.ndim - len(self.factors))
-        return multi_product(self.core, list(self.factors) + skipped)
+        return dict_apply(self.core, self.factors)
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -74,7 +73,7 @@ def hosvd(t: np.ndarray, ranks, skip_last: bool = False) -> TuckerResult:
     t = np.asarray(t, dtype=np.float64)
     ranks = _check_ranks(t, ranks, skip_last)
     factors = [eig_sym_topk(mode_gram(t, m), r)[1] for m, r in enumerate(ranks)]
-    core = dict_project(t, factors) if skip_last else core_of(t, factors)
+    core = dict_project(t, factors)
     return TuckerResult(core=core, factors=factors, fit_history=[float(np.sum(core**2))])
 
 

@@ -40,7 +40,6 @@ from sdtdl.tensor import (
     frobenius_norm,
     mode_flatten,
     mode_product,
-    multi_product_skip,
     stack_last,
 )
 
@@ -51,11 +50,15 @@ def rand_orth(rng, n, k):
 
 
 def apply_dict(codes, factors):
-    return multi_product_skip(codes, list(factors) + [None], skip=codes.ndim - 1)
+    for m, u in enumerate(factors):
+        codes = mode_product(codes, u, m)
+    return codes
 
 
 def project_dict(samples, factors):
-    return multi_product_skip(samples, [f.T for f in factors] + [None], skip=samples.ndim - 1)
+    for m, u in enumerate(factors):
+        samples = mode_product(samples, u.T, m)
+    return samples
 
 
 def test_criterion_1_tensor_algebra():

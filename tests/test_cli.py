@@ -393,6 +393,34 @@ class TestFitPredict:
         assert "Traceback" not in err
         assert not pred.exists()
 
+    @pytest.mark.parametrize("case", ["column-class-factor", "non-utf8-name"])
+    def test_predict_rejects_a_malformed_model(self, tmp_path, capsys, case):
+        # these used to exit 0, with class codes broadcast against the class
+        # means, and 2, on a UnicodeDecodeError
+        d = synth_dir(tmp_path, capsys)
+        out = tmp_path / "run"
+        code, _, _ = run(capsys, *fit_args(d, out))
+        assert code == 0
+        bad = tmp_path / "bad.stdm"
+        if case == "column-class-factor":
+            model = dataio.load_model(out / "model.stdm")
+            model.w_class[0][0] = model.w_class[0][0][:, :1]
+            dataio.save_model(bad, model)
+            message = "'w/0/0' has shape (8, 1), expected (8, 3)"
+        else:
+            bad.write_bytes((out / "model.stdm").read_bytes().replace(b"hyper", b"\xffyper", 1))
+            message = "is not UTF-8"
+        pred = tmp_path / "p.txt"
+        code, stdout, err = run(
+            capsys, "predict", "--model", str(bad),
+            "--target", str(d / "target.stdl"), "--out", str(pred),
+        )
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("io error: ") and message in err
+        assert "Traceback" not in err
+        assert not pred.exists()
+
     def test_predict_dims_mismatch(self, tmp_path, capsys):
         d = synth_dir(tmp_path, capsys)
         out = tmp_path / "run"

@@ -35,6 +35,7 @@ def test_one_tree_against_itself_reports_no_change(tmp_path):
     assert [r.get("route") for r in rows] == ["eigen-phi", "exact", None]
     for row in rows:
         assert row["pass"] is True
+        assert row["files_identical"] is True
         assert all(row[k] == 0.0 for k in compare_fits.DELTAS)
     assert all(r["labels_equal"] and r["masks_equal"] for r in rows[:2])
 
@@ -48,6 +49,7 @@ def fake_fit(rng):
         "objective": np.array([10.0, 8.0, np.nan]),
         "factor:u_source/0": q,
         "factor:w/0/0": q.copy(),
+        **{"sha256:" + name: np.array("0" * 64) for name in compare_fits.FILES},
     }
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -162,8 +163,9 @@ def read_container(path):
 
 
 def write_container(path, entries):
-    """A model container holding ``entries`` in the documented layout."""
-    names = [name.encode() for name in entries]
+    """A model container holding ``entries`` in the documented layout; a
+    surrogate-escaped name is written as its raw, possibly non-UTF-8, bytes."""
+    names = [name.encode("utf-8", "surrogateescape") for name in entries]
     blobs = [tensor_to_bytes(t) for t in entries.values()]
     pos = 10 + sum(2 + len(n) + 8 for n in names)
     manifest = b"STDM" + struct.pack("<HI", 1, len(names))
@@ -171,6 +173,12 @@ def write_container(path, entries):
         manifest += struct.pack("<H", len(name)) + name + struct.pack("<Q", pos)
         pos += len(blob)
     path.write_bytes(manifest + b"".join(blobs))
+
+
+def with_hyper(entries, index, value):
+    hyper = entries["hyper"].copy()
+    hyper[index] = value
+    return {**entries, "hyper": hyper}
 
 
 class TestModelFile:
@@ -239,6 +247,36 @@ class TestModelFile:
             write_container(bad, {**entries, name: short})
             with pytest.raises(TensorFileError, match=f"entry '{shown}' has shape"):
                 load_model(bad)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # a column: its codes used to broadcast against the class means
+            (
+                lambda e: {**e, "w/0/0": e["w/0/0"][:, :1]},
+                "'w/0/0' has shape (4, 1), expected (4, 2)",
+            ),
+            (lambda e: {**e, "w/0/0": np.eye(6)[:, :2]}, "'w/0/0' has shape (6, 2), expected"),
+            (lambda e: {**e, "u_target/1": np.eye(5)[:, :2]}, "'u_target/1' has shape (5, 2)"),
+            (lambda e: {k.replace("hyper", "\udcffyper"): v for k, v in e.items()}, "not UTF-8"),
+            (lambda e: with_hyper(e, 7, -1.0), "class count -1 and target flag 1"),
+            (lambda e: with_hyper(e, 7, 0.0), "class count 0 and target flag 1"),
+            (lambda e: with_hyper(e, 7, 2.5), "class count 2.5 and target flag 1"),
+            (lambda e: with_hyper(e, 8, 0.5), "class count 2 and target flag 0.5"),
+        ],
+        ids=[
+            "column-class-factor", "tall-class-factor", "narrow-target-factor",
+            "non-utf8-name", "negative-class-count", "zero-class-count",
+            "fractional-class-count", "fractional-flag",
+        ],
+    )
+    def test_malformed_model_is_a_file_error(self, tmp_path, edit, message):
+        path = tmp_path / "model.stdm"
+        save_model(path, make_model(np.random.default_rng(3)))
+        bad = tmp_path / "bad.stdm"
+        write_container(bad, edit(read_container(path)))
+        with pytest.raises(TensorFileError, match=re.escape(message)):
+            load_model(bad)
 
     @pytest.mark.parametrize(
         "pick, scale, message",

@@ -15,15 +15,7 @@ from sdtdl.solver import (
     build_phi,
     update_class_dict,
 )
-from sdtdl.tensor import (
-    core_of,
-    dict_project,
-    frobenius_norm,
-    mode_flatten,
-    mode_product,
-    multi_product,
-    multi_product_skip,
-)
+from sdtdl.tensor import dict_apply, dict_project, frobenius_norm, mode_flatten, mode_product
 
 # the module itself: the package attribute ``sdtdl.hooi`` is the function
 H = importlib.import_module("sdtdl.hooi")
@@ -34,12 +26,8 @@ def rand_orth(rng, n, k):
     return q * np.sign(np.diag(r))
 
 
-def recon_error(t, res, skip_last=False):
-    if skip_last:
-        rec = multi_product_skip(res.core, list(res.factors) + [None], skip=t.ndim - 1)
-    else:
-        rec = multi_product(res.core, res.factors)
-    return frobenius_norm(t - rec)
+def recon_error(t, res):
+    return frobenius_norm(t - dict_apply(res.core, res.factors))
 
 
 class TestEigSymTopk:
@@ -97,7 +85,7 @@ class TestHosvd:
         err = recon_error(t, res)
         for _ in range(100):
             ws = [rand_orth(rng, 4, 2) for _ in range(3)]
-            rand_err = frobenius_norm(t - multi_product(t, [w @ w.T for w in ws]))
+            rand_err = frobenius_norm(t - dict_apply(t, [w @ w.T for w in ws]))
             assert err <= rand_err + 1e-10
 
     def test_factors_orthonormal(self):
@@ -311,8 +299,8 @@ class TestSweep:
         assert projector_gap(got, want) <= 1e-10
         # the codes, compared through the projections they reconstruct
         for codes, samples in ((a_c, x), (b_c, y)):
-            rec = multi_product(codes, list(got) + [None])
-            ref = multi_product(dict_project(samples, want), list(want) + [None])
+            rec = dict_apply(codes, got)
+            ref = dict_apply(dict_project(samples, want), want)
             assert np.all(np.abs(rec - ref) <= 1e-10 * np.max(np.abs(t)))
 
     @pytest.mark.parametrize("skip_last", [False, True])
@@ -321,15 +309,14 @@ class TestSweep:
         rng = np.random.default_rng(seed)
         dims, ranks = ((5, 4, 6, 7), (3, 2, 4)) if skip_last else ((5, 4, 6), (3, 2, 4))
         t = rng.standard_normal(dims)
-        project = dict_project if skip_last else core_of
         full = hooi(t, ranks, skip_last=skip_last, max_sweeps=6, tol=1e-300)
         assert len(full.fit_history) == 6
         for i, value in enumerate(full.fit_history):
             # the same deterministic path, stopped after sweep i
             factors = hooi(t, ranks, skip_last=skip_last, max_sweeps=i + 1, tol=1e-300).factors
-            want = float(np.sum(project(t, factors) ** 2))
+            want = float(np.sum(dict_project(t, factors) ** 2))
             assert abs(value - want) <= 1e-12 * want
-        assert np.max(np.abs(full.core - project(t, full.factors))) <= 1e-12 * np.max(
+        assert np.max(np.abs(full.core - dict_project(t, full.factors))) <= 1e-12 * np.max(
             np.abs(full.core)
         )
 
@@ -353,7 +340,6 @@ class TestSweep:
             raise AssertionError("hooi projected the tensor")
 
         monkeypatch.setattr(H, "dict_project", no_projection)
-        monkeypatch.setattr(H, "core_of", no_projection)
         calls.clear()
         res = hooi(t, ranks, skip_last=True, max_sweeps=3, tol=1e-300, init_factors=factors)
         assert len(calls) == len(res.fit_history) * per_sweep + 1

@@ -32,7 +32,7 @@ from sdtdl.solver import (
     update_domain_source,
     update_domain_target,
 )
-from sdtdl.tensor import frobenius_norm, mode_product, multi_product_skip, stack_last
+from sdtdl.tensor import frobenius_norm, mode_product, stack_last
 
 
 def rand_orth(rng, n, k):
@@ -41,11 +41,15 @@ def rand_orth(rng, n, k):
 
 
 def apply_dict(codes, factors):
-    return multi_product_skip(codes, list(factors) + [None], skip=codes.ndim - 1)
+    for m, u in enumerate(factors):
+        codes = mode_product(codes, u, m)
+    return codes
 
 
 def project_dict(samples, factors):
-    return multi_product_skip(samples, [f.T for f in factors] + [None], skip=samples.ndim - 1)
+    for m, u in enumerate(factors):
+        samples = mode_product(samples, u.T, m)
+    return samples
 
 
 def make_fitted_state(seed, lam=0.1, theta=2.0):
@@ -720,6 +724,31 @@ class TestFit:
             source.samples[..., perm], source.class_count, source.labels[perm]
         )
         assert np.array_equal(fit_recording_margins(relisted, target).labels, pl.labels)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        route=st.sampled_from(["eigen-phi", "exact"]),
+        delta=st.sampled_from([1.0, 0.8]),
+        perm=st.permutations([1, 2, 3]),
+    )
+    def test_relabeled_classes_and_orthonormal_factors(self, seed, route, delta, perm):
+        spec = SyntheticSpec(
+            class_count=3, dims=(6, 5), ranks=(2, 2), n_source_per_class=6,
+            n_target_per_class=6, noise=0.05, shift=0.3, seed=seed,
+        )
+        source, target, _ = generate_synthetic(spec)
+        hyper = Hyperparams(ranks=(2, 2), theta=2.0, lam=0.1, delta=delta, max_outer_iters=3)
+        model, pl, _ = fit(source, target, hyper, class_update=route)
+        # every factor of the fitted model is orthonormal
+        for u in [*model.u_source, *model.u_target, *(w for ws in model.w_class for w in ws)]:
+            assert np.max(np.abs(u.T @ u - np.eye(u.shape[1]))) <= 1e-10
+        # relabeling the source classes by pi relabels the fit by pi
+        pi = np.array([0, *perm])
+        relabeled = LabeledTensorSet(source.samples, source.class_count, pi[source.labels])
+        _, got, _ = fit(relabeled, target, hyper, class_update=route)
+        assert np.array_equal(got.labels, pi[pl.labels])
+        assert np.array_equal(got.selected, pl.selected)
 
     @pytest.mark.xfail(
         strict=True,

@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 
 from sdtdl.hooi import TuckerResult
 from sdtdl.tensor import (
-    core_of,
+    dict_apply,
+    dict_project,
     frobenius_norm,
     mode_flatten,
     mode_gram,
     mode_product,
     mode_unflatten,
-    multi_product,
-    multi_product_skip,
     require_orthonormal,
     stack_last,
 )
@@ -176,13 +175,13 @@ class TestMultiProduct:
     def test_identities(self):
         rng = np.random.default_rng(5)
         t = rng.standard_normal((2, 3, 4))
-        assert np.allclose(multi_product(t, [np.eye(d) for d in t.shape]), t, atol=0)
+        assert np.allclose(dict_apply(t, [np.eye(d) for d in t.shape]), t, atol=0)
 
     def test_projection_nonexpansive(self):
         rng = np.random.default_rng(6)
         t = rng.standard_normal((4, 5, 6))
         ws = [rand_orth(rng, d, d - 1) for d in t.shape]
-        proj = multi_product(t, [w.T for w in ws])
+        proj = dict_project(t, ws)
         assert frobenius_norm(proj) <= frobenius_norm(t) + 1e-12
 
     def test_matches_sequential_chain(self):
@@ -192,88 +191,82 @@ class TestMultiProduct:
         seq = t
         for m, u in enumerate(mats):
             seq = mode_product(seq, u, m)
-        assert np.max(np.abs(multi_product(t, mats) - seq)) <= 1e-12
+        assert np.max(np.abs(dict_apply(t, mats) - seq)) <= 1e-12
 
     def test_any_mode_order_identical(self):
         rng = np.random.default_rng(8)
         t = rng.standard_normal((3, 4, 5))
         mats = [rng.standard_normal((2, 3)), rng.standard_normal((3, 4)), rng.standard_normal((4, 5))]
-        ref = multi_product(t, mats)
+        ref = dict_apply(t, mats)
         for order in [(2, 1, 0), (1, 0, 2), (0, 2, 1)]:
             alt = t
             for m in order:
                 alt = mode_product(alt, mats[m], m)
             assert np.max(np.abs(alt - ref)) <= 1e-12
 
-    def test_wrong_factor_count(self):
-        with pytest.raises(ValueError, match="expected 2 factors"):
-            multi_product(np.zeros((2, 2)), [np.eye(2)])
-
-
-class TestMultiProductSkip:
-    def test_skip_with_identities(self):
-        rng = np.random.default_rng(9)
-        t = rng.standard_normal((2, 3, 4))
-        eyes = [np.eye(d) for d in t.shape]
-        for skip in range(3):
-            assert np.allclose(multi_product_skip(t, eyes, skip), t, atol=0)
-
-    def test_equals_identity_substitution(self):
-        rng = np.random.default_rng(10)
-        t = rng.standard_normal((3, 4, 5))
-        mats = [rng.standard_normal((2, 3)), rng.standard_normal((3, 4)), rng.standard_normal((4, 5))]
-        for skip in range(3):
-            with_identity = list(mats)
-            with_identity[skip] = np.eye(t.shape[skip])
-            got = multi_product_skip(t, mats, skip)
-            assert np.max(np.abs(got - multi_product(t, with_identity))) <= 1e-12
-
-    def test_skip_entry_may_be_none(self):
-        rng = np.random.default_rng(11)
-        t = rng.standard_normal((3, 4))
-        u = rng.standard_normal((2, 3))
-        got = multi_product_skip(t, [u, None], skip=1)
-        assert np.max(np.abs(got - mode_product(t, u, 0))) <= 1e-12
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_folds_flatten_definition_over_leading_modes(self, dims, data, seed):
+        rng = np.random.default_rng(seed)
+        k = data.draw(st.integers(0, len(dims)), label="factor count")
+        t = rng.standard_normal(dims)
+        mats = [rng.standard_normal((int(rng.integers(1, 5)), d)) for d in dims[:k]]
+        want, scale = t, np.abs(t)
+        for m, u in enumerate(mats):
+            new_dims = list(want.shape)
+            new_dims[m] = u.shape[0]
+            want = mode_unflatten(u @ mode_flatten(want, m), m, new_dims)
+            scale = mode_unflatten(np.abs(u) @ mode_flatten(scale, m), m, new_dims)
+        got = dict_apply(t, mats)
+        # the modes past the factors keep their extents
+        assert got.shape == tuple(u.shape[0] for u in mats) + tuple(dims[k:])
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        ws = [u.T for u in mats]
+        assert np.array_equal(dict_project(t, ws), dict_apply(t, [w.T for w in ws]))
 
 
 class TestTucker:
-    def test_reconstruct_is_multi_product(self):
+    def test_reconstruct_is_dict_apply(self):
         rng = np.random.default_rng(12)
         core = rng.standard_normal((2, 2, 2))
         factors = [rand_orth(rng, 4, 2) for _ in range(3)]
         rec = TuckerResult(core=core, factors=factors).reconstruct()
-        assert np.array_equal(rec, multi_product(core, factors))
+        assert np.array_equal(rec, dict_apply(core, factors))
         # a result with a skipped sample mode leaves that mode as it is
         rec = TuckerResult(core=core, factors=factors[:2]).reconstruct()
-        assert np.array_equal(rec, multi_product_skip(core, factors[:2] + [None], skip=2))
+        assert np.array_equal(rec, mode_product(mode_product(core, factors[0], 0), factors[1], 1))
 
     def test_square_orthonormal_roundtrip(self):
         rng = np.random.default_rng(13)
         t = rng.standard_normal((4, 5, 3))
         qs = [rand_orth(rng, d, d) for d in t.shape]
-        rec = multi_product(core_of(t, qs), qs)
+        rec = dict_apply(dict_project(t, qs), qs)
         assert np.max(np.abs(rec - t)) <= 1e-10
 
     def test_rank_deficient_error_equals_projection_residual(self):
         rng = np.random.default_rng(14)
         t = rng.standard_normal((4, 5, 6))
         ws = [rand_orth(rng, d, 2) for d in t.shape]
-        rec = multi_product(core_of(t, ws), ws)
+        rec = dict_apply(dict_project(t, ws), ws)
         # explicit projector oracle: P = W W^T applied per mode
-        proj = multi_product(t, [w @ w.T for w in ws])
+        proj = dict_apply(t, [w @ w.T for w in ws])
         assert np.max(np.abs(rec - proj)) <= 1e-10
         assert abs(frobenius_norm(t - rec) - frobenius_norm(t - proj)) <= 1e-10
 
     def test_zero_tensor_zero_core(self):
         rng = np.random.default_rng(15)
         ws = [rand_orth(rng, 4, 2), rand_orth(rng, 3, 2)]
-        assert np.array_equal(core_of(np.zeros((4, 3)), ws), np.zeros((2, 2)))
+        assert np.array_equal(dict_project(np.zeros((4, 3)), ws), np.zeros((2, 2)))
 
     def test_norm_preserved_under_square_orthonormal(self):
         rng = np.random.default_rng(16)
         t = rng.standard_normal((3, 4, 5))
         qs = [rand_orth(rng, d, d) for d in t.shape]
-        assert abs(frobenius_norm(multi_product(t, qs)) - frobenius_norm(t)) <= 1e-10
+        assert abs(frobenius_norm(dict_apply(t, qs)) - frobenius_norm(t)) <= 1e-10
 
 
 class TestStackLast:

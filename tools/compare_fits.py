@@ -10,19 +10,24 @@ synth`` and the benchmark write them. Options after ``--`` go to every
     python3 tools/compare_fits.py OLD/src NEW/src DATA... [-- FIT_OPTIONS...]
 
 One JSON line per data set and route reports whether the labels and the
-selection masks are equal, the largest confidence change, the largest
-projector change ``||U U^T - V V^T||_2`` over every factor matrix, and the
-largest relative change of a history objective. A last line gives the
-maxima. The exit code is 0 when every comparison is within the tolerances,
-1 when one is not, 2 on a usage error or a fit that failed.
+selection masks are equal, whether the written ``model.stdm``,
+``predictions.txt`` and ``history.csv`` are byte-identical (by SHA-256),
+the largest confidence change, the largest projector change
+``||U U^T - V V^T||_2`` over every factor matrix, and the largest relative
+change of a history objective. A last line gives the maxima, and whether
+every file was identical. The exit code is 0 when every comparison is
+within the tolerances, 1 when one is not, 2 on a usage error or a fit that
+failed; it does not depend on byte identity.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -31,12 +36,13 @@ import numpy as np
 
 ROUTES = ("eigen-phi", "exact")
 DELTAS = ("conf_max_abs", "projector_max", "objective_max_rel")
+FILES = ("model.stdm", "predictions.txt", "history.csv")
 
 
 def run_fit(data: str, route: str, out: str, fit_options: list) -> None:
     """Fit ``data`` with the ``sdtdl`` on ``sys.path`` and save the fitted
-    labels, selection mask, confidences, factor matrices and history
-    objectives to ``out`` (``.npz``)."""
+    labels, selection mask, confidences, factor matrices, history
+    objectives and the SHA-256 of each written file to ``out`` (``.npz``)."""
     from sdtdl import cli, solver
 
     fitted = []
@@ -52,8 +58,12 @@ def run_fit(data: str, route: str, out: str, fit_options: list) -> None:
         argv += ["--source-labels", os.path.join(data, "source_labels.txt")]
         argv += ["--target", os.path.join(data, "target.stdl"), "--out", tmp]
         code = cli.main(argv + list(fit_options) + ["--class-update", route])
-    if code != 0:
-        raise SystemExit(f"sdtdl fit exited {code} on {data} ({route})")
+        if code != 0:
+            raise SystemExit(f"sdtdl fit exited {code} on {data} ({route})")
+        digests = {
+            "sha256:" + name: hashlib.sha256(pathlib.Path(tmp, name).read_bytes()).hexdigest()
+            for name in FILES
+        }
     model, pl, history = fitted[0]
     factors = {f"u_source/{m}": u for m, u in enumerate(model.u_source)}
     factors.update({f"u_target/{m}": u for m, u in enumerate(model.u_target)})
@@ -66,6 +76,7 @@ def run_fit(data: str, route: str, out: str, fit_options: list) -> None:
         conf=pl.combined_conf,
         objective=np.array([row.objective for row in history]),
         **{"factor:" + k: v for k, v in factors.items()},
+        **digests,
     )
 
 
@@ -101,6 +112,7 @@ def compare(a: dict, b: dict) -> dict:
     return {
         "labels_equal": bool(np.array_equal(a["labels"], b["labels"])),
         "masks_equal": bool(np.array_equal(a["selected"], b["selected"])),
+        "files_identical": all(a["sha256:" + f] == b["sha256:" + f] for f in FILES),
         "conf_max_abs": float(np.max(np.abs(a["conf"] - b["conf"]), initial=0.0))
         if same_shape
         else math.inf,
@@ -164,7 +176,7 @@ def main(argv=None) -> int:
         "objective_max_rel": args.objective_tol,
     }
     worst = dict.fromkeys(DELTAS, 0.0)
-    ok = True
+    ok = identical = True
     with tempfile.TemporaryDirectory() as tmp:
         for k, data in enumerate(args.data):
             for route in ROUTES:
@@ -180,10 +192,12 @@ def main(argv=None) -> int:
                 diff = compare(*fits)
                 diff["pass"] = within(diff, tolerances)
                 ok = ok and diff["pass"]
+                identical = identical and diff["files_identical"]
                 for key in DELTAS:
                     worst[key] = max(worst[key], diff[key])
                 print(json.dumps(_printable({"data": data, "route": route, **diff})))
-    print(json.dumps(_printable({"summary": True, **worst, "pass": ok})))
+    summary = {"summary": True, "files_identical": identical, **worst, "pass": ok}
+    print(json.dumps(_printable(summary)))
     return 0 if ok else 1
 
 
