@@ -221,13 +221,14 @@ def load_model(path) -> SdtdlModel:
 
     hp_vec = entry("hyper", (9,))
     try:
-        ranks = tuple(int(r) for r in entry("ranks").ravel())
-        # 'hyper' holds every Hyperparams field after ranks, in field order
+        # 'hyper' holds every Hyperparams field after ranks, in field order;
+        # Hyperparams rejects a fractional rank or iteration count
         hyper = Hyperparams(
-            ranks, *(type(f.default)(v) for f, v in zip(fields(Hyperparams)[1:], hp_vec))
+            entry("ranks").ravel().tolist(), *hp_vec.tolist()[: len(fields(Hyperparams)) - 1]
         )
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise TensorFileError(f"model entries 'hyper' and 'ranks': {exc}") from exc
+    ranks = hyper.ranks
     count, flag = hp_vec[7], hp_vec[8]
     if not (count >= 1 and count.is_integer()) or flag not in (0, 1):
         raise TensorFileError(

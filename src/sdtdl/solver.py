@@ -13,7 +13,8 @@ Class-dictionary updates support two routes:
   Phi-weighted residual flattening, Phi as published. Each step maximizes
   the Phi-weighted core norm ``||W^T (Z x_N Phi)||^2``, which is not the
   written objective when the discriminant weight is nonzero; see
-  ``class_update_quadratic_form`` for the derivation of the exact form.
+  :meth:`SampleOperator.quadratic_form` for the derivation of the exact
+  form.
 * ``"exact"``: same alternating scheme but with the quadratic form obtained
   by expanding the objective directly. Non-canonical, kept as a documented
   switch.
@@ -51,17 +52,20 @@ __all__ = [
     "object_preset",
     "digit_preset",
     "class_means",
-    "objective",
-    "build_phi",
-    "class_update_quadratic_form",
     "update_class_dict",
     "update_domain_source",
     "update_domain_target",
     "fit",
-    "compute_codes",
     "run_block_updates",
     "nearest_centroid_labels",
 ]
+
+
+def _count(value, name: str, low: int) -> int:
+    """``value`` as an int; a fractional, non-finite or below-``low`` value is rejected."""
+    if not (float(value).is_integer() and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -85,7 +89,9 @@ class Hyperparams:
     tol: float = 1e-6
 
     def __post_init__(self):
-        self.ranks = tuple(int(r) for r in self.ranks)
+        self.ranks = tuple(_count(r, "ranks", 1) for r in self.ranks)
+        self.max_outer_iters = _count(self.max_outer_iters, "max_outer_iters", 0)
+        self.inner_sweeps = _count(self.inner_sweeps, "inner_sweeps", 1)
         if not 0 < self.theta < math.inf:
             raise ValueError("theta must be finite and > 0")
         if not 0 <= self.lam < math.inf:
@@ -94,12 +100,6 @@ class Hyperparams:
             raise ValueError("gamma must be in [0, 1]")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must be in (0, 1]")
-        if any(r < 1 for r in self.ranks):
-            raise ValueError("ranks must be positive")
-        if self.max_outer_iters < 0:
-            raise ValueError("max_outer_iters must be >= 0")
-        if self.inner_sweeps < 1:
-            raise ValueError("inner_sweeps must be >= 1")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be finite and positive")
 
@@ -220,42 +220,6 @@ def class_means(codes: np.ndarray) -> np.ndarray:
     return codes.mean(axis=-1)
 
 
-def objective(
-    model: SdtdlModel,
-    source: LabeledTensorSet,
-    target_selected: LabeledTensorSet,
-    codes: SdtdlCodes,
-) -> float:
-    """Value of the full learning objective.
-
-    Sum over classes of source fidelity, theta-weighted target fidelity, and
-    the lambda-weighted discriminant term. The discriminant term pairs source
-    codes with the target class mean and vice versa (the published cross
-    pairing). Classes with no selected target samples contribute fidelity
-    only. ``fit`` reads this value from norms its updates already form; this
-    reconstruction of every sample is the reference it is tested against.
-    """
-    hp = model.hyper
-    total = hp.lam * _discriminant(codes)
-    for c in range(1, model.class_count + 1):
-        w = model.w_class[c - 1]
-        src_idx = source.class_indices(c)
-        xc = source.samples[..., src_idx]
-        a0c = codes.a0[..., src_idx]
-        ac = codes.a_class[c - 1]
-        rec_s = dict_apply(a0c, model.u_source) + dict_apply(ac, w)
-        total += frobenius_norm(xc - rec_s) ** 2
-
-        tgt_idx = target_selected.class_indices(c)
-        bc = codes.b_class[c - 1]
-        if tgt_idx.size:
-            yc = target_selected.samples[..., tgt_idx]
-            b0c = codes.b0[..., tgt_idx]
-            rec_t = dict_apply(b0c, model.u_target) + dict_apply(bc, w)
-            total += hp.theta * frobenius_norm(yc - rec_t) ** 2
-    return float(total)
-
-
 def _discriminant(codes: SdtdlCodes) -> float:
     """The unweighted discriminant term of the objective, from the class
     codes alone: each class's source codes against its target mean and its
@@ -272,60 +236,9 @@ def _discriminant(codes: SdtdlCodes) -> float:
 def _objective_from_norms(
     hyper: Hyperparams, codes: SdtdlCodes, fid_s: float, fid_t: float
 ) -> float:
-    """The objective of :func:`objective`, from the fidelities the domain
-    updates returned and the class codes; no sample is reconstructed."""
+    """The full learning objective, from the fidelities the domain updates
+    returned and the class codes; no sample is reconstructed."""
     return fid_s + hyper.theta * fid_t + hyper.lam * _discriminant(codes)
-
-
-def build_phi(n_s: int, n_t: int, theta: float, lam: float) -> np.ndarray:
-    """The sample-mode weighting matrix of the class-dictionary eigen update.
-
-    Blocks, in order: (1-sqrt(lam)) I on the source diagonal,
-    sqrt(lam)/n_s ones on the top-right, sqrt(lam)/n_t ones on the
-    bottom-left, and (sqrt(theta)-sqrt(lam)) I on the target diagonal.
-    With ``n_t == 0`` the matrix degrades to the source block alone.
-    ``fit`` applies Phi as :meth:`SampleOperator.phi`; this dense form is
-    its reference.
-    """
-    if n_s < 1:
-        raise ValueError("n_s must be >= 1")
-    if n_t < 0:
-        raise ValueError("n_t must be >= 0")
-    sl = math.sqrt(lam)
-    st = math.sqrt(theta)
-    phi = np.zeros((n_s + n_t, n_s + n_t))
-    phi[:n_s, :n_s] = (1.0 - sl) * np.eye(n_s)
-    if n_t:
-        phi[:n_s, n_s:] = sl / n_s
-        phi[n_s:, :n_s] = sl / n_t
-        phi[n_s:, n_s:] = (st - sl) * np.eye(n_t)
-    return phi
-
-
-def class_update_quadratic_form(n_s: int, n_t: int, theta: float, lam: float) -> np.ndarray:
-    """Exact sample-mode quadratic form of the class subproblem.
-
-    Expanding the objective with projection codes A = [[X~; W^T]] and
-    B = [[Y~; W^T]] gives  minimize -tr(V Q V^T)  over the stacked code
-    matrix V, with
-
-        Q = diag(I, theta I) - lam (E E^T + F F^T),
-        E = [I; -(1/n_t) 1 1^T],  F = [-(1/n_s) 1 1^T; I].
-
-    This generally differs from Phi^T Phi, which is why the published eigen
-    update is not always optimal for the written objective. ``fit`` applies
-    Q as :meth:`SampleOperator.quadratic_form`; this dense form is its
-    reference.
-    """
-    if n_t == 0:
-        return np.eye(n_s)
-    n = n_s + n_t
-    q = np.zeros((n, n))
-    q[:n_s, :n_s] = (1.0 - lam) * np.eye(n_s) - lam * n_t / n_s**2
-    q[n_s:, n_s:] = (theta - lam) * np.eye(n_t) - lam * n_s / n_t**2
-    q[:n_s, n_s:] = lam * (1.0 / n_s + 1.0 / n_t)
-    q[n_s:, :n_s] = lam * (1.0 / n_s + 1.0 / n_t)
-    return q
 
 
 @dataclass(frozen=True)
@@ -347,15 +260,28 @@ class SampleOperator:
 
     @classmethod
     def phi(cls, n_s: int, n_t: int, theta: float, lam: float) -> SampleOperator:
-        """The published Phi; :func:`build_phi` is its dense form."""
+        """The published Phi: ``(1 - sqrt(lam)) I`` and ``(sqrt(theta) -
+        sqrt(lam)) I`` on the source and target diagonal blocks, and
+        ``sqrt(lam)/n_s`` and ``sqrt(lam)/n_t`` on the source-target and
+        target-source blocks. Without targets only the source block is left."""
         sl = math.sqrt(lam)
         cross = (sl / n_s, sl / n_t) if n_t else (0.0, 0.0)
         return cls(n_s, (1.0 - sl, math.sqrt(theta) - sl), ((0.0, cross[0]), (cross[1], 0.0)))
 
     @classmethod
     def quadratic_form(cls, n_s: int, n_t: int, theta: float, lam: float) -> SampleOperator:
-        """The exact form Q; :func:`class_update_quadratic_form` is its dense
-        form. Without target samples it is the identity."""
+        """The exact sample-mode quadratic form Q of the class subproblem.
+
+        Expanding the objective with projection codes A = [[X~; W^T]] and
+        B = [[Y~; W^T]] gives  minimize -tr(V Q V^T)  over the stacked code
+        matrix V, with
+
+            Q = diag(I, theta I) - lam (E E^T + F F^T),
+            E = [I; -(1/n_t) 1 1^T],  F = [-(1/n_s) 1 1^T; I].
+
+        This generally differs from Phi^T Phi, which is why the published
+        eigen update is not always optimal for the written objective.
+        Without target samples Q is the identity."""
         if n_t == 0:
             return cls(n_s, (1.0, 1.0), ((0.0, 0.0), (0.0, 0.0)))
         cross = lam * (1.0 / n_s + 1.0 / n_t)
@@ -626,28 +552,6 @@ def fit(
     # the final row records the prediction pass only: no objective is computed
     history.append(history_row(history[-1].iteration + 1, pl, float("nan")))
     return model, pl, history
-
-
-def compute_codes(
-    model: SdtdlModel, source: LabeledTensorSet, target_selected: LabeledTensorSet
-) -> SdtdlCodes:
-    """Coefficient tensors consistent with the current dictionaries.
-
-    Domain codes are the projections of the raw samples; class codes are
-    projections of the domain residuals onto the class dictionaries. Also
-    refreshes the model's class means.
-    """
-    a0 = dict_project(source.samples, model.u_source)
-    b0 = dict_project(target_selected.samples, model.u_target)
-    a_class, b_class = [], []
-    for c in range(1, model.class_count + 1):
-        x_tilde = _domain_residual(source, c, a0, model.u_source)
-        a_class.append(dict_project(x_tilde, model.w_class[c - 1]))
-        y_tilde = _domain_residual(target_selected, c, b0, model.u_target)
-        b_class.append(dict_project(y_tilde, model.w_class[c - 1]))
-    codes = SdtdlCodes(a0=a0, b0=b0, a_class=a_class, b_class=b_class)
-    _refresh_means(model, codes)
-    return codes
 
 
 def nearest_centroid_labels(source: LabeledTensorSet, target: LabeledTensorSet) -> np.ndarray:

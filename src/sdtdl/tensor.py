@@ -1,10 +1,10 @@
-"""Dense tensor primitives: mode flattening, mode products and Tucker algebra.
+"""Dense tensor primitives: mode products, mode Gram matrices and Tucker algebra.
 
 Tensors are plain ``numpy.ndarray`` objects of float64. The canonical memory
-layout is C order (row major): the first index varies slowest. Mode-``m``
-flattening moves mode ``m`` to the front and reshapes in C order, so the
-column ordering of the flattening is induced by the canonical layout and is
-consistent across flatten/unflatten/product. Modes are 0-based.
+layout is C order (row major): the first index varies slowest. The mode-``m``
+flattening ``T_(m)`` is the matrix whose rows are the mode-``m`` fibers, with
+the columns in the order that moving mode ``m`` to the front and reshaping
+in C order gives. Modes are 0-based.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "mode_flatten",
-    "mode_unflatten",
     "mode_product",
     "mode_gram",
     "dict_apply",
@@ -33,33 +31,12 @@ def _check_mode(t: np.ndarray, mode: int) -> None:
         raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
 
 
-def mode_flatten(t: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-``mode`` flattening: an ``I_m x prod(other dims)`` matrix whose
-    rows are the mode-``mode`` fibers of ``t``."""
-    _check_mode(t, mode)
-    rest = math.prod(t.shape[:mode] + t.shape[mode + 1 :])
-    return np.moveaxis(t, mode, 0).reshape(t.shape[mode], rest)
-
-
-def mode_unflatten(mat: np.ndarray, mode: int, dims) -> np.ndarray:
-    """Inverse of :func:`mode_flatten` for a tensor with extents ``dims``."""
-    dims = tuple(int(d) for d in dims)
-    if not 0 <= mode < len(dims):
-        raise ValueError(f"mode {mode} out of range for order-{len(dims)} tensor")
-    mat = np.asarray(mat, dtype=np.float64)
-    rest = [d for k, d in enumerate(dims) if k != mode]
-    expected = (dims[mode], int(np.prod(rest, dtype=np.int64)))
-    if mat.shape != expected:
-        raise ValueError(f"matrix shape {mat.shape} does not match expected {expected}")
-    return np.ascontiguousarray(np.moveaxis(mat.reshape([dims[mode]] + rest), 0, mode))
-
-
 def mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
     """Multiply ``t`` along ``mode`` by the matrix ``u`` (acting on the left).
 
-    Equal to unflattening ``u @ mode_flatten(t, mode)``, but computed on the
-    C-order ``(prod(dims[:mode]), I_mode, prod(dims[mode+1:]))`` view of
-    ``t``, so a contiguous ``t`` is neither flattened nor unflattened by copy.
+    The result's mode-``mode`` flattening is ``u @ T_(mode)``, computed on
+    the C-order ``(lead, I_mode, trail)`` view of ``t``, so a contiguous
+    ``t`` is neither flattened nor unflattened by copy.
     """
     _check_mode(t, mode)
     u = np.asarray(u, dtype=np.float64)
@@ -80,8 +57,7 @@ def mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
 def mode_gram(t: np.ndarray, mode: int, other: np.ndarray | None = None) -> np.ndarray:
     """``T_(mode) O_(mode)^T`` for ``O = other`` (``t`` itself when None).
 
-    Equal to ``mode_flatten(t, mode) @ mode_flatten(other, mode).T``, but
-    computed on the C-order ``(lead, I_mode, trail)`` views, as one product
+    Computed on the C-order ``(lead, I_mode, trail)`` views, as one product
     per leading index summed, so neither tensor is flattened by copy.
     """
     _check_mode(t, mode)

@@ -1,0 +1,143 @@
+"""Dense reference implementations that the tests compare the package with.
+
+The package computes each of these quantities another way: the objective
+from norms its updates already form, Phi and Q as structured sample-mode
+operators, mode products and Gram matrices on C-order views instead of
+flattened copies. These direct forms are what that arithmetic is checked
+against. The mode-``m`` flattening is the unfolding of Kolda & Bader
+(SIAM Review 2009), with the column order induced by C-order layout.
+"""
+
+import math
+
+import numpy as np
+
+from sdtdl.solver import (
+    LabeledTensorSet,
+    SdtdlCodes,
+    SdtdlModel,
+    _discriminant,
+    _domain_residual,
+    _refresh_means,
+)
+from sdtdl.tensor import _check_mode, dict_apply, dict_project, frobenius_norm
+
+
+def mode_flatten(t: np.ndarray, mode: int) -> np.ndarray:
+    """Mode-``mode`` flattening: an ``I_m x prod(other dims)`` matrix whose
+    rows are the mode-``mode`` fibers of ``t``."""
+    _check_mode(t, mode)
+    rest = math.prod(t.shape[:mode] + t.shape[mode + 1 :])
+    return np.moveaxis(t, mode, 0).reshape(t.shape[mode], rest)
+
+
+def mode_unflatten(mat: np.ndarray, mode: int, dims) -> np.ndarray:
+    """Inverse of :func:`mode_flatten` for a tensor with extents ``dims``."""
+    dims = tuple(int(d) for d in dims)
+    if not 0 <= mode < len(dims):
+        raise ValueError(f"mode {mode} out of range for order-{len(dims)} tensor")
+    mat = np.asarray(mat, dtype=np.float64)
+    rest = [d for k, d in enumerate(dims) if k != mode]
+    expected = (dims[mode], int(np.prod(rest, dtype=np.int64)))
+    if mat.shape != expected:
+        raise ValueError(f"matrix shape {mat.shape} does not match expected {expected}")
+    return np.ascontiguousarray(np.moveaxis(mat.reshape([dims[mode]] + rest), 0, mode))
+
+
+def objective(
+    model: SdtdlModel,
+    source: LabeledTensorSet,
+    target_selected: LabeledTensorSet,
+    codes: SdtdlCodes,
+) -> float:
+    """Value of the full learning objective.
+
+    Sum over classes of source fidelity, theta-weighted target fidelity, and
+    the lambda-weighted discriminant term. The discriminant term pairs source
+    codes with the target class mean and vice versa (the published cross
+    pairing). Classes with no selected target samples contribute fidelity
+    only. ``fit`` reads this value from norms its updates already form; this
+    reconstruction of every sample is the reference it is tested against.
+    """
+    hp = model.hyper
+    total = hp.lam * _discriminant(codes)
+    for c in range(1, model.class_count + 1):
+        w = model.w_class[c - 1]
+        src_idx = source.class_indices(c)
+        xc = source.samples[..., src_idx]
+        a0c = codes.a0[..., src_idx]
+        ac = codes.a_class[c - 1]
+        rec_s = dict_apply(a0c, model.u_source) + dict_apply(ac, w)
+        total += frobenius_norm(xc - rec_s) ** 2
+
+        tgt_idx = target_selected.class_indices(c)
+        bc = codes.b_class[c - 1]
+        if tgt_idx.size:
+            yc = target_selected.samples[..., tgt_idx]
+            b0c = codes.b0[..., tgt_idx]
+            rec_t = dict_apply(b0c, model.u_target) + dict_apply(bc, w)
+            total += hp.theta * frobenius_norm(yc - rec_t) ** 2
+    return float(total)
+
+
+def build_phi(n_s: int, n_t: int, theta: float, lam: float) -> np.ndarray:
+    """The sample-mode weighting matrix of the class-dictionary eigen update.
+
+    Blocks, in order: (1-sqrt(lam)) I on the source diagonal,
+    sqrt(lam)/n_s ones on the top-right, sqrt(lam)/n_t ones on the
+    bottom-left, and (sqrt(theta)-sqrt(lam)) I on the target diagonal.
+    With ``n_t == 0`` the matrix degrades to the source block alone.
+    ``fit`` applies Phi as :meth:`SampleOperator.phi`; this dense form is
+    its reference.
+    """
+    if n_s < 1:
+        raise ValueError("n_s must be >= 1")
+    if n_t < 0:
+        raise ValueError("n_t must be >= 0")
+    sl = math.sqrt(lam)
+    st = math.sqrt(theta)
+    phi = np.zeros((n_s + n_t, n_s + n_t))
+    phi[:n_s, :n_s] = (1.0 - sl) * np.eye(n_s)
+    if n_t:
+        phi[:n_s, n_s:] = sl / n_s
+        phi[n_s:, :n_s] = sl / n_t
+        phi[n_s:, n_s:] = (st - sl) * np.eye(n_t)
+    return phi
+
+
+def class_update_quadratic_form(n_s: int, n_t: int, theta: float, lam: float) -> np.ndarray:
+    """Dense form of the exact quadratic form Q of the class subproblem;
+    :meth:`sdtdl.solver.SampleOperator.quadratic_form` derives Q and applies
+    it in structured form, and is tested against this matrix.
+    """
+    if n_t == 0:
+        return np.eye(n_s)
+    n = n_s + n_t
+    q = np.zeros((n, n))
+    q[:n_s, :n_s] = (1.0 - lam) * np.eye(n_s) - lam * n_t / n_s**2
+    q[n_s:, n_s:] = (theta - lam) * np.eye(n_t) - lam * n_s / n_t**2
+    q[:n_s, n_s:] = lam * (1.0 / n_s + 1.0 / n_t)
+    q[n_s:, :n_s] = lam * (1.0 / n_s + 1.0 / n_t)
+    return q
+
+
+def compute_codes(
+    model: SdtdlModel, source: LabeledTensorSet, target_selected: LabeledTensorSet
+) -> SdtdlCodes:
+    """Coefficient tensors consistent with the current dictionaries.
+
+    Domain codes are the projections of the raw samples; class codes are
+    projections of the domain residuals onto the class dictionaries. Also
+    refreshes the model's class means.
+    """
+    a0 = dict_project(source.samples, model.u_source)
+    b0 = dict_project(target_selected.samples, model.u_target)
+    a_class, b_class = [], []
+    for c in range(1, model.class_count + 1):
+        x_tilde = _domain_residual(source, c, a0, model.u_source)
+        a_class.append(dict_project(x_tilde, model.w_class[c - 1]))
+        y_tilde = _domain_residual(target_selected, c, b0, model.u_target)
+        b_class.append(dict_project(y_tilde, model.w_class[c - 1]))
+    codes = SdtdlCodes(a0=a0, b0=b0, a_class=a_class, b_class=b_class)
+    _refresh_means(model, codes)
+    return codes

@@ -12,7 +12,7 @@ so that is reported, not asserted: the PASS line prints how far each
 cold-started route lands above the written-objective oracle. The
 ``eigen-phi`` gap stays visible there, because its weighting matrix
 satisfies ``Phi^T Phi != Q`` when the discriminant weight is nonzero (see
-``sdtdl.solver.class_update_quadratic_form``).
+``sdtdl.solver.SampleOperator.quadratic_form``).
 """
 
 import time
@@ -27,21 +27,19 @@ from sdtdl.pseudolabel import _softmax_rows, predict, select, selection_count
 from sdtdl.solver import (
     ClassSubproblem,
     Hyperparams,
-    build_phi,
-    compute_codes,
     fit,
     nearest_centroid_labels,
-    objective,
     run_block_updates,
     update_class_dict,
 )
 from sdtdl.solver import _selected_set
 from sdtdl.tensor import (
     frobenius_norm,
-    mode_flatten,
     mode_product,
     stack_last,
 )
+
+from oracles import build_phi, compute_codes, mode_flatten, objective
 
 
 def rand_orth(rng, n, k):
@@ -74,7 +72,7 @@ def test_criterion_1_tensor_algebra():
         want = u @ mode_flatten(t, m)
         assert np.max(np.abs(got - want)) <= 1e-12
         for mm in range(order):
-            from sdtdl.tensor import mode_unflatten
+            from oracles import mode_unflatten
 
             assert np.array_equal(mode_unflatten(mode_flatten(t, mm), mm, dims), t)
     elapsed = time.perf_counter() - start

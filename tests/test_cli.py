@@ -393,10 +393,10 @@ class TestFitPredict:
         assert "Traceback" not in err
         assert not pred.exists()
 
-    @pytest.mark.parametrize("case", ["column-class-factor", "non-utf8-name"])
+    @pytest.mark.parametrize("case", ["column-class-factor", "non-utf8-name", "fractional-rank"])
     def test_predict_rejects_a_malformed_model(self, tmp_path, capsys, case):
         # these used to exit 0, with class codes broadcast against the class
-        # means, and 2, on a UnicodeDecodeError
+        # means, 2, on a UnicodeDecodeError, and 0, with the rank truncated
         d = synth_dir(tmp_path, capsys)
         out = tmp_path / "run"
         code, _, _ = run(capsys, *fit_args(d, out))
@@ -407,6 +407,11 @@ class TestFitPredict:
             model.w_class[0][0] = model.w_class[0][0][:, :1]
             dataio.save_model(bad, model)
             message = "'w/0/0' has shape (8, 1), expected (8, 3)"
+        elif case == "fractional-rank":
+            model = dataio.load_model(out / "model.stdm")
+            model.hyper.ranks = (3.5,) + model.hyper.ranks[1:]
+            dataio.save_model(bad, model)
+            message = "ranks must be an integer >= 1, got 3.5"
         else:
             bad.write_bytes((out / "model.stdm").read_bytes().replace(b"hyper", b"\xffyper", 1))
             message = "is not UTF-8"

@@ -263,11 +263,19 @@ class TestModelFile:
             (lambda e: with_hyper(e, 7, 0.0), "class count 0 and target flag 1"),
             (lambda e: with_hyper(e, 7, 2.5), "class count 2.5 and target flag 1"),
             (lambda e: with_hyper(e, 8, 0.5), "class count 2 and target flag 0.5"),
+            # these used to load truncated, as ranks (2, 3) and 2 iterations or sweeps
+            (
+                lambda e: {**e, "ranks": np.array([2.5, 3.0])},
+                "ranks must be an integer >= 1, got 2.5",
+            ),
+            (lambda e: with_hyper(e, 4, 2.5), "max_outer_iters must be an integer >= 0, got 2.5"),
+            (lambda e: with_hyper(e, 5, 2.5), "inner_sweeps must be an integer >= 1, got 2.5"),
         ],
         ids=[
             "column-class-factor", "tall-class-factor", "narrow-target-factor",
             "non-utf8-name", "negative-class-count", "zero-class-count",
-            "fractional-class-count", "fractional-flag",
+            "fractional-class-count", "fractional-flag", "fractional-rank",
+            "fractional-outer-iters", "fractional-inner-sweeps",
         ],
     )
     def test_malformed_model_is_a_file_error(self, tmp_path, edit, message):

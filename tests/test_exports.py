@@ -1,5 +1,7 @@
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -35,3 +37,32 @@ def test_all_matches_public_definitions(module):
         and value.__module__ == module.__name__
     }
     assert sorted(defined - set(module.__all__)) == []
+
+
+def test_every_export_has_a_use_in_the_package():
+    # an export counts as used when package code loads it as a name or as an
+    # attribute of a submodule (``dataio.load_model``), or when the package
+    # namespace imports it; a mention in a docstring or a test does not count
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in pathlib.Path(sdtdl.__file__).parent.glob("*.py")
+    }
+    submodules = set(trees) - {"__init__"}
+    used = {
+        alias.name
+        for node in ast.walk(trees["__init__"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in submodules
+            ):
+                used.add(node.attr)
+    unused = [f"{m.__name__}.{name}" for m in MODULES for name in m.__all__ if name not in used]
+    assert unused == []

@@ -12,10 +12,11 @@ from sdtdl.solver import (
     ClassSubproblem,
     SampleOperator,
     _mode_form,
-    build_phi,
     update_class_dict,
 )
-from sdtdl.tensor import dict_apply, dict_project, frobenius_norm, mode_flatten, mode_product
+from sdtdl.tensor import dict_apply, dict_project, frobenius_norm, mode_product
+
+from oracles import build_phi, mode_flatten
 
 # the module itself: the package attribute ``sdtdl.hooi`` is the function
 H = importlib.import_module("sdtdl.hooi")

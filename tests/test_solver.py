@@ -18,21 +18,19 @@ from sdtdl.solver import (
     SampleOperator,
     SdtdlCodes,
     SdtdlModel,
-    build_phi,
     class_means,
-    class_update_quadratic_form,
-    compute_codes,
     digit_preset,
     fit,
     nearest_centroid_labels,
     object_preset,
-    objective,
     run_block_updates,
     update_class_dict,
     update_domain_source,
     update_domain_target,
 )
 from sdtdl.tensor import frobenius_norm, mode_product, stack_last
+
+from oracles import build_phi, class_update_quadratic_form, compute_codes, objective
 
 
 def rand_orth(rng, n, k):
@@ -116,11 +114,14 @@ class TestHyperparams:
             dict(lam=float("inf")),
             dict(tol=float("nan")),
             dict(tol=float("inf")),
+            dict(ranks=(2.5, 2)),
+            dict(max_outer_iters=2.5),
+            dict(inner_sweeps=2.5),
         ],
     )
     def test_range_validation(self, kwargs):
         with pytest.raises(ValueError):
-            Hyperparams(ranks=(2, 2), **kwargs)
+            Hyperparams(**{"ranks": (2, 2), **kwargs})
 
 
 class TestLabeledTensorSet:
@@ -572,22 +573,6 @@ class TestFit:
         assert history[-1].accuracy >= history[0].accuracy
 
     @pytest.mark.parametrize("route", ["eigen-phi", "exact"])
-    def test_fit_builds_no_dense_sample_operator(self, route, monkeypatch):
-        def dense(*args):
-            raise AssertionError("fit built a dense (n_s+n_t)^2 operator")
-
-        monkeypatch.setattr(S, "build_phi", dense)
-        monkeypatch.setattr(S, "class_update_quadratic_form", dense)
-        spec = SyntheticSpec(
-            class_count=2, dims=(5, 5), ranks=(2, 2), n_source_per_class=6,
-            n_target_per_class=6, noise=0.05, shift=0.3, seed=1,
-        )
-        source, target, _ = generate_synthetic(spec)
-        hyper = Hyperparams(ranks=(2, 2), theta=2.0, lam=0.1, max_outer_iters=2)
-        model, _, _ = fit(source, target, hyper, class_update=route)
-        model.validate()
-
-    @pytest.mark.parametrize("route", ["eigen-phi", "exact"])
     @pytest.mark.parametrize("dims,ranks", [((6, 5), (2, 2)), ((4, 3, 5), (2, 2, 2))])
     def test_fit_hands_only_c_order_tensors(self, route, dims, ranks, monkeypatch):
         bad, calls = [], dict.fromkeys(["mode_product", "mode_gram", "apply"], 0)
@@ -631,12 +616,11 @@ class TestFit:
     @pytest.mark.parametrize("route", ["eigen-phi", "exact"])
     @pytest.mark.parametrize("lam", [0.1, 1.0])
     def test_history_objective_is_the_oracle_without_calling_it(self, route, lam, monkeypatch):
-        oracle = S.objective
-
         def forbidden(*args):
             raise AssertionError("fit reconstructed the samples to report the objective")
 
-        monkeypatch.setattr(S, "objective", forbidden)
+        # the package defines no objective; should one come back, fit must not call it
+        monkeypatch.setattr(S, "objective", forbidden, raising=False)
         # every history objective is taken right after a target-dictionary
         # update; evaluate the oracle on the state that update leaves
         update_source, update_target = S.update_domain_source, S.update_domain_target
@@ -658,7 +642,7 @@ class TestFit:
                 + m.hyper.theta * frobenius_norm(r_t) ** 2
                 + m.hyper.lam * S._discriminant(k)
             )
-            want.append((oracle(m, source, selected, k), scale))
+            want.append((objective(m, source, selected, k), scale))
             return u_target, b0, fid_t
 
         monkeypatch.setattr(S, "update_domain_source", source_update)

@@ -8,13 +8,13 @@ from sdtdl.tensor import (
     dict_apply,
     dict_project,
     frobenius_norm,
-    mode_flatten,
     mode_gram,
     mode_product,
-    mode_unflatten,
     require_orthonormal,
     stack_last,
 )
+
+from oracles import mode_flatten, mode_unflatten
 
 
 def rand_orth(rng, n, k):
