@@ -113,10 +113,10 @@ def _format_optional(x: float) -> str:
 
 
 def write_predictions(path, pl: pseudolabel.PseudoLabels) -> None:
+    rows = enumerate(zip(pl.labels.tolist(), pl.combined_conf.tolist()))
+    body = "".join(f"{j},{label},{conf!r}\n" for j, (label, conf) in rows)
     with open(path, "w") as fh:
-        fh.write("index,label,confidence\n")
-        for j in range(pl.n_samples):
-            fh.write(f"{j},{int(pl.labels[j])},{_format_float(pl.combined_conf[j])}\n")
+        fh.write("index,label,confidence\n" + body)
 
 
 def read_predictions(path):

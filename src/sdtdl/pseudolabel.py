@@ -27,6 +27,12 @@ __all__ = [
 
 _EPS = 1e-300
 
+# Bytes of target samples per block of the prediction pass. Of 16 KiB to
+# 16 MiB, 1 MiB gave the fastest pass on the benchmark's object workload
+# (2 EPYC vCPUs, 1 BLAS thread); BENCH_blocked_prediction_pass.json has the
+# sweep.
+_BLOCK_BYTES = 1 << 20
+
 
 @dataclass
 class PseudoLabels:
@@ -66,43 +72,50 @@ def _sample_sq_norms(t: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", flat, flat)
 
 
-def fidelity_probs(resid: np.ndarray, codes) -> np.ndarray:
-    """Row-stochastic class probabilities from squared reconstruction error.
-
-    ``resid`` is the targets' domain residual and ``codes[c]`` its projection
-    on class dictionary c. The factors are orthonormal, so the error of
-    sample j against class c is ``||r_j||^2 - ||k_cj||^2``, clamped at zero
-    against cancellation.
-    """
-    r2 = _sample_sq_norms(resid)
-    errors = np.stack([np.maximum(r2 - _sample_sq_norms(k), 0.0) for k in codes], axis=1)
+def fidelity_probs(errors: np.ndarray) -> np.ndarray:
+    """Row-stochastic class probabilities from the ``N x C`` squared
+    reconstruction errors of the targets' domain residual against each class
+    dictionary."""
     return _softmax_rows(errors)
 
 
-def centroid_probs(codes, means) -> np.ndarray:
-    """Row-stochastic class probabilities from the deviation of each class
-    code ``codes[c]`` from the source class mean ``means[c]`` (source means
+def centroid_probs(dists: np.ndarray) -> np.ndarray:
+    """Row-stochastic class probabilities from the ``N x C`` squared
+    deviations of each class code from the source class mean (source means
     are the reliable ones)."""
-    dists = np.stack([_sample_sq_norms(k - m[..., None]) for k, m in zip(codes, means)], axis=1)
     return _softmax_rows(dists)
 
 
 def predict_labels(target, model, gamma: float, delta: float) -> PseudoLabels:
     """One prediction pass: labels and selection of ``target`` under ``model``.
 
-    The domain residual (targets minus their target-dictionary
-    reconstruction, or the raw targets when the model has no target
-    dictionary yet) is projected once per class; both probability matrices
-    are taken from those codes.
+    The pass runs over blocks of at most ``_BLOCK_BYTES`` of target samples,
+    each gathered C-contiguous so that its products stay in cache. A block's
+    domain residual (its samples minus their target-dictionary
+    reconstruction, or the raw samples when the model has no target
+    dictionary yet) is projected once per class. The factors are
+    orthonormal, so the error of sample j against class c is
+    ``||r_j||^2 - ||k_cj||^2``, clamped at zero against cancellation; the
+    centroid distance is ``||k_cj - m_c||^2`` for the source class mean
+    ``m_c``. Both probability matrices are taken once, after the last block.
     """
-    resid = target.samples
-    if model.u_target is not None:
-        rec = dict_apply(dict_project(resid, model.u_target), model.u_target)
-        resid = np.subtract(resid, rec, out=rec)
-    codes = [dict_project(resid, w) for w in model.w_class]
-    fid = fidelity_probs(resid, codes)
-    cen = centroid_probs(codes, model.class_means_source)
-    return select(predict(fid, cen, gamma), delta)
+    y = target.samples
+    n, c = y.shape[-1], len(model.w_class)
+    errors, dists = np.empty((n, c)), np.empty((n, c))
+    step = max(1, _BLOCK_BYTES // (math.prod(y.shape[:-1]) * y.itemsize))
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        block = y if step >= n else np.ascontiguousarray(y[..., rows])
+        if model.u_target is not None:
+            rec = dict_apply(dict_project(block, model.u_target), model.u_target)
+            block = np.subtract(block, rec, out=rec)
+        r2 = _sample_sq_norms(block)
+        for ci, (w, mean) in enumerate(zip(model.w_class, model.class_means_source)):
+            k = dict_project(block, w)
+            np.maximum(r2 - _sample_sq_norms(k), 0.0, out=errors[rows, ci])
+            k -= mean[..., None]
+            dists[rows, ci] = _sample_sq_norms(k)
+    return select(predict(fidelity_probs(errors), centroid_probs(dists), gamma), delta)
 
 
 def predict(fid: np.ndarray, cen: np.ndarray, gamma: float) -> PseudoLabels:

@@ -107,7 +107,10 @@ def require_orthonormal(mat: np.ndarray, tol: float = ORTHO_TOL, name: str = "fa
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[1] > mat.shape[0]:
         raise ValueError(f"{name} must be a tall matrix, got shape {mat.shape}")
-    # written so that a NaN entry fails the check
-    if not np.max(np.abs(mat.T @ mat - np.eye(mat.shape[1]))) <= tol:
+    # written so that a NaN entry, or a product that overflows, fails the
+    # check; the overflow is reported by this check, not by a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = np.max(np.abs(mat.T @ mat - np.eye(mat.shape[1])))
+    if not off <= tol:
         raise ValueError(f"{name} columns are not orthonormal within {tol}")
     return mat

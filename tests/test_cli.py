@@ -369,8 +369,10 @@ class TestFitPredict:
             ("u_target", np.nan, "non-finite"),
             ("class_means_source", np.nan, "non-finite"),
             ("u_target", 2.0, "not orthonormal"),
+            ("u_target", 1e200, "not orthonormal"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_predict_rejects_a_bad_model(self, tmp_path, capsys, field, scale, message):
         # these used to exit 0: NaN confidences with every label 1, or
         # confidences from a fidelity that assumes orthonormal factors

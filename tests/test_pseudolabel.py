@@ -1,7 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdtdl import pseudolabel
 from sdtdl.dataio import SyntheticSpec, generate_synthetic
@@ -209,6 +212,19 @@ def pass_inputs(target, model):
     return resid, [dict_project(resid, w) for w in model.w_class]
 
 
+def pass_matrices(monkeypatch, target, model):
+    """The error and distance matrices that one prediction pass hands to
+    ``fidelity_probs`` and ``centroid_probs``."""
+    seen = []
+    for name in ("fidelity_probs", "centroid_probs"):
+        real = getattr(pseudolabel, name)
+        monkeypatch.setattr(
+            pseudolabel, name, lambda m, real=real: seen.append(m.copy()) or real(m)
+        )
+    predict_labels(target, model, 0.25, 0.8)
+    return seen
+
+
 class TestProbabilityMatrices:
     def test_row_stochastic_on_model(self):
         rng = np.random.default_rng(4)
@@ -264,7 +280,7 @@ class TestProbabilityMatrices:
         probs = predict_labels(target, model, 0.25, 0.8).centroid_probs
         assert probs[0, 0] > probs[0, 1]
 
-    def test_centroid_distance_from_codes(self):
+    def test_centroid_distance_from_codes(self, monkeypatch):
         rng = np.random.default_rng(9)
         model = make_model(rng, C=3)
         target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 6)), class_count=3)
@@ -276,23 +292,37 @@ class TestProbabilityMatrices:
             ],
             axis=1,
         )
-        got = centroid_probs(codes, model.class_means_source)
-        assert np.max(np.abs(got - softmax_rows_loop(dists))) <= 1e-12
+        _, got = pass_matrices(monkeypatch, target, model)
+        assert np.max(np.abs(got - dists)) <= 1e-12 * np.max(dists)
+        assert np.max(np.abs(centroid_probs(got) - softmax_rows_loop(dists))) <= 1e-12
 
-    def test_pass_is_fidelity_then_centroid_then_select(self):
+    def test_pass_is_fidelity_then_centroid_then_select(self, monkeypatch):
+        # once each per pass, over several blocks of 2 samples
         rng = np.random.default_rng(11)
         model = make_model(rng, C=3)
         target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 9)), class_count=3)
-        resid, codes = pass_inputs(target, model)
-        want = select(
-            predict(
-                fidelity_probs(resid, codes),
-                centroid_probs(codes, model.class_means_source),
-                0.3,
-            ),
-            0.6,
-        )
+        monkeypatch.setattr(pseudolabel, "_BLOCK_BYTES", 2 * 16 * 8)
+        calls = []
+        for name in ("fidelity_probs", "centroid_probs", "predict", "select"):
+            real = getattr(pseudolabel, name)
+            monkeypatch.setattr(
+                pseudolabel,
+                name,
+                lambda *a, real=real, name=name: calls.append((name, a)) or real(*a),
+            )
         got = predict_labels(target, model, 0.3, 0.6)
+        assert [name for name, _ in calls] == [
+            "fidelity_probs", "centroid_probs", "predict", "select"
+        ]
+        errors, dists = calls[0][1][0], calls[1][1][0]
+        resid, codes = pass_inputs(target, model)
+        r2 = np.sum(resid**2, axis=(0, 1))
+        for c, (k, m) in enumerate(zip(codes, model.class_means_source)):
+            want_err = np.maximum(r2 - np.sum(k**2, axis=(0, 1)), 0.0)
+            want_dist = np.sum((k - m[..., None]) ** 2, axis=(0, 1))
+            assert np.max(np.abs(errors[:, c] - want_err)) <= 1e-12 * np.max(r2)
+            assert np.max(np.abs(dists[:, c] - want_dist)) <= 1e-12 * np.max(want_dist)
+        want = select(predict(fidelity_probs(errors), centroid_probs(dists), 0.3), 0.6)
         assert np.array_equal(got.labels, want.labels)
         assert np.array_equal(got.selected, want.selected)
         assert np.array_equal(got.combined_conf, want.combined_conf)
@@ -305,9 +335,10 @@ class TestProbabilityMatrices:
         assert pl.labels.shape == (0,) and pl.selected.shape == (0,)
         assert pl.fidelity_probs.shape == (0, 3)
 
-    def test_peak_memory_under_twice_the_target(self):
-        # the pass holds one samples-sized array at a time: the target's
-        # reconstruction, turned into the residual in place
+    def test_peak_memory_under_half_the_target(self):
+        # the pass holds one block of samples at a time (its copy, and its
+        # reconstruction turned into the residual in place) plus the N x C
+        # matrices, never a samples-sized array
         rng = np.random.default_rng(13)
         model = make_model(rng, dims=(16, 16), ranks=(4, 4), C=5)
         target = LabeledTensorSet(samples=rng.standard_normal((16, 16, 5000)), class_count=5)
@@ -318,18 +349,60 @@ class TestProbabilityMatrices:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 2 * target.samples.nbytes, peak / target.samples.nbytes
+        assert peak < 0.5 * target.samples.nbytes, peak / target.samples.nbytes
+
+
+class TestBlockInvariance:
+    """The pass runs over blocks of ``_BLOCK_BYTES`` of target samples; its
+    result does not depend on the block size beyond rounding."""
+
+    @staticmethod
+    def run(target, model, budget):
+        with mock.patch.object(pseudolabel, "_BLOCK_BYTES", budget):
+            return predict_labels(target, model, 0.25, 0.8)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dims_ranks=st.sampled_from([((4, 3), (2, 2)), ((3, 4, 2), (2, 2, 1))]),
+        n=st.integers(3, 11),
+        c=st.integers(1, 4),
+        with_target=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_of_any_size_give_the_one_block_pass(
+        self, dims_ranks, n, c, with_target, seed
+    ):
+        dims, ranks = dims_ranks
+        rng = np.random.default_rng(seed)
+        model = make_model(rng, dims=dims, ranks=ranks, C=c, with_target=with_target)
+        target = LabeledTensorSet(samples=rng.standard_normal(dims + (n,)), class_count=c)
+        sample_bytes = target.samples[..., 0].nbytes
+        want = self.run(target, model, n * sample_bytes)
+        # blocks of 1, 2 and 3 samples, and of n - 1, which leaves a last
+        # block of 1; half a sample over the budget still buys no sample
+        for per_block in (1, 2, 3, n - 1):
+            got = self.run(target, model, per_block * sample_bytes + sample_bytes // 2)
+            assert np.array_equal(got.labels, want.labels)
+            assert np.array_equal(got.selected, want.selected)
+            for field in ("fidelity_probs", "centroid_probs", "combined_conf"):
+                assert np.max(np.abs(getattr(got, field) - getattr(want, field))) <= 1e-15
+
+    def test_empty_target_in_blocks(self):
+        rng = np.random.default_rng(15)
+        model = make_model(rng, C=3)
+        target = LabeledTensorSet(samples=np.zeros((4, 4, 0)), class_count=3)
+        for budget in (1, 16 * 8, 1 << 20):
+            pl = self.run(target, model, budget)
+            assert pl.labels.shape == (0,) and pl.selected.shape == (0,)
+            assert pl.fidelity_probs.shape == pl.centroid_probs.shape == (0, 3)
 
 
 class TestFidelityError:
     """The pass takes the error against class c as ``||r||^2 - ||W_c^T r||^2``
     (orthonormal factors), clamped at zero, instead of reconstructing."""
 
-    def errors(self, monkeypatch, resid, codes):
-        seen = []
-        monkeypatch.setattr(pseudolabel, "_softmax_rows", lambda e: seen.append(e) or e)
-        fidelity_probs(resid, codes)
-        return seen[0]
+    def errors(self, monkeypatch, target, model):
+        return pass_matrices(monkeypatch, target, model)[0]
 
     def test_matches_explicit_reconstruction(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -339,7 +412,7 @@ class TestFidelityError:
             class_count=4,
         )
         resid, codes = pass_inputs(target, model)
-        got = self.errors(monkeypatch, resid, codes)
+        got = self.errors(monkeypatch, target, model)
         r2 = np.sum(resid**2, axis=(0, 1, 2))
         for c, (k, w) in enumerate(zip(codes, model.w_class)):
             want = np.sum((resid - dict_apply(k, w)) ** 2, axis=(0, 1, 2))
@@ -351,7 +424,8 @@ class TestFidelityError:
         w = model.w_class[0]
         resid = dict_apply(rng.standard_normal((2, 2, 200)), w)
         codes = [dict_project(resid, wc) for wc in model.w_class]
-        got = self.errors(monkeypatch, resid, codes)
+        target = LabeledTensorSet(samples=resid, class_count=2)
+        got = self.errors(monkeypatch, target, model)
         r2 = np.sum(resid.reshape(25, -1) ** 2, axis=0)
         raw = r2 - np.sum(codes[0].reshape(4, -1) ** 2, axis=0)
         # rounding leaves the unclamped difference negative on some samples
