@@ -22,8 +22,12 @@ Class-dictionary updates support two routes:
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,15 +295,19 @@ class SampleOperator:
             ((-lam * n_t / n_s**2, cross), (cross, -lam * n_s / n_t**2)),
         )
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        """``z x_N M``: the operator acting on the last (sample) mode of ``z``."""
+    def apply(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``z x_N M``: the operator acting on the last (sample) mode of ``z``.
+
+        The result is written into ``out`` when given: a C-contiguous array
+        of ``z``'s shape, which may be ``z`` itself."""
         flat = z.reshape(math.prod(z.shape[:-1]), z.shape[-1])
         domains = (slice(None, self.n_s), slice(self.n_s, None))
         sums = [flat[:, cols].sum(axis=1) for cols in domains]
-        out = np.empty_like(flat)
+        res = np.empty_like(flat) if out is None else out.reshape(flat.shape)
         for (b_s, b_t), scale, cols in zip(self.block, self.scale, domains):
-            out[:, cols] = scale * flat[:, cols] + (b_s * sums[0] + b_t * sums[1])[:, None]
-        return out.reshape(z.shape)
+            np.multiply(scale, flat[:, cols], out=res[:, cols])
+            res[:, cols] += (b_s * sums[0] + b_t * sums[1])[:, None]
+        return res.reshape(z.shape)
 
 
 def _mode_form(h, m, quad):
@@ -345,7 +353,7 @@ def update_class_dict(
             raise ValueError(f"rank {r} exceeds mode-{m} extent {z.shape[m]}")
     quad = None
     if method == "eigen-phi":
-        z = SampleOperator.phi(n_s, n_t, theta, lam).apply(z)
+        z = SampleOperator.phi(n_s, n_t, theta, lam).apply(z, out=z)
     elif method == "exact":
         quad = SampleOperator.quadratic_form(n_s, n_t, theta, lam)
     else:
@@ -363,7 +371,8 @@ def update_class_dict(
 def _domain_residual(tensor_set: LabeledTensorSet, c: int, domain_codes, factors):
     """Class-``c`` samples minus their domain-dictionary reconstruction."""
     idx = tensor_set.class_indices(c)
-    return _gather(tensor_set.samples, idx) - dict_apply(_gather(domain_codes, idx), factors)
+    rec = dict_apply(_gather(domain_codes, idx), factors)
+    return np.subtract(_gather(tensor_set.samples, idx), rec, out=rec)
 
 
 def _class_residuals(tensor_set: LabeledTensorSet, codes_by_class, dicts_by_class):
@@ -417,6 +426,61 @@ def update_domain_target(target_selected: LabeledTensorSet, model: SdtdlModel, c
     returned fidelity is not yet weighted by ``theta``."""
     resid = _class_residuals(target_selected, codes.b_class, model.w_class)
     return _hooi_dict(resid, model.hyper, model.u_target)
+
+
+def _class_workers(count: int) -> int:
+    """Threads for ``count`` independent class jobs: the cores that BLAS
+    leaves free, ``cores // blas_threads``, and at most one per job. When no
+    BLAS thread count is set, BLAS already runs on every core: one worker."""
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            break
+    else:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, min(count, cores // blas))
+
+
+def _map_classes(job, count: int) -> list:
+    """``[job(1), ..., job(count)]``, the jobs spread over
+    :func:`_class_workers` threads that each take the next class from one
+    shared iterator. The calling thread is one of them: every extra thread
+    keeps a malloc arena of its own, which holds what the thread freed. The
+    first exception a job raises reaches the caller, and no job starts
+    after it."""
+    workers = _class_workers(count)
+    if workers == 1:
+        return [job(c) for c in range(1, count + 1)]
+    results = [None] * count
+    classes = iter(range(1, count + 1))
+    lock = threading.Lock()
+
+    def drain():
+        try:
+            while True:
+                with lock:
+                    c = next(classes, None)
+                if c is None:
+                    return
+                results[c - 1] = job(c)
+        except BaseException:
+            with lock:
+                collections.deque(classes, maxlen=0)  # start no further job
+            raise
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for f in futures:
+            f.result()
+    return results
 
 
 @dataclass
@@ -479,7 +543,9 @@ def fit(
     of the residuals and codes of the domain updates that precede it, not
     by reconstructing the samples. After at least one outer iteration the
     last history row records the final prediction pass alone, and its
-    objective is NaN.
+    objective is NaN. The per-class work of init step 1 and of each block
+    pass runs on :func:`_class_workers` threads; the outputs do not depend
+    on their number.
     """
     if source.labels is None:
         raise ValueError("source set must be labeled")
@@ -502,7 +568,7 @@ def fit(
 
     # --- init step 1: class dictionaries from raw class samples, then U_s
     w_class, a_class, _ = zip(
-        *(_hooi_dict(source.class_samples(c), hyper, None) for c in range(1, C + 1))
+        *_map_classes(lambda c: _hooi_dict(source.class_samples(c), hyper, None), C)
     )
     model = SdtdlModel(
         u_source=[],
@@ -585,8 +651,9 @@ def run_block_updates(
     fixed (they are baked into ``selected``). Returns the objective after
     the pass, read from the norms the domain updates formed."""
     hyper = model.hyper
-    for c in range(1, model.class_count + 1):
-        w, a_c, b_c = update_class_dict(
+
+    def class_job(c):
+        return update_class_dict(
             ClassSubproblem(
                 x_tilde=_domain_residual(source, c, codes.a0, model.u_source),
                 y_tilde=_domain_residual(selected, c, codes.b0, model.u_target),
@@ -598,9 +665,12 @@ def run_block_updates(
             lam=hyper.lam,
             w_init=model.w_class[c - 1],
         )
-        model.w_class[c - 1] = w
-        codes.a_class[c - 1] = a_c
-        codes.b_class[c - 1] = b_c
+
+    # the class jobs read only the domain parts, so the model and the codes
+    # are written after every job has returned
+    model.w_class[:], codes.a_class[:], codes.b_class[:] = zip(
+        *_map_classes(class_job, model.class_count)
+    )
     _refresh_means(model, codes)
 
     model.u_source, codes.a0, fid_s = update_domain_source(source, model, codes)

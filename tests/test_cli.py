@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from sdtdl import dataio
+from sdtdl import dataio, solver
 from sdtdl.cli import build_parser, main, read_predictions
 from sdtdl.hooi import hooi
 
@@ -441,6 +441,32 @@ class TestFitPredict:
         )
         assert code == 2
         assert "do not match" in err
+
+
+    @pytest.mark.parametrize("threads", [None, "1"])
+    def test_failing_class_job_exits_4(self, tmp_path, capsys, monkeypatch, threads):
+        d = synth_dir(tmp_path, capsys)
+        # keep 6 of class 2's 10 source samples, so its job is the one with 6
+        labels = dataio.read_labels(d / "source_labels.txt")
+        keep = np.flatnonzero((labels != 2) | (np.cumsum(labels == 2) <= 6))
+        dataio.write_tensor(d / "source.stdl", dataio.read_tensor(d / "source.stdl")[..., keep])
+        dataio.write_labels(d / "source_labels.txt", labels[keep])
+        update = solver.update_class_dict
+
+        def failing(sub, *args, **kwargs):
+            if sub.x_tilde.shape[-1] == 6:
+                raise np.linalg.LinAlgError("class 2 failed")
+            return update(sub, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "update_class_dict", failing)
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        if threads is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        code, _, err = run(capsys, *fit_args(d, tmp_path / "out"))
+        assert code == 4
+        assert "numeric error: class 2 failed" in err
 
 
 class TestEval:

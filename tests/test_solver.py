@@ -1,6 +1,10 @@
 import dataclasses
 import inspect
+import os
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -232,6 +236,10 @@ class TestSampleOperator:
             scale = mode_product(np.abs(z), np.abs(m), z.ndim - 1)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
+            # in place, the same arithmetic gives the same bits
+            inplace = z.copy()
+            structured(n_s, n_t, theta, lam).apply(inplace, out=inplace)
+            assert np.array_equal(inplace, got)
 
 
 def zero_model(dims, ranks, C, hyper):
@@ -764,6 +772,162 @@ class TestFit:
         tgt = LabeledTensorSet(samples=rng.standard_normal((4, 4, 5)), class_count=2)
         with pytest.raises(ValueError, match="labeled"):
             fit(src, tgt, Hyperparams(ranks=(2, 2)))
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_env(monkeypatch, cores, **threads):
+    """Run on ``cores`` cores with the BLAS thread variables ``threads`` set
+    and the others unset."""
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in threads.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def unequal_problem(dims, ranks, seed=5):
+    """Four classes of unequal sizes in both domains; class 2 alone has six
+    source samples."""
+    spec = SyntheticSpec(
+        class_count=4, dims=dims, ranks=ranks, n_source_per_class=9, n_target_per_class=9,
+        noise=0.1, shift=0.5, seed=seed,
+    )
+    source, target, truth = generate_synthetic(spec)
+
+    def keep(labels, sizes):
+        return np.concatenate([np.flatnonzero(labels == c)[:n] for c, n in enumerate(sizes, 1)])
+
+    ks, kt = keep(source.labels, (9, 6, 4, 3)), keep(truth, (8, 3, 7, 5))
+    return (
+        LabeledTensorSet(source.samples[..., ks], 4, source.labels[ks]),
+        LabeledTensorSet(target.samples[..., kt], 4),
+        truth[kt],
+    )
+
+
+class TestClassPool:
+    @pytest.mark.parametrize(
+        "threads,cores,count,want",
+        [
+            ({}, 2, 5, 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2, 5, 2),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 2, 5, 1),
+            ({"OPENBLAS_NUM_THREADS": "3"}, 2, 5, 1),
+            ({"OPENBLAS_NUM_THREADS": "many"}, 2, 5, 1),
+            ({"OPENBLAS_NUM_THREADS": "0"}, 2, 5, 1),
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 5, 2),
+            ({"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 5, 2),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3, 3),
+        ],
+    )
+    def test_workers_are_the_cores_blas_leaves_free(self, threads, cores, count, want, monkeypatch):
+        blas_env(monkeypatch, cores, **threads)
+        assert S._class_workers(count) == want
+
+    def test_workers_without_an_affinity_call(self, monkeypatch):
+        blas_env(monkeypatch, 2, OMP_NUM_THREADS="1")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert S._class_workers(10) == 6
+
+    def test_every_thread_takes_jobs_and_results_keep_class_order(self, monkeypatch):
+        workers, count = 4, 40
+        blas_env(monkeypatch, workers, OPENBLAS_NUM_THREADS="1")
+        # the first four jobs wait for each other, so four threads run them
+        barrier = threading.Barrier(workers, timeout=30)
+        runs, threads = [0] * (count + 1), set()
+
+        def job(c):
+            if c <= workers:
+                barrier.wait()
+            runs[c] += 1
+            threads.add(threading.get_ident())
+            return c * c
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = S._map_classes(job, count)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [c * c for c in range(1, count + 1)]
+        assert runs[1:] == [1] * count
+        assert threading.get_ident() in threads and len(threads) == workers
+
+    def test_an_error_in_a_pool_thread_reaches_the_caller(self, monkeypatch):
+        blas_env(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+        caller = threading.get_ident()
+        barrier = threading.Barrier(2, timeout=30)
+        started = []
+
+        def job(c):
+            started.append(c)
+            if c <= 2:
+                barrier.wait()
+                if threading.get_ident() != caller:
+                    raise np.linalg.LinAlgError(f"class {c} failed")
+            time.sleep(0.01)
+            return c
+
+        with pytest.raises(np.linalg.LinAlgError, match="failed"):
+            S._map_classes(job, 100)
+        assert len(started) < 100  # no job starts after the failure
+
+    @pytest.mark.parametrize("threads", [{}, {"OPENBLAS_NUM_THREADS": "1"}])
+    def test_a_failing_class_job_reaches_fit_with_its_type(self, threads, monkeypatch):
+        source, target, truth = unequal_problem((6, 5), (2, 2))
+        update = S.update_class_dict
+
+        def failing(sub, *args, **kwargs):
+            if sub.x_tilde.shape[-1] == 6:
+                raise np.linalg.LinAlgError("class 2 failed")
+            return update(sub, *args, **kwargs)
+
+        monkeypatch.setattr(S, "update_class_dict", failing)
+        blas_env(monkeypatch, 4, **threads)
+        hyper = Hyperparams(ranks=(2, 2), theta=2.0, lam=0.1, delta=0.8, max_outer_iters=3)
+        with pytest.raises(np.linalg.LinAlgError, match="class 2"):
+            fit(source, target, hyper, truth=truth)
+
+    @pytest.mark.parametrize("route", ["eigen-phi", "exact"])
+    @pytest.mark.parametrize("dims,ranks", [((6, 5), (2, 2)), ((4, 3, 5), (2, 2, 2))])
+    def test_pooled_fit_equals_serial_fit_bitwise(self, route, dims, ranks, monkeypatch):
+        source, target, truth = unequal_problem(dims, ranks)
+        hyper = Hyperparams(ranks=ranks, theta=2.0, lam=0.1, delta=0.8, max_outer_iters=4)
+        pools = []
+
+        def pool(n):
+            pools.append(n)
+            return ThreadPoolExecutor(n)
+
+        monkeypatch.setattr(S, "ThreadPoolExecutor", pool)
+        blas_env(monkeypatch, 4)
+        serial = fit(source, target, hyper, truth=truth, class_update=route)
+        assert pools == []
+        blas_env(monkeypatch, 4, OPENBLAS_NUM_THREADS="1")
+        pooled = fit(source, target, hyper, truth=truth, class_update=route)
+        # init step 1 and each block pass: the calling thread and three more
+        assert len(pools) >= 2 and set(pools) == {3}
+
+        (m1, pl1, h1), (m2, pl2, h2) = serial, pooled
+        assert len(h1) >= 3
+        for field in ("labels", "selected", "combined_conf", "fidelity_probs", "centroid_probs"):
+            assert np.array_equal(getattr(pl1, field), getattr(pl2, field)), field
+
+        def arrays(m):
+            return [
+                *m.u_source, *m.u_target, *(w for ws in m.w_class for w in ws),
+                *m.class_means_source, *m.class_means_target,
+            ]
+
+        assert len(arrays(m1)) == len(arrays(m2))
+        assert all(np.array_equal(a, b) for a, b in zip(arrays(m1), arrays(m2)))
+        assert np.array_equal(
+            [r.objective for r in h1], [r.objective for r in h2], equal_nan=True
+        )
+        assert [(r.n_selected, r.accuracy) for r in h1] == [(r.n_selected, r.accuracy) for r in h2]
 
 
 class TestBaseline:
