@@ -376,15 +376,22 @@ def _domain_residual(tensor_set: LabeledTensorSet, c: int, domain_codes, factors
 
 
 def _class_residuals(tensor_set: LabeledTensorSet, codes_by_class, dicts_by_class):
-    """Samples minus their class-dictionary reconstruction, in set order."""
-    out = np.zeros_like(tensor_set.samples)
-    for c in range(1, len(dicts_by_class) + 1):
-        idx = tensor_set.class_indices(c)
-        if idx.size == 0:
-            continue
-        rec = dict_apply(codes_by_class[c - 1], dicts_by_class[c - 1])
-        out[..., idx] = _gather(tensor_set.samples, idx) - rec
-    return out
+    """Samples minus their class-dictionary reconstruction, in set order.
+
+    Each class's reconstruction fills one run of a class-ordered buffer, and
+    one gather by the inverse of the stable label sort puts the buffer back
+    in set order: a scatter into the set's sample mode would write strided.
+    """
+    counts = np.bincount(tensor_set.labels, minlength=len(dicts_by_class) + 1)[1:]
+    rec = np.empty_like(tensor_set.samples)
+    lo = 0
+    for n, k, w in zip(counts, codes_by_class, dicts_by_class):
+        if n:
+            rec[..., lo : lo + n] = dict_apply(k, w)
+            lo += n
+    inverse = np.argsort(np.argsort(tensor_set.labels, kind="stable"))
+    out = np.take(rec, inverse, axis=-1)
+    return np.subtract(tensor_set.samples, out, out=out)
 
 
 def _hooi_dict(samples: np.ndarray, hyper: Hyperparams, factors):
@@ -429,9 +436,9 @@ def update_domain_target(target_selected: LabeledTensorSet, model: SdtdlModel, c
 
 
 def _class_workers(count: int) -> int:
-    """Threads for ``count`` independent class jobs: the cores that BLAS
-    leaves free, ``cores // blas_threads``, and at most one per job. When no
-    BLAS thread count is set, BLAS already runs on every core: one worker."""
+    """Threads for ``count`` independent jobs: the cores that BLAS leaves
+    free, ``cores // blas_threads``, and at most one per job. When no BLAS
+    thread count is set, BLAS already runs on every core: one worker."""
     for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             blas = int(os.environ.get(var, ""))
@@ -448,36 +455,35 @@ def _class_workers(count: int) -> int:
     return max(1, min(count, cores // blas))
 
 
-def _map_classes(job, count: int) -> list:
-    """``[job(1), ..., job(count)]``, the jobs spread over
-    :func:`_class_workers` threads that each take the next class from one
-    shared iterator. The calling thread is one of them: every extra thread
-    keeps a malloc arena of its own, which holds what the thread freed. The
-    first exception a job raises reaches the caller, and no job starts
-    after it."""
-    workers = _class_workers(count)
+def _run_jobs(jobs: list) -> list:
+    """``[job() for job in jobs]``, the jobs spread over
+    :func:`_class_workers` threads. The calling thread is one of them and
+    starts with ``jobs[0]``, extra thread ``k`` starts with ``jobs[k]``, and
+    then each thread takes the next job from one shared iterator. Every
+    extra thread keeps a malloc arena of its own, which holds what the
+    thread freed. The first exception a job raises reaches the caller after
+    every thread has stopped, and no thread takes a job after it."""
+    workers = _class_workers(len(jobs))
     if workers == 1:
-        return [job(c) for c in range(1, count + 1)]
-    results = [None] * count
-    classes = iter(range(1, count + 1))
+        return [job() for job in jobs]
+    results = [None] * len(jobs)
+    rest = iter(range(workers, len(jobs)))
     lock = threading.Lock()
 
-    def drain():
+    def drain(k):
         try:
-            while True:
+            while k is not None:
+                results[k] = jobs[k]()
                 with lock:
-                    c = next(classes, None)
-                if c is None:
-                    return
-                results[c - 1] = job(c)
+                    k = next(rest, None)
         except BaseException:
             with lock:
-                collections.deque(classes, maxlen=0)  # start no further job
+                collections.deque(rest, maxlen=0)  # no thread takes a further job
             raise
 
     with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(drain) for _ in range(workers - 1)]
-        drain()
+        futures = [pool.submit(drain, k) for k in range(1, workers)]
+        drain(0)
         for f in futures:
             f.result()
     return results
@@ -534,7 +540,7 @@ def fit(
     residuals; (2) target labels predicted with the target-dictionary
     contribution zeroed; (3) the target dictionary by HOOI on the residuals
     of the selected targets. The loop then predicts labels, selects samples,
-    and updates class dictionaries, source dictionary and target dictionary,
+    and updates class dictionaries, target dictionary and source dictionary,
     stopping when the pseudo-labels stop changing or after
     ``max_outer_iters`` iterations.
 
@@ -543,9 +549,17 @@ def fit(
     of the residuals and codes of the domain updates that precede it, not
     by reconstructing the samples. After at least one outer iteration the
     last history row records the final prediction pass alone, and its
-    objective is NaN. The per-class work of init step 1 and of each block
-    pass runs on :func:`_class_workers` threads; the outputs do not depend
-    on their number.
+    objective is NaN.
+
+    The per-class work of init step 1 and of each block pass runs on
+    :func:`_class_workers` threads. A prediction pass reads no
+    source-dictionary state, so each source-dictionary update runs beside
+    the pass that follows it, the pass on the one extra thread when
+    :func:`_class_workers` gives two: init step 1's update beside the pass
+    of init step 2, and each block pass's update beside the next loop pass,
+    or beside the final pass when the loop runs out. Each pair is joined
+    before the next class update, history row or return. The outputs do
+    not depend on the thread count.
     """
     if source.labels is None:
         raise ValueError("source set must be labeled")
@@ -566,9 +580,15 @@ def fit(
             iteration, objective_value, int(np.sum(pl.selected)), _accuracy(pl.labels, truth)
         )
 
+    def predict():
+        return predict_labels(target, model, hyper.gamma, hyper.delta)
+
     # --- init step 1: class dictionaries from raw class samples, then U_s
+    def init_class(c):
+        return _hooi_dict(source.class_samples(c), hyper, None)
+
     w_class, a_class, _ = zip(
-        *_map_classes(lambda c: _hooi_dict(source.class_samples(c), hyper, None), C)
+        *_run_jobs([functools.partial(init_class, c) for c in range(1, C + 1)])
     )
     model = SdtdlModel(
         u_source=[],
@@ -583,10 +603,13 @@ def fit(
         a0=None, b0=None, a_class=list(a_class), b_class=[np.zeros(ranks + (0,))] * C
     )
     _refresh_means(model, codes)
-    model.u_source, codes.a0, fid_s = update_domain_source(source, model, codes)
 
-    # --- init step 2: predict target labels with the U_t contribution zeroed
-    pl = predict_labels(target, model, hyper.gamma, hyper.delta)
+    # --- init step 2: predict target labels with the U_t contribution
+    # zeroed; the pass reads no source-dictionary state, so it runs beside
+    # the source update of step 1
+    (model.u_source, codes.a0, fid_s), pl = _run_jobs(
+        [functools.partial(update_domain_source, source, model, codes), predict]
+    )
 
     # --- init step 3: target dictionary from the selected residuals
     selected = _selected_set(target, pl)
@@ -603,18 +626,25 @@ def fit(
     if hyper.max_outer_iters == 0:
         return model, pl, history
 
-    prev_labels = pl.labels
+    prev_labels, pl = pl.labels, predict()
     for it in range(1, hyper.max_outer_iters + 1):
-        pl = predict_labels(target, model, hyper.gamma, hyper.delta)
-        if np.array_equal(pl.labels, prev_labels) and it > 1:
+        if it > 1 and np.array_equal(pl.labels, prev_labels):
             break  # the model is unchanged since this pass: its labels are final
         prev_labels = pl.labels
-        value = run_block_updates(source, _selected_set(target, pl), model, codes, class_update)
+        # the pass after this block pass runs beside its source update; when
+        # the loop runs out it is the final pass, with the final model, so a
+        # later standalone predict reproduces the fit output
+        after = []
+        value = run_block_updates(
+            source,
+            _selected_set(target, pl),
+            model,
+            codes,
+            class_update,
+            _beside=lambda: after.append(predict()),
+        )
         history.append(history_row(it, pl, value))
-    else:
-        # the last block pass changed the model: predict with the final
-        # model, so a later standalone predict reproduces the fit output
-        pl = predict_labels(target, model, hyper.gamma, hyper.delta)
+        pl = after[0]
     # the final row records the prediction pass only: no objective is computed
     history.append(history_row(history[-1].iteration + 1, pl, float("nan")))
     return model, pl, history
@@ -645,11 +675,18 @@ def run_block_updates(
     model: SdtdlModel,
     codes: SdtdlCodes,
     class_update: str = "eigen-phi",
+    *,
+    _beside=None,
 ) -> float:
     """One full pass of class-dictionary and domain-dictionary updates,
     mutating ``model`` and ``codes`` in place. Pseudo-labels are taken as
     fixed (they are baked into ``selected``). Returns the objective after
-    the pass, read from the norms the domain updates formed."""
+    the pass, read from the norms the domain updates formed.
+
+    The target dictionary is updated before the source dictionary: neither
+    update reads what the other writes. ``_beside`` is for :func:`fit`
+    alone: a job that reads no source-dictionary state, run beside the
+    source update (:func:`_run_jobs`) and joined before the return."""
     hyper = model.hyper
 
     def class_job(c):
@@ -669,10 +706,13 @@ def run_block_updates(
     # the class jobs read only the domain parts, so the model and the codes
     # are written after every job has returned
     model.w_class[:], codes.a_class[:], codes.b_class[:] = zip(
-        *_map_classes(class_job, model.class_count)
+        *_run_jobs([functools.partial(class_job, c) for c in range(1, model.class_count + 1)])
     )
     _refresh_means(model, codes)
 
-    model.u_source, codes.a0, fid_s = update_domain_source(source, model, codes)
     model.u_target, codes.b0, fid_t = update_domain_target(selected, model, codes)
+    jobs = [functools.partial(update_domain_source, source, model, codes)]
+    if _beside is not None:
+        jobs.append(_beside)
+    model.u_source, codes.a0, fid_s = _run_jobs(jobs)[0]
     return _objective_from_norms(hyper, codes, fid_s, fid_t)

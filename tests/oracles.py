@@ -3,7 +3,8 @@
 The package computes each of these quantities another way: the objective
 from norms its updates already form, Phi and Q as structured sample-mode
 operators, mode products and Gram matrices on C-order views instead of
-flattened copies. These direct forms are what that arithmetic is checked
+flattened copies, class residuals through a class-ordered buffer instead
+of a scatter. These direct forms are what that arithmetic is checked
 against. The mode-``m`` flattening is the unfolding of Kolda & Bader
 (SIAM Review 2009), with the column order induced by C-order layout.
 """
@@ -18,6 +19,7 @@ from sdtdl.solver import (
     SdtdlModel,
     _discriminant,
     _domain_residual,
+    _gather,
     _refresh_means,
 )
 from sdtdl.tensor import _check_mode, dict_apply, dict_project, frobenius_norm
@@ -42,6 +44,19 @@ def mode_unflatten(mat: np.ndarray, mode: int, dims) -> np.ndarray:
     if mat.shape != expected:
         raise ValueError(f"matrix shape {mat.shape} does not match expected {expected}")
     return np.ascontiguousarray(np.moveaxis(mat.reshape([dims[mode]] + rest), 0, mode))
+
+
+def class_residuals(tensor_set: LabeledTensorSet, codes_by_class, dicts_by_class):
+    """Samples minus their class-dictionary reconstruction, in set order,
+    each class's residual scattered into the set's sample mode."""
+    out = np.zeros_like(tensor_set.samples)
+    for c in range(1, len(dicts_by_class) + 1):
+        idx = tensor_set.class_indices(c)
+        if idx.size == 0:
+            continue
+        rec = dict_apply(codes_by_class[c - 1], dicts_by_class[c - 1])
+        out[..., idx] = _gather(tensor_set.samples, idx) - rec
+    return out
 
 
 def objective(

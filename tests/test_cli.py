@@ -443,22 +443,38 @@ class TestFitPredict:
         assert "do not match" in err
 
 
-    @pytest.mark.parametrize("threads", [None, "1"])
-    def test_failing_class_job_exits_4(self, tmp_path, capsys, monkeypatch, threads):
+    @pytest.mark.parametrize(
+        "threads,failing",
+        [
+            pytest.param(None, "update_class_dict", id="None"),
+            pytest.param("1", "update_class_dict", id="1"),
+            (None, "update_domain_source"),
+            ("1", "update_domain_source"),
+            (None, "predict_labels"),
+            ("1", "predict_labels"),
+        ],
+    )
+    def test_failing_class_job_exits_4(self, tmp_path, capsys, monkeypatch, threads, failing):
         d = synth_dir(tmp_path, capsys)
         # keep 6 of class 2's 10 source samples, so its job is the one with 6
         labels = dataio.read_labels(d / "source_labels.txt")
         keep = np.flatnonzero((labels != 2) | (np.cumsum(labels == 2) <= 6))
         dataio.write_tensor(d / "source.stdl", dataio.read_tensor(d / "source.stdl")[..., keep])
         dataio.write_labels(d / "source_labels.txt", labels[keep])
-        update = solver.update_class_dict
+        original = getattr(solver, failing)
 
-        def failing(sub, *args, **kwargs):
+        def class_update(sub, *args, **kwargs):
             if sub.x_tilde.shape[-1] == 6:
                 raise np.linalg.LinAlgError("class 2 failed")
-            return update(sub, *args, **kwargs)
+            return original(sub, *args, **kwargs)
 
-        monkeypatch.setattr(solver, "update_class_dict", failing)
+        def first_call_fails(*args):
+            # the first source update runs beside the first pass, on an extra
+            # thread when the pool is active
+            raise np.linalg.LinAlgError(f"{failing} failed")
+
+        wrapper = class_update if failing == "update_class_dict" else first_call_fails
+        monkeypatch.setattr(solver, failing, wrapper)
         for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         if threads is not None:
@@ -466,7 +482,9 @@ class TestFitPredict:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         code, _, err = run(capsys, *fit_args(d, tmp_path / "out"))
         assert code == 4
-        assert "numeric error: class 2 failed" in err
+        message = "class 2" if failing == "update_class_dict" else failing
+        assert f"numeric error: {message} failed" in err
+        assert not (tmp_path / "out" / "model.stdm").exists()
 
 
 class TestEval:

@@ -26,9 +26,12 @@ def test_one_tree_against_itself_reports_no_change(tmp_path):
         "--n-target", "6", "--noise", "0.05", "--shift", "0.3", "--out", data,
     ]) == 0
     src = os.path.join(ROOT, "src")
+    # one BLAS thread: the fits run their threaded paths on a multi-core machine
+    env = {k: v for k, v in os.environ.items() if k not in compare_fits.BLAS_VARS}
+    env["OPENBLAS_NUM_THREADS"] = "1"
     done = subprocess.run(
         [sys.executable, TOOL, src, src, data, "--", "--ranks", "2,2", "--max-iters", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert done.returncode == 0, done.stderr
     rows = [json.loads(line) for line in done.stdout.splitlines()]
@@ -37,6 +40,10 @@ def test_one_tree_against_itself_reports_no_change(tmp_path):
         assert row["pass"] is True
         assert row["files_identical"] is True
         assert all(row[k] == 0.0 for k in compare_fits.DELTAS)
+        # the BLAS thread variables the fits ran under, null where unset
+        assert row["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None, "OMP_NUM_THREADS": None
+        }
     assert all(r["labels_equal"] and r["masks_equal"] for r in rows[:2])
 
 

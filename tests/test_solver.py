@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import os
 import sys
@@ -34,7 +35,13 @@ from sdtdl.solver import (
 )
 from sdtdl.tensor import frobenius_norm, mode_product, stack_last
 
-from oracles import build_phi, class_update_quadratic_form, compute_codes, objective
+from oracles import (
+    build_phi,
+    class_residuals,
+    class_update_quadratic_form,
+    compute_codes,
+    objective,
+)
 
 
 def rand_orth(rng, n, k):
@@ -473,6 +480,36 @@ class TestDomainUpdates:
         assert after <= mid + 1e-8 * abs(mid)
 
 
+class TestClassResiduals:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        dims=st.sampled_from([(4, 3), (3, 2, 4)]),
+        class_count=st.integers(1, 4),
+        sort=st.booleans(),
+        data=st.data(),
+    )
+    def test_equals_the_scatter_oracle_bitwise(self, seed, dims, class_count, sort, data):
+        # shuffled or class-sorted labels; a class may have no sample, and
+        # so may the whole set
+        labels = data.draw(st.lists(st.integers(1, class_count), max_size=12))
+        labels = np.array(sorted(labels) if sort else labels, dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        ranks = [min(2, d) for d in dims]
+        tensor_set = LabeledTensorSet(
+            rng.standard_normal(dims + (labels.size,)), class_count, labels
+        )
+        dicts = [[rand_orth(rng, d, r) for d, r in zip(dims, ranks)] for _ in range(class_count)]
+        codes = [
+            rng.standard_normal(tuple(ranks) + (np.sum(labels == c),))
+            for c in range(1, class_count + 1)
+        ]
+        got = S._class_residuals(tensor_set, codes, dicts)
+        want = class_residuals(tensor_set, codes, dicts)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
 class TestBlockPass:
     @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
     def test_full_pass_non_increase(self, lam):
@@ -622,46 +659,63 @@ class TestFit:
         assert bad == []
 
     @pytest.mark.parametrize("route", ["eigen-phi", "exact"])
-    @pytest.mark.parametrize("lam", [0.1, 1.0])
-    def test_history_objective_is_the_oracle_without_calling_it(self, route, lam, monkeypatch):
+    @pytest.mark.parametrize(
+        "lam,threads",
+        [
+            pytest.param(0.1, {}, id="0.1"),
+            pytest.param(1.0, {}, id="1.0"),
+            pytest.param(0.1, {"OPENBLAS_NUM_THREADS": "1"}, id="0.1-pooled"),
+            pytest.param(1.0, {"OPENBLAS_NUM_THREADS": "1"}, id="1.0-pooled"),
+        ],
+    )
+    def test_history_objective_is_the_oracle_without_calling_it(
+        self, route, lam, threads, monkeypatch
+    ):
         def forbidden(*args):
             raise AssertionError("fit reconstructed the samples to report the objective")
 
         # the package defines no objective; should one come back, fit must not call it
         monkeypatch.setattr(S, "objective", forbidden, raising=False)
-        # every history objective is taken right after a target-dictionary
-        # update; evaluate the oracle on the state that update leaves
+        # every history objective is taken once a source and a target update
+        # have both returned, in either order and with the source update
+        # beside a prediction pass when the pool is active; record what each
+        # update leaves, and evaluate the oracle on the state of both
         update_source, update_target = S.update_domain_source, S.update_domain_target
-        state, want = {}, []
+        sources, targets = [], []
 
         def source_update(source, model, codes):
-            state["source"] = source
-            return update_source(source, model, codes)
+            u_source, a0, fid_s = update_source(source, model, codes)
+            sources.append((source, u_source, a0))
+            return u_source, a0, fid_s
 
         def target_update(selected, model, codes):
             u_target, b0, fid_t = update_target(selected, model, codes)
-            m = dataclasses.replace(model, u_target=u_target)
-            k = dataclasses.replace(codes, b0=b0)
-            source = state["source"]
-            r_s = S._class_residuals(source, k.a_class, m.w_class)
-            r_t = S._class_residuals(selected, k.b_class, m.w_class)
+            # a block pass writes the class parts in place, before both updates
+            m = dataclasses.replace(model, u_target=u_target, w_class=list(model.w_class))
+            targets.append((selected, m, list(codes.a_class), list(codes.b_class), b0))
+            return u_target, b0, fid_t
+
+        monkeypatch.setattr(S, "update_domain_source", source_update)
+        monkeypatch.setattr(S, "update_domain_target", target_update)
+        blas_env(monkeypatch, 4, **threads)
+        source, target, truth = interleaved_problem(seed=4)
+        hyper = Hyperparams(ranks=(2, 2), theta=2.0, lam=lam, max_outer_iters=4)
+        _, _, history = fit(source, target, hyper, truth=truth, class_update=route)
+        got = [row.objective for row in history[:-1]]
+        assert len(got) == len(sources) == len(targets) >= 2
+        for value, (source, u_source, a0), (selected, m, a_class, b_class, b0) in zip(
+            got, sources, targets
+        ):
+            m = dataclasses.replace(m, u_source=u_source)
+            k = SdtdlCodes(a0=a0, b0=b0, a_class=a_class, b_class=b_class)
+            r_s = class_residuals(source, k.a_class, m.w_class)
+            r_t = class_residuals(selected, k.b_class, m.w_class)
             scale = (
                 frobenius_norm(r_s) ** 2
                 + m.hyper.theta * frobenius_norm(r_t) ** 2
                 + m.hyper.lam * S._discriminant(k)
             )
-            want.append((objective(m, source, selected, k), scale))
-            return u_target, b0, fid_t
-
-        monkeypatch.setattr(S, "update_domain_source", source_update)
-        monkeypatch.setattr(S, "update_domain_target", target_update)
-        source, target, truth = interleaved_problem(seed=4)
-        hyper = Hyperparams(ranks=(2, 2), theta=2.0, lam=lam, max_outer_iters=4)
-        _, _, history = fit(source, target, hyper, truth=truth, class_update=route)
-        got = [row.objective for row in history[:-1]]
-        assert len(got) == len(want) >= 2
-        for value, (expected, scale) in zip(got, want):
-            assert abs(value - expected) <= 1e-12 * scale
+            assert abs(value - objective(m, source, selected, k)) <= 1e-12 * scale
 
     @staticmethod
     def order_problem(seed):
@@ -849,7 +903,7 @@ class TestClassPool:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = S._map_classes(job, count)
+            got = S._run_jobs([functools.partial(job, c) for c in range(1, count + 1)])
         finally:
             sys.setswitchinterval(interval)
         assert got == [c * c for c in range(1, count + 1)]
@@ -872,47 +926,137 @@ class TestClassPool:
             return c
 
         with pytest.raises(np.linalg.LinAlgError, match="failed"):
-            S._map_classes(job, 100)
+            S._run_jobs([functools.partial(job, c) for c in range(1, 101)])
         assert len(started) < 100  # no job starts after the failure
 
-    @pytest.mark.parametrize("threads", [{}, {"OPENBLAS_NUM_THREADS": "1"}])
-    def test_a_failing_class_job_reaches_fit_with_its_type(self, threads, monkeypatch):
+    @pytest.mark.parametrize(
+        "threads,failing,message",
+        [
+            pytest.param({}, "update_class_dict", "class 2 failed", id="threads0"),
+            pytest.param(
+                {"OPENBLAS_NUM_THREADS": "1"}, "update_class_dict", "class 2 failed", id="threads1"
+            ),
+            pytest.param({}, "update_domain_source", "source update failed", id="serial-source"),
+            pytest.param(
+                {"OPENBLAS_NUM_THREADS": "1"}, "update_domain_source", "source update failed",
+                id="pooled-source",
+            ),
+            pytest.param({}, "predict_labels", "prediction pass failed", id="serial-pass"),
+            pytest.param(
+                {"OPENBLAS_NUM_THREADS": "1"}, "predict_labels", "prediction pass failed",
+                id="pooled-pass",
+            ),
+        ],
+    )
+    def test_a_failing_class_job_reaches_fit_with_its_type(
+        self, threads, failing, message, monkeypatch
+    ):
         source, target, truth = unequal_problem((6, 5), (2, 2))
-        update = S.update_class_dict
+        pooled = bool(threads)
+        update, update_source, predict = (
+            S.update_class_dict, S.update_domain_source, S.predict_labels
+        )
+        calls, done = {"source": 0, "pass": 0}, {"source": 0, "pass": 0}
+        # the third pass runs beside the second source update (block pass 1's)
+        pair_started = threading.Event()
 
-        def failing(sub, *args, **kwargs):
-            if sub.x_tilde.shape[-1] == 6:
-                raise np.linalg.LinAlgError("class 2 failed")
+        def class_update(sub, *args, **kwargs):
+            if failing == "update_class_dict" and sub.x_tilde.shape[-1] == 6:
+                raise np.linalg.LinAlgError(message)
             return update(sub, *args, **kwargs)
 
-        monkeypatch.setattr(S, "update_class_dict", failing)
+        def source_update(*args):
+            calls["source"] += 1
+            if failing == "update_domain_source" and calls["source"] == 2:
+                if pooled:
+                    assert pair_started.wait(30)  # fail while the pass runs
+                raise np.linalg.LinAlgError(message)
+            result = update_source(*args)
+            done["source"] += 1
+            return result
+
+        def prediction(*args):
+            calls["pass"] += 1
+            if calls["pass"] == 3:
+                pair_started.set()
+                if failing == "predict_labels":
+                    raise np.linalg.LinAlgError(message)
+                time.sleep(0.05)  # the source update beside it fails first
+            result = predict(*args)
+            done["pass"] += 1
+            return result
+
+        monkeypatch.setattr(S, "update_class_dict", class_update)
+        monkeypatch.setattr(S, "update_domain_source", source_update)
+        monkeypatch.setattr(S, "predict_labels", prediction)
         blas_env(monkeypatch, 4, **threads)
         hyper = Hyperparams(ranks=(2, 2), theta=2.0, lam=0.1, delta=0.8, max_outer_iters=3)
-        with pytest.raises(np.linalg.LinAlgError, match="class 2"):
+        with pytest.raises(np.linalg.LinAlgError, match=message):
             fit(source, target, hyper, truth=truth)
+        # fit raises once both sides of the pair have stopped: a pooled pass
+        # beside a failing source update still finishes
+        want = {
+            "update_class_dict": {"source": 1, "pass": 2},
+            "update_domain_source": {"source": 1, "pass": 3 if pooled else 2},
+            "predict_labels": {"source": 2, "pass": 2},
+        }
+        assert done == want[failing]
 
     @pytest.mark.parametrize("route", ["eigen-phi", "exact"])
-    @pytest.mark.parametrize("dims,ranks", [((6, 5), (2, 2)), ((4, 3, 5), (2, 2, 2))])
-    def test_pooled_fit_equals_serial_fit_bitwise(self, route, dims, ranks, monkeypatch):
+    @pytest.mark.parametrize(
+        "dims,ranks,iters",
+        [
+            pytest.param((6, 5), (2, 2), 4, id="dims0-ranks0"),
+            pytest.param((4, 3, 5), (2, 2, 2), 4, id="dims1-ranks1"),
+            # one outer iteration: the loop runs out after its block pass
+            pytest.param((6, 5), (2, 2), 1, id="dims0-ranks0-iters1"),
+            pytest.param((4, 3, 5), (2, 2, 2), 1, id="dims1-ranks1-iters1"),
+        ],
+    )
+    def test_pooled_fit_equals_serial_fit_bitwise(self, route, dims, ranks, iters, monkeypatch):
         source, target, truth = unequal_problem(dims, ranks)
-        hyper = Hyperparams(ranks=ranks, theta=2.0, lam=0.1, delta=0.8, max_outer_iters=4)
-        pools = []
+        hyper = Hyperparams(ranks=ranks, theta=2.0, lam=0.1, delta=0.8, max_outer_iters=iters)
+        pools, pass_threads, source_threads = [], [], []
+        predict, update_source = S.predict_labels, S.update_domain_source
 
         def pool(n):
             pools.append(n)
             return ThreadPoolExecutor(n)
 
+        def prediction(*args):
+            pass_threads.append(threading.get_ident())
+            return predict(*args)
+
+        def source_update(*args):
+            source_threads.append(threading.get_ident())
+            return update_source(*args)
+
         monkeypatch.setattr(S, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(S, "predict_labels", prediction)
+        monkeypatch.setattr(S, "update_domain_source", source_update)
         blas_env(monkeypatch, 4)
         serial = fit(source, target, hyper, truth=truth, class_update=route)
         assert pools == []
         blas_env(monkeypatch, 4, OPENBLAS_NUM_THREADS="1")
+        pass_threads.clear()
+        source_threads.clear()
         pooled = fit(source, target, hyper, truth=truth, class_update=route)
-        # init step 1 and each block pass: the calling thread and three more
-        assert len(pools) >= 2 and set(pools) == {3}
 
         (m1, pl1, h1), (m2, pl2, h2) = serial, pooled
         assert len(h1) >= 3
+        if iters == 1:
+            # the loop ran out: the final pass ran beside the last source update
+            assert len(h2) == iters + 2
+        # init step 1 and each block pass: the class work on the calling
+        # thread and three more, then the source update with one more
+        # thread beside it for the pass
+        assert pools == [3, 1] * (len(h2) - 1)
+        # every pass but the loop's first runs off the calling thread, and
+        # every source update on it
+        caller = threading.get_ident()
+        assert [t == caller for t in pass_threads] == [False, True] + [False] * (len(h2) - 2)
+        assert source_threads == [caller] * (len(h2) - 1)
+
         for field in ("labels", "selected", "combined_conf", "fidelity_probs", "centroid_probs"):
             assert np.array_equal(getattr(pl1, field), getattr(pl2, field)), field
 

@@ -14,8 +14,12 @@ selection masks are equal, whether the written ``model.stdm``,
 ``predictions.txt`` and ``history.csv`` are byte-identical (by SHA-256),
 the largest confidence change, the largest projector change
 ``||U U^T - V V^T||_2`` over every factor matrix, and the largest relative
-change of a history objective. A last line gives the maxima, and whether
-every file was identical. The exit code is 0 when every comparison is
+change of a history objective. Each line, and a last line with the maxima
+and whether every file was identical, also gives the BLAS thread variables
+the fits ran under (``blas_threads``, null where unset): with no BLAS
+thread count set, ``sdtdl`` runs its class work and its source update on
+one thread, so a report from such a run does not exercise the threaded
+paths. The exit code is 0 when every comparison is
 within the tolerances, 1 when one is not, 2 on a usage error or a fit that
 failed; it does not depend on byte identity.
 """
@@ -37,6 +41,7 @@ import numpy as np
 ROUTES = ("eigen-phi", "exact")
 DELTAS = ("conf_max_abs", "projector_max", "objective_max_rel")
 FILES = ("model.stdm", "predictions.txt", "history.csv")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def run_fit(data: str, route: str, out: str, fit_options: list) -> None:
@@ -176,6 +181,7 @@ def main(argv=None) -> int:
         "objective_max_rel": args.objective_tol,
     }
     worst = dict.fromkeys(DELTAS, 0.0)
+    blas = {var: os.environ.get(var) for var in BLAS_VARS}  # the children inherit them
     ok = identical = True
     with tempfile.TemporaryDirectory() as tmp:
         for k, data in enumerate(args.data):
@@ -195,8 +201,11 @@ def main(argv=None) -> int:
                 identical = identical and diff["files_identical"]
                 for key in DELTAS:
                     worst[key] = max(worst[key], diff[key])
-                print(json.dumps(_printable({"data": data, "route": route, **diff})))
-    summary = {"summary": True, "files_identical": identical, **worst, "pass": ok}
+                row = {"data": data, "route": route, **diff, "blas_threads": blas}
+                print(json.dumps(_printable(row)))
+    summary = {
+        "summary": True, "files_identical": identical, **worst, "pass": ok, "blas_threads": blas
+    }
     print(json.dumps(_printable(summary)))
     return 0 if ok else 1
 
