@@ -29,8 +29,8 @@ EXIT_NUMERIC = 4
 CLASS_UPDATES = ("eigen-phi", "exact")
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """A bad option or input; :func:`main` maps it, as any ValueError, to exit 2."""
 
 
 def _load_config(path) -> dict:
@@ -92,15 +92,12 @@ def _build_hyper(args, cfg) -> Hyperparams:
         given["ranks"] = ranks
     elif preset not in presets:
         raise ConfigError("ranks are required (flag --ranks or a preset)")
-    try:
-        # every field after ranks, cast to the type of its default
-        for f in dataclasses.fields(Hyperparams)[1:]:
-            value = _merged(args, cfg, "max_iters" if f.name == "max_outer_iters" else f.name)
-            if value is not None:
-                given[f.name] = type(f.default)(value)
-        return presets.get(preset, Hyperparams)(**given)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # every field after ranks, cast to the type of its default
+    for f in dataclasses.fields(Hyperparams)[1:]:
+        value = _merged(args, cfg, "max_iters" if f.name == "max_outer_iters" else f.name)
+        if value is not None:
+            given[f.name] = type(f.default)(value)
+    return presets.get(preset, Hyperparams)(**given)
 
 
 def _format_float(x: float) -> str:
@@ -231,19 +228,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        spec = dataio.SyntheticSpec(
-            class_count=args.classes,
-            dims=_parse_ranks(args.dims),
-            ranks=_parse_ranks(args.ranks),
-            n_source_per_class=args.n_source,
-            n_target_per_class=args.n_target,
-            noise=args.noise,
-            shift=args.shift,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = dataio.SyntheticSpec(
+        class_count=args.classes,
+        dims=_parse_ranks(args.dims),
+        ranks=_parse_ranks(args.ranks),
+        n_source_per_class=args.n_source,
+        n_target_per_class=args.n_target,
+        noise=args.noise,
+        shift=args.shift,
+        seed=args.seed,
+    )
     source, target, truth = dataio.generate_synthetic(spec)
     os.makedirs(args.out, exist_ok=True)
     dataio.write_tensor(os.path.join(args.out, "source.stdl"), source.samples)
@@ -256,13 +250,7 @@ def cmd_synth(args) -> int:
 
 def cmd_decompose(args) -> int:
     t = dataio.read_tensor(_require_file(args.input, "--input"))
-    ranks = _parse_ranks(args.ranks)
-    if ranks is None:
-        raise ConfigError("missing required option: --ranks")
-    try:
-        res = hooi(t, ranks, max_sweeps=args.max_sweeps, tol=args.tol)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    res = hooi(t, _parse_ranks(args.ranks), max_sweeps=args.max_sweeps, tol=args.tol)
     os.makedirs(args.out, exist_ok=True)
     dataio.write_tensor(os.path.join(args.out, "core.stdl"), res.core)
     for m, u in enumerate(res.factors):
@@ -364,9 +352,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (TensorFileError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

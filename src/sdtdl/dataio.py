@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .solver import Hyperparams, LabeledTensorSet, SdtdlModel
+from .solver import Hyperparams, LabeledTensorSet, SdtdlModel, _count
 from .tensor import dict_apply
 
 __all__ = [
@@ -127,27 +127,16 @@ def read_labels(path) -> np.ndarray:
 # --- model container -------------------------------------------------------
 
 
+# the 'hyper' entry: these Hyperparams fields (all after ranks) in field
+# order, then the class count and the target flag
+_HYPER_FIELDS = [f.name for f in fields(Hyperparams)[1:]]
+
+
 def _model_entries(model: SdtdlModel):
     hp = model.hyper
-    entries = [
-        (
-            "hyper",
-            np.array(
-                [
-                    hp.theta,
-                    hp.lam,
-                    hp.gamma,
-                    hp.delta,
-                    hp.max_outer_iters,
-                    hp.inner_sweeps,
-                    hp.tol,
-                    model.class_count,
-                    1.0 if model.u_target is not None else 0.0,
-                ]
-            ),
-        ),
-        ("ranks", np.array(hp.ranks, dtype=np.float64)),
-    ]
+    hyper = [getattr(hp, name) for name in _HYPER_FIELDS]
+    hyper += [model.class_count, 1.0 if model.u_target is not None else 0.0]
+    entries = [("hyper", np.array(hyper)), ("ranks", np.array(hp.ranks, dtype=np.float64))]
     for m, u in enumerate(model.u_source):
         entries.append((f"u_source/{m}", u))
     if model.u_target is not None:
@@ -219,17 +208,15 @@ def load_model(path) -> SdtdlModel:
             )
         return tensors[name]
 
-    hp_vec = entry("hyper", (9,))
+    n = len(_HYPER_FIELDS)
+    hp_vec = entry("hyper", (n + 2,))
     try:
-        # 'hyper' holds every Hyperparams field after ranks, in field order;
         # Hyperparams rejects a fractional rank or iteration count
-        hyper = Hyperparams(
-            entry("ranks").ravel().tolist(), *hp_vec.tolist()[: len(fields(Hyperparams)) - 1]
-        )
+        hyper = Hyperparams(entry("ranks").ravel().tolist(), *hp_vec.tolist()[:n])
     except ValueError as exc:
         raise TensorFileError(f"model entries 'hyper' and 'ranks': {exc}") from exc
     ranks = hyper.ranks
-    count, flag = hp_vec[7], hp_vec[8]
+    count, flag = hp_vec[n], hp_vec[n + 1]
     if not (count >= 1 and count.is_integer()) or flag not in (0, 1):
         raise TensorFileError(
             f"model entry 'hyper' has class count {count:g} and target flag {flag:g}, "
@@ -283,14 +270,14 @@ class SyntheticSpec:
     domain_strength: float = 2.0
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        self.ranks = tuple(int(r) for r in self.ranks)
+        self.dims = tuple(_count(d, "dims", 1) for d in self.dims)
+        self.ranks = tuple(_count(r, "ranks", 1) for r in self.ranks)
         if not self.dims or len(self.dims) != len(self.ranks):
             raise ValueError("dims and ranks must have equal length, at least 1")
-        if not all(1 <= r <= d for r, d in zip(self.ranks, self.dims)):
-            raise ValueError("ranks must be >= 1 and not exceed dims")
-        if self.class_count < 1 or self.n_source_per_class < 1 or self.n_target_per_class < 1:
-            raise ValueError("class_count and per-class sample counts must be >= 1")
+        if not all(r <= d for r, d in zip(self.ranks, self.dims)):
+            raise ValueError("ranks must not exceed dims")
+        for name in ("class_count", "n_source_per_class", "n_target_per_class"):
+            setattr(self, name, _count(getattr(self, name), name, 1))
         for name in ("noise", "shift", "mean_separation", "domain_strength"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative")

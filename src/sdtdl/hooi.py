@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import dict_apply, dict_project, mode_gram, mode_product
+from .tensor import dict_apply, mode_gram, mode_product
 
 __all__ = ["TuckerResult", "eig_sym_topk", "hosvd", "sweep", "hooi"]
 
@@ -67,14 +67,13 @@ def _check_ranks(t: np.ndarray, ranks, skip_last: bool):
     return ranks
 
 
-def hosvd(t: np.ndarray, ranks, skip_last: bool = False) -> TuckerResult:
-    """Truncated HOSVD: per mode, the top eigenvectors of the Gram matrix of
-    the mode flattening. Standard deterministic initializer for HOOI."""
+def hosvd(t: np.ndarray, ranks, skip_last: bool = False) -> list:
+    """Truncated HOSVD factors: per mode, the top eigenvectors of the Gram
+    matrix of the mode flattening. Standard deterministic initializer for
+    HOOI; no core is formed."""
     t = np.asarray(t, dtype=np.float64)
     ranks = _check_ranks(t, ranks, skip_last)
-    factors = [eig_sym_topk(mode_gram(t, m), r)[1] for m, r in enumerate(ranks)]
-    core = dict_project(t, factors)
-    return TuckerResult(core=core, factors=factors, fit_history=[float(np.sum(core**2))])
+    return [eig_sym_topk(mode_gram(t, m), r)[1] for m, r in enumerate(ranks)]
 
 
 def sweep(t: np.ndarray, factors: list, ranks, form=mode_gram):
@@ -132,7 +131,7 @@ def hooi(
     if not 0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
     if init_factors is None:
-        factors = list(hosvd(t, ranks, skip_last).factors)
+        factors = hosvd(t, ranks, skip_last)
     else:
         if len(init_factors) != len(ranks):
             raise ValueError("init_factors length does not match ranks")

@@ -348,9 +348,6 @@ def update_class_dict(
     n_t = sub.y_tilde.shape[-1]
     z = stack_last(sub.x_tilde, sub.y_tilde)
     ranks = [int(r) for r in ranks]
-    for m, r in enumerate(ranks):
-        if r > z.shape[m]:
-            raise ValueError(f"rank {r} exceeds mode-{m} extent {z.shape[m]}")
     quad = None
     if method == "eigen-phi":
         z = SampleOperator.phi(n_s, n_t, theta, lam).apply(z, out=z)

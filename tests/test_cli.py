@@ -655,6 +655,22 @@ class TestDecompose:
         assert "tol must be finite" in err
         assert not out.exists()
 
+    def test_eigensolver_failure_exit_code(self, tmp_path, capsys):
+        # the mode Gram matrices of a tensor this large overflow, and the
+        # eigensolver fails on them: a numeric error, as in fit
+        t = np.random.default_rng(4).standard_normal((4, 5, 3)) * 1e155
+        dataio.write_tensor(tmp_path / "t.stdl", t)
+        out = tmp_path / "dec"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, stdout, err = run(
+                capsys, "decompose", "--input", str(tmp_path / "t.stdl"),
+                "--ranks", "2,2,2", "--out", str(out),
+            )
+        assert code == 4
+        assert stdout == ""
+        assert "numeric error: Eigenvalues did not converge" in err
+        assert not out.exists()
+
     def test_bad_ranks_exit_code(self, tmp_path, capsys):
         dataio.write_tensor(tmp_path / "t.stdl", np.zeros((3, 3)))
         code, _, err = run(

@@ -335,6 +335,25 @@ class TestSyntheticSpec:
                 n_source_per_class=1, n_target_per_class=1,
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dims", (7.9, 8)),
+            ("ranks", (2, 2.5)),
+            ("class_count", 2.5),
+            ("n_source_per_class", 3.7),
+            ("n_target_per_class", 1.5),
+        ],
+    )
+    def test_fractional_count(self, field, value):
+        # dims and ranks were truncated through int(), and the counts failed
+        # later, inside generate_synthetic, with a TypeError
+        kw = dict(class_count=2, dims=(8, 8), ranks=(2, 2), n_source_per_class=3,
+                  n_target_per_class=3)
+        kw[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            SyntheticSpec(**kw)
+
     def test_negative_noise(self):
         with pytest.raises(ValueError, match="nonnegative"):
             SyntheticSpec(

@@ -66,3 +66,33 @@ def test_every_export_has_a_use_in_the_package():
                 used.add(node.attr)
     unused = [f"{m.__name__}.{name}" for m in MODULES for name in m.__all__ if name not in used]
     assert unused == []
+
+
+def test_every_import_is_used():
+    # a name a module imports is loaded in it or exported through __all__;
+    # solver binds mode_product for perfbench's binding test, which wraps it
+    exempt = {("solver", "mode_product")}
+    unused = []
+    for path in pathlib.Path(sdtdl.__file__).parent.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        exported = set(getattr(importlib.import_module(f"sdtdl.{path.stem}"), "__all__", ()))
+        unused += [
+            f"{path.stem}.{name}"
+            for name in sorted(imported - loaded - exported)
+            if (path.stem, name) not in exempt
+        ]
+    assert unused == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sdtdl.hooi import eig_sym_topk, hooi, hosvd, sweep
+from sdtdl.hooi import TuckerResult, eig_sym_topk, hooi, hosvd, sweep
 from sdtdl.solver import (
     ClassSubproblem,
     SampleOperator,
@@ -20,6 +20,7 @@ from oracles import build_phi, mode_flatten
 
 # the module itself: the package attribute ``sdtdl.hooi`` is the function
 H = importlib.import_module("sdtdl.hooi")
+T = importlib.import_module("sdtdl.tensor")
 
 
 def rand_orth(rng, n, k):
@@ -29,6 +30,12 @@ def rand_orth(rng, n, k):
 
 def recon_error(t, res):
     return frobenius_norm(t - dict_apply(res.core, res.factors))
+
+
+def hosvd_tucker(t, ranks, skip_last=False):
+    """The HOSVD factors with their core, the projection of ``t`` on them."""
+    factors = hosvd(t, ranks, skip_last)
+    return TuckerResult(core=dict_project(t, factors), factors=factors)
 
 
 class TestEigSymTopk:
@@ -69,20 +76,20 @@ class TestHosvd:
     def test_full_rank_exact(self):
         rng = np.random.default_rng(1)
         t = rng.standard_normal((3, 4, 5))
-        res = hosvd(t, t.shape)
+        res = hosvd_tucker(t, t.shape)
         assert recon_error(t, res) <= 1e-10
 
     def test_rank_one_exact(self):
         rng = np.random.default_rng(2)
         vecs = [rng.standard_normal(d) for d in (3, 4, 5)]
         t = np.einsum("i,j,k->ijk", *vecs)
-        res = hosvd(t, (1, 1, 1))
+        res = hosvd_tucker(t, (1, 1, 1))
         assert recon_error(t, res) <= 1e-10 * frobenius_norm(t)
 
     def test_beats_random_factors(self):
         rng = np.random.default_rng(3)
         t = rng.standard_normal((4, 4, 4))
-        res = hosvd(t, (2, 2, 2))
+        res = hosvd_tucker(t, (2, 2, 2))
         err = recon_error(t, res)
         for _ in range(100):
             ws = [rand_orth(rng, 4, 2) for _ in range(3)]
@@ -91,14 +98,13 @@ class TestHosvd:
 
     def test_factors_orthonormal(self):
         rng = np.random.default_rng(4)
-        res = hosvd(rng.standard_normal((5, 6, 4)), (2, 3, 2))
-        for u in res.factors:
+        for u in hosvd(rng.standard_normal((5, 6, 4)), (2, 3, 2)):
             assert np.max(np.abs(u.T @ u - np.eye(u.shape[1]))) <= 1e-8
 
     def test_skip_last(self):
         rng = np.random.default_rng(5)
         t = rng.standard_normal((4, 5, 7))
-        res = hosvd(t, (2, 2), skip_last=True)
+        res = hosvd_tucker(t, (2, 2), skip_last=True)
         assert len(res.factors) == 2
         assert res.core.shape == (2, 2, 7)
 
@@ -114,7 +120,7 @@ class TestHooi:
         rng = np.random.default_rng(7)
         for seed in range(10):
             t = np.random.default_rng(seed).standard_normal((4, 5, 6))
-            base = recon_error(t, hosvd(t, (2, 2, 2)))
+            base = recon_error(t, hosvd_tucker(t, (2, 2, 2)))
             refined = recon_error(t, hooi(t, (2, 2, 2)))
             assert refined <= base + 1e-10
 
@@ -327,7 +333,7 @@ class TestSweep:
         dims = (3,) * order + (4,)
         ranks = [2] * order
         t = rng.standard_normal(dims)
-        factors = hosvd(t, ranks, skip_last=True).factors
+        factors = hosvd(t, ranks, skip_last=True)
         calls = []
         real = H.mode_product
         monkeypatch.setattr(H, "mode_product", lambda *a: calls.append(a[2]) or real(*a))
@@ -335,15 +341,18 @@ class TestSweep:
         sweep(t, list(factors), ranks)
         assert len(calls) == per_sweep
 
-        # hooi: the sweeps' products plus the one that forms the returned core,
-        # and no projection of the tensor
+        # hooi, warm or cold started: the sweeps' products plus the one that
+        # forms the returned core, and no projection of the tensor (every
+        # dict_apply and dict_project goes through the tensor module's binding)
         def no_projection(*args):
             raise AssertionError("hooi projected the tensor")
 
-        monkeypatch.setattr(H, "dict_project", no_projection)
-        calls.clear()
-        res = hooi(t, ranks, skip_last=True, max_sweeps=3, tol=1e-300, init_factors=factors)
-        assert len(calls) == len(res.fit_history) * per_sweep + 1
+        with monkeypatch.context() as guard:
+            guard.setattr(T, "mode_product", no_projection)
+            for init in (factors, None):
+                calls.clear()
+                res = hooi(t, ranks, skip_last=True, max_sweeps=3, tol=1e-300, init_factors=init)
+                assert len(calls) == len(res.fit_history) * per_sweep + 1
 
         # the class update: the same sweep, inner_sweeps times
         sub = ClassSubproblem(x_tilde=t[..., :2], y_tilde=t[..., 2:])

@@ -380,7 +380,7 @@ class TestUpdateClassDict:
 
     def test_rank_exceeds_extent(self):
         sub = ClassSubproblem(x_tilde=np.zeros((2, 2, 2)), y_tilde=np.zeros((2, 2, 1)))
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match="out of range"):
             update_class_dict(sub, (3, 2), 1, "eigen-phi", theta=1.0, lam=0.0)
 
     def class_objective(self, x, y, w, theta, lam):
