@@ -40,11 +40,15 @@ def eig_sym_topk(s: np.ndarray, k: int):
     """Top-``k`` eigenpairs of a symmetric matrix, eigenvalues descending.
 
     Eigenvector signs are fixed by making the largest-magnitude entry
-    positive, so results are reproducible.
+    positive, so results are reproducible. A matrix with a NaN or infinite
+    entry (the overflowed Gram matrix of a huge tensor) raises
+    ``np.linalg.LinAlgError``, which ``eigh`` does not always do.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise np.linalg.LinAlgError("matrix has a non-finite entry")
     scale = max(1.0, float(np.max(np.abs(s)))) if s.size else 1.0
     if np.max(np.abs(s - s.T)) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric within tolerance")

@@ -8,11 +8,13 @@ invariant to a positive rescaling of that sample's errors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .jobs import _run_jobs
 from .tensor import dict_apply, dict_project
 
 __all__ = [
@@ -27,10 +29,13 @@ __all__ = [
 
 _EPS = 1e-300
 
-# Bytes of target samples per block of the prediction pass. Of 16 KiB to
-# 16 MiB, 1 MiB gave the fastest pass on the benchmark's object workload
-# (2 EPYC vCPUs, 1 BLAS thread); BENCH_blocked_prediction_pass.json has the
-# sweep.
+# Bytes of target samples per block of the prediction pass. With the blocks
+# on 2 threads (2 vCPUs, 1 BLAS thread), the pass alone took 160, 94, 75, 80
+# and 83 ms at 256 KiB to 4 MiB on the benchmark's object shape and 22, 14,
+# 12, 12 and 11 ms on wide-n. No size won on both, and on object any other
+# size rounds the probabilities differently, so 1 MiB stays.
+# BENCH_pooled_prediction_pass.json has the sweep, and
+# BENCH_blocked_prediction_pass.json the serial one.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -98,12 +103,18 @@ def predict_labels(target, model, gamma: float, delta: float) -> PseudoLabels:
     ``||r_j||^2 - ||k_cj||^2``, clamped at zero against cancellation; the
     centroid distance is ``||k_cj - m_c||^2`` for the source class mean
     ``m_c``. Both probability matrices are taken once, after the last block.
+
+    The blocks run as jobs (:func:`sdtdl.jobs._run_jobs`), each writing its
+    own rows of the two ``N x C`` matrices; a pass called from inside a job,
+    as beside a source update in ``fit``, keeps them on its thread. The
+    result does not depend on the thread count.
     """
     y = target.samples
     n, c = y.shape[-1], len(model.w_class)
     errors, dists = np.empty((n, c)), np.empty((n, c))
     step = max(1, _BLOCK_BYTES // (math.prod(y.shape[:-1]) * y.itemsize))
-    for lo in range(0, n, step):
+
+    def block_job(lo):
         rows = slice(lo, lo + step)
         block = y if step >= n else np.ascontiguousarray(y[..., rows])
         if model.u_target is not None:
@@ -115,6 +126,8 @@ def predict_labels(target, model, gamma: float, delta: float) -> PseudoLabels:
             np.maximum(r2 - _sample_sq_norms(k), 0.0, out=errors[rows, ci])
             k -= mean[..., None]
             dists[rows, ci] = _sample_sq_norms(k)
+
+    _run_jobs([functools.partial(block_job, lo) for lo in range(0, n, step)])
     return select(predict(fidelity_probs(errors), centroid_probs(dists), gamma), delta)
 
 

@@ -22,17 +22,14 @@ Class-dictionary updates support two routes:
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hooi import eig_sym_topk, hooi, sweep
+from .jobs import _run_jobs
 from .pseudolabel import predict_labels
 from .tensor import (
     dict_apply,
@@ -432,60 +429,6 @@ def update_domain_target(target_selected: LabeledTensorSet, model: SdtdlModel, c
     return _hooi_dict(resid, model.hyper, model.u_target)
 
 
-def _class_workers(count: int) -> int:
-    """Threads for ``count`` independent jobs: the cores that BLAS leaves
-    free, ``cores // blas_threads``, and at most one per job. When no BLAS
-    thread count is set, BLAS already runs on every core: one worker."""
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            blas = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if blas > 0:
-            break
-    else:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    return max(1, min(count, cores // blas))
-
-
-def _run_jobs(jobs: list) -> list:
-    """``[job() for job in jobs]``, the jobs spread over
-    :func:`_class_workers` threads. The calling thread is one of them and
-    starts with ``jobs[0]``, extra thread ``k`` starts with ``jobs[k]``, and
-    then each thread takes the next job from one shared iterator. Every
-    extra thread keeps a malloc arena of its own, which holds what the
-    thread freed. The first exception a job raises reaches the caller after
-    every thread has stopped, and no thread takes a job after it."""
-    workers = _class_workers(len(jobs))
-    if workers == 1:
-        return [job() for job in jobs]
-    results = [None] * len(jobs)
-    rest = iter(range(workers, len(jobs)))
-    lock = threading.Lock()
-
-    def drain(k):
-        try:
-            while k is not None:
-                results[k] = jobs[k]()
-                with lock:
-                    k = next(rest, None)
-        except BaseException:
-            with lock:
-                collections.deque(rest, maxlen=0)  # no thread takes a further job
-            raise
-
-    with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(drain, k) for k in range(1, workers)]
-        drain(0)
-        for f in futures:
-            f.result()
-    return results
-
-
 @dataclass
 class FitHistoryRow:
     iteration: int
@@ -549,14 +492,17 @@ def fit(
     objective is NaN.
 
     The per-class work of init step 1 and of each block pass runs on
-    :func:`_class_workers` threads. A prediction pass reads no
+    :func:`sdtdl.jobs._class_workers` threads. A prediction pass reads no
     source-dictionary state, so each source-dictionary update runs beside
     the pass that follows it, the pass on the one extra thread when
-    :func:`_class_workers` gives two: init step 1's update beside the pass
-    of init step 2, and each block pass's update beside the next loop pass,
+    ``_class_workers`` gives two: init step 1's update beside the pass of
+    init step 2, and each block pass's update beside the next loop pass,
     or beside the final pass when the loop runs out. Each pair is joined
-    before the next class update, history row or return. The outputs do
-    not depend on the thread count.
+    before the next class update, history row or return. A pass beside a
+    source update runs its sample blocks on its own thread; the first loop
+    pass, which runs alone, spreads them over the pool
+    (:func:`sdtdl.pseudolabel.predict_labels`). The outputs do not depend
+    on the thread count.
     """
     if source.labels is None:
         raise ValueError("source set must be labeled")

@@ -657,7 +657,7 @@ class TestDecompose:
 
     def test_eigensolver_failure_exit_code(self, tmp_path, capsys):
         # the mode Gram matrices of a tensor this large overflow, and the
-        # eigensolver fails on them: a numeric error, as in fit
+        # eigensolver rejects them: a numeric error, as in fit
         t = np.random.default_rng(4).standard_normal((4, 5, 3)) * 1e155
         dataio.write_tensor(tmp_path / "t.stdl", t)
         out = tmp_path / "dec"
@@ -668,7 +668,7 @@ class TestDecompose:
             )
         assert code == 4
         assert stdout == ""
-        assert "numeric error: Eigenvalues did not converge" in err
+        assert "numeric error: matrix has a non-finite entry" in err
         assert not out.exists()
 
     def test_bad_ranks_exit_code(self, tmp_path, capsys):

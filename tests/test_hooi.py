@@ -65,6 +65,19 @@ class TestEigSymTopk:
         with pytest.raises(ValueError, match="not symmetric"):
             eig_sym_topk(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
+    @pytest.mark.parametrize(
+        "s",
+        [
+            pytest.param([[np.nan, 0.0], [0.0, 1.0]], id="nan-diagonal"),
+            pytest.param([[np.inf, 1.0], [1.0, 1.0]], id="inf-diagonal"),
+            pytest.param([[1.0, -np.inf], [-np.inf, 1.0]], id="inf-off-diagonal"),
+        ],
+    )
+    def test_rejects_non_finite(self, s):
+        # eigh alone returns the eigenvalue 1.0 for the first, NaN for the others
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            eig_sym_topk(np.array(s), 1)
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             eig_sym_topk(np.eye(3), 4)

@@ -1,3 +1,7 @@
+import dataclasses
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -6,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdtdl import pseudolabel
+from sdtdl import jobs, pseudolabel
 from sdtdl.dataio import SyntheticSpec, generate_synthetic
 from sdtdl.pseudolabel import (
     PseudoLabels,
@@ -395,6 +399,88 @@ class TestBlockInvariance:
             pl = self.run(target, model, budget)
             assert pl.labels.shape == (0,) and pl.selected.shape == (0,)
             assert pl.fidelity_probs.shape == pl.centroid_probs.shape == (0, 3)
+
+
+class TestPooledPass:
+    """The pass runs its blocks as jobs on the pool (``sdtdl.jobs``): each
+    block writes its own rows, so the pool size changes no bit of the
+    result."""
+
+    @staticmethod
+    def run(target, model, budget, workers):
+        threads = set()
+        norms = pseudolabel._sample_sq_norms
+
+        def recorded(t):
+            threads.add(threading.get_ident())
+            return norms(t)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave inside the blocks
+        try:
+            with mock.patch.object(pseudolabel, "_BLOCK_BYTES", budget), mock.patch.object(
+                pseudolabel, "_sample_sq_norms", recorded
+            ), mock.patch.object(
+                jobs, "_class_workers", lambda count: max(1, min(count, workers))
+            ):
+                return predict_labels(target, model, 0.3, 0.6), threads
+        finally:
+            sys.setswitchinterval(interval)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dims_ranks=st.sampled_from([((4, 3), (2, 2)), ((3, 4, 2), (2, 2, 1))]),
+        n=st.integers(1, 40),
+        per_block=st.integers(1, 45),
+        c=st.integers(1, 4),
+        with_target=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_pool_size_gives_the_one_worker_pass_bitwise(
+        self, dims_ranks, n, per_block, c, with_target, seed
+    ):
+        dims, ranks = dims_ranks
+        rng = np.random.default_rng(seed)
+        model = make_model(rng, dims=dims, ranks=ranks, C=c, with_target=with_target)
+        target = LabeledTensorSet(samples=rng.standard_normal(dims + (n,)), class_count=c)
+        budget = per_block * target.samples[..., 0].nbytes
+        blocks = -(-n // per_block)
+        want, threads = self.run(target, model, budget, 1)
+        assert threads == {threading.get_ident()}
+        for workers in (2, 4):
+            got, threads = self.run(target, model, budget, workers)
+            # the caller runs block 0 and a pool thread block 1; a pool
+            # thread that is done may take a later start too
+            assert min(2, blocks) <= len(threads) <= min(workers, blocks)
+            for field in dataclasses.fields(PseudoLabels):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+
+    def test_an_error_in_a_block_job_reaches_the_caller(self):
+        rng = np.random.default_rng(16)
+        # one class and no target dictionary: one projection per block
+        model = make_model(rng, C=1, with_target=False)
+        target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 100)), class_count=1)
+        caller = threading.get_ident()
+        barrier = threading.Barrier(2, timeout=30)
+        started = []
+        project = pseudolabel.dict_project
+
+        def failing(t, w):
+            started.append(threading.get_ident())
+            if len(started) <= 2:
+                barrier.wait()  # blocks 0 and 1 run at once, one per thread
+                if threading.get_ident() != caller:
+                    raise np.linalg.LinAlgError("block failed")
+            time.sleep(0.01)
+            return project(t, w)
+
+        with mock.patch.object(pseudolabel, "_BLOCK_BYTES", 16 * 8), mock.patch.object(
+            pseudolabel, "dict_project", failing
+        ), mock.patch.object(jobs, "_class_workers", lambda count: min(count, 2)):
+            with pytest.raises(np.linalg.LinAlgError, match="block failed"):
+                predict_labels(target, model, 0.25, 0.8)
+        assert len(set(started)) == 2
+        assert len(started) < 100  # no block starts after the failure
 
 
 class TestFidelityError:

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sdtdl.jobs as J
+import sdtdl.pseudolabel as pseudolabel
 import sdtdl.solver as S
 import sdtdl.tensor as T
 from sdtdl.dataio import SyntheticSpec, generate_synthetic
@@ -878,13 +880,13 @@ class TestClassPool:
     )
     def test_workers_are_the_cores_blas_leaves_free(self, threads, cores, count, want, monkeypatch):
         blas_env(monkeypatch, cores, **threads)
-        assert S._class_workers(count) == want
+        assert J._class_workers(count) == want
 
     def test_workers_without_an_affinity_call(self, monkeypatch):
         blas_env(monkeypatch, 2, OMP_NUM_THREADS="1")
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        assert S._class_workers(10) == 6
+        assert J._class_workers(10) == 6
 
     def test_every_thread_takes_jobs_and_results_keep_class_order(self, monkeypatch):
         workers, count = 4, 40
@@ -903,7 +905,7 @@ class TestClassPool:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = S._run_jobs([functools.partial(job, c) for c in range(1, count + 1)])
+            got = J._run_jobs([functools.partial(job, c) for c in range(1, count + 1)])
         finally:
             sys.setswitchinterval(interval)
         assert got == [c * c for c in range(1, count + 1)]
@@ -926,8 +928,87 @@ class TestClassPool:
             return c
 
         with pytest.raises(np.linalg.LinAlgError, match="failed"):
-            S._run_jobs([functools.partial(job, c) for c in range(1, 101)])
+            J._run_jobs([functools.partial(job, c) for c in range(1, 101)])
         assert len(started) < 100  # no job starts after the failure
+
+    def test_a_job_runs_nested_jobs_on_its_own_thread(self, monkeypatch):
+        blas_env(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+        pools = []
+
+        def pool(n):
+            pools.append(n)
+            return ThreadPoolExecutor(n)
+
+        monkeypatch.setattr(J, "ThreadPoolExecutor", pool)
+        barrier = threading.Barrier(2, timeout=30)
+
+        def inner(c, k):
+            return c, k, threading.get_ident()
+
+        def outer(c):
+            barrier.wait()  # the two outer jobs run at once, one per thread
+            return threading.get_ident(), J._run_jobs(
+                [functools.partial(inner, c, k) for k in range(5)]
+            )
+
+        got = J._run_jobs([functools.partial(outer, c) for c in range(2)])
+        assert pools == [1]
+        assert got[0][0] != got[1][0]
+        for c, (ident, results) in enumerate(got):
+            assert results == [(c, k, ident) for k in range(5)]
+        # the calling thread left its job: its next call pools again
+        assert J._run_jobs([functools.partial(inner, 0, k) for k in range(2)])[0][2] == (
+            threading.get_ident()
+        )
+        assert pools == [1, 1]
+
+    def test_a_pass_beside_a_source_update_stays_on_its_thread(self, monkeypatch):
+        source, target, truth = unequal_problem((6, 5), (2, 2))
+        hyper = Hyperparams(ranks=(2, 2), theta=2.0, lam=0.1, delta=0.8, max_outer_iters=4)
+        predict, norms = S.predict_labels, pseudolabel._sample_sq_norms
+        pools, passes = [], []
+
+        def pool(n):
+            pools.append(n)
+            return ThreadPoolExecutor(n)
+
+        def prediction(*args):
+            passes.append(set())
+            return predict(*args)
+
+        def recorded(t):
+            # passes do not overlap, and only the pass calls this
+            passes[-1].add(threading.get_ident())
+            return norms(t)
+
+        monkeypatch.setattr(J, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(S, "predict_labels", prediction)
+        monkeypatch.setattr(pseudolabel, "_sample_sq_norms", recorded)
+        # blocks of 2 samples: 12 or more blocks per pass
+        monkeypatch.setattr(pseudolabel, "_BLOCK_BYTES", 2 * 6 * 5 * 8)
+        blas_env(monkeypatch, 4)
+        serial = fit(source, target, hyper, truth=truth)
+        assert pools == [] and all(len(p) == 1 for p in passes)
+        blas_env(monkeypatch, 4, OPENBLAS_NUM_THREADS="1")
+        passes.clear()
+        model, pl, history = fit(source, target, hyper, truth=truth)
+
+        # every pass but the loop's first runs beside a source update, on the
+        # one extra thread; the loop's first runs alone and takes the pool
+        caller = threading.get_ident()
+        assert len(passes) == len(history) >= 3
+        assert [len(p) > 1 for p in passes] == [False, True] + [False] * (len(passes) - 2)
+        assert caller not in set.union(passes[0], *passes[2:])
+        # class work and source pairs as without blocks, and one pool for the
+        # loop's first pass: the passes beside source updates start none
+        assert pools == [3, 1, 3] + [3, 1] * (len(history) - 2)
+        for field in ("labels", "selected", "combined_conf", "fidelity_probs", "centroid_probs"):
+            assert np.array_equal(getattr(serial[1], field), getattr(pl, field)), field
+
+        def factors(m):
+            return [*m.u_source, *m.u_target, *(w for ws in m.w_class for w in ws)]
+
+        assert all(np.array_equal(a, b) for a, b in zip(factors(serial[0]), factors(model)))
 
     @pytest.mark.parametrize(
         "threads,failing,message",
@@ -1031,7 +1112,7 @@ class TestClassPool:
             source_threads.append(threading.get_ident())
             return update_source(*args)
 
-        monkeypatch.setattr(S, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(J, "ThreadPoolExecutor", pool)
         monkeypatch.setattr(S, "predict_labels", prediction)
         monkeypatch.setattr(S, "update_domain_source", source_update)
         blas_env(monkeypatch, 4)

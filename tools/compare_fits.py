@@ -17,9 +17,9 @@ the largest confidence change, the largest projector change
 change of a history objective. Each line, and a last line with the maxima
 and whether every file was identical, also gives the BLAS thread variables
 the fits ran under (``blas_threads``, null where unset): with no BLAS
-thread count set, ``sdtdl`` runs its class work and its source update on
-one thread, so a report from such a run does not exercise the threaded
-paths. The exit code is 0 when every comparison is
+thread count set, ``sdtdl`` runs its class work, its source update and
+the blocks of its prediction passes on one thread, so a report from such
+a run does not exercise the threaded paths. The exit code is 0 when every comparison is
 within the tolerances, 1 when one is not, 2 on a usage error or a fit that
 failed; it does not depend on byte identity.
 """
