@@ -2,9 +2,9 @@
 
 Subcommands: fit, predict, eval, synth, decompose, baseline. A flat
 ``key=value`` config file can supply any fit option, keyed by its ``dest``
-(``lam`` for ``--lambda``); explicit flags override it, and an unknown key
-is a configuration error. Exit codes: 0 success, 2 configuration error,
-3 I/O error, 4 numeric failure.
+(``lam`` for ``--lambda``); explicit flags override it, it overrides the
+defaults, and an unknown key is a configuration error. Exit codes: 0
+success, 2 configuration error, 3 I/O error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ import numpy as np
 from . import dataio, pseudolabel, solver
 from .dataio import TensorFileError
 from .hooi import hooi
-from .solver import Hyperparams, LabeledTensorSet
+from .solver import CLASS_UPDATES, Hyperparams, LabeledTensorSet
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
-CLASS_UPDATES = ("eigen-phi", "exact")
+# defaults of the fit options whose flags have none, so that a config can set them
+_DEFAULTS = {"class_update": "eigen-phi", "out": "."}
 
 
 class ConfigError(ValueError):
@@ -56,11 +57,13 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _merged(args, cfg: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return cfg.get(key, default)
+def _merge_config(args) -> None:
+    """Settle each option in ``args`` once: its flag, else its ``--config``
+    value (a string, cast where it is read), else its default."""
+    cfg = _load_config(args.config) if args.config else {}
+    for key, value in {**_DEFAULTS, **cfg}.items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
 
 
 def _parse_ranks(value):
@@ -80,33 +83,28 @@ def _require_file(path, what):
     return path
 
 
-def _build_hyper(args, cfg) -> Hyperparams:
+def _build_hyper(args) -> Hyperparams:
     """Hyperparameters from the preset, overridden by each option given."""
     presets = {"object": solver.object_preset, "digit": solver.digit_preset}
-    preset = _merged(args, cfg, "preset")
-    if preset not in (None, "custom", *presets):
-        raise ConfigError(f"unknown preset {preset!r}")
+    if args.preset not in (None, "custom", *presets):
+        raise ConfigError(f"unknown preset {args.preset!r}")
     given = {}
-    ranks = _parse_ranks(_merged(args, cfg, "ranks"))
+    ranks = _parse_ranks(args.ranks)
     if ranks is not None:
         given["ranks"] = ranks
-    elif preset not in presets:
+    elif args.preset not in presets:
         raise ConfigError("ranks are required (flag --ranks or a preset)")
     # every field after ranks, cast to the type of its default
     for f in dataclasses.fields(Hyperparams)[1:]:
-        value = _merged(args, cfg, "max_iters" if f.name == "max_outer_iters" else f.name)
+        value = getattr(args, "max_iters" if f.name == "max_outer_iters" else f.name)
         if value is not None:
             given[f.name] = type(f.default)(value)
-    return presets.get(preset, Hyperparams)(**given)
-
-
-def _format_float(x: float) -> str:
-    return repr(float(x))
+    return presets.get(args.preset, Hyperparams)(**given)
 
 
 def _format_optional(x: float) -> str:
     """A float field that may be missing (NaN), written empty when it is."""
-    return "" if math.isnan(x) else _format_float(x)
+    return "" if math.isnan(x) else repr(float(x))
 
 
 def write_predictions(path, pl: pseudolabel.PseudoLabels) -> None:
@@ -145,44 +143,41 @@ def write_history(path, history) -> None:
             fh.write(f"{row.iteration},{obj},{row.n_selected},{acc}\n")
 
 
-def _load_problem(args, cfg):
+def _load_problem(args):
     """The labeled source, the target and the optional target truth labels."""
-    src_path = _require_file(_merged(args, cfg, "source"), "--source")
-    lab_path = _require_file(_merged(args, cfg, "source_labels"), "--source-labels")
+    src_path = _require_file(args.source, "--source")
+    lab_path = _require_file(args.source_labels, "--source-labels")
     samples = dataio.read_tensor(src_path)
     labels = dataio.read_labels(lab_path)
     if labels.size == 0:
         raise ConfigError(f"no labels in {lab_path}")
     source = LabeledTensorSet(samples=samples, class_count=int(labels.max()), labels=labels)
-    tgt_path = _require_file(_merged(args, cfg, "target"), "--target")
+    tgt_path = _require_file(args.target, "--target")
     target = LabeledTensorSet(
         samples=dataio.read_tensor(tgt_path), class_count=source.class_count
     )
-    truth_path = _merged(args, cfg, "truth")
     truth = None
-    if truth_path is not None:
-        truth = dataio.read_labels(_require_file(truth_path, "--truth"))
+    if args.truth is not None:
+        truth = dataio.read_labels(_require_file(args.truth, "--truth"))
         if truth.shape[0] != target.n_samples:
             raise ConfigError("truth label count does not match target sample count")
     return source, target, truth
 
 
 def cmd_fit(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    class_update = _merged(args, cfg, "class_update", "eigen-phi")
-    if class_update not in CLASS_UPDATES:
-        raise ConfigError(f"unknown class update {class_update!r}")
-    source, target, truth = _load_problem(args, cfg)
-    hyper = _build_hyper(args, cfg)
-    out = _merged(args, cfg, "out", ".")
-    os.makedirs(out, exist_ok=True)
+    _merge_config(args)
+    if args.class_update not in CLASS_UPDATES:
+        raise ConfigError(f"unknown class update {args.class_update!r}")
+    source, target, truth = _load_problem(args)
+    hyper = _build_hyper(args)
+    os.makedirs(args.out, exist_ok=True)
 
     model, pl, history = solver.fit(
-        source, target, hyper, truth=truth, class_update=class_update
+        source, target, hyper, truth=truth, class_update=args.class_update
     )
-    dataio.save_model(os.path.join(out, "model.stdm"), model)
-    write_predictions(os.path.join(out, "predictions.txt"), pl)
-    write_history(os.path.join(out, "history.csv"), history)
+    dataio.save_model(os.path.join(args.out, "model.stdm"), model)
+    write_predictions(os.path.join(args.out, "predictions.txt"), pl)
+    write_history(os.path.join(args.out, "history.csv"), history)
     last = history[-1]
     print(
         json.dumps(
@@ -194,7 +189,7 @@ def cmd_fit(args) -> int:
                 ),
                 "n_selected": last.n_selected,
                 "accuracy": None if math.isnan(last.accuracy) else last.accuracy,
-                "out": out,
+                "out": args.out,
             }
         )
     )
@@ -265,12 +260,12 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    source, target, truth = _load_problem(args, cfg)
+    _merge_config(args)
+    source, target, truth = _load_problem(args)
     labels = solver.nearest_centroid_labels(source, target)
     out = {"labels": labels.tolist()}
     if truth is not None:
-        out["accuracy"] = float(np.mean(labels == truth))
+        out["accuracy"] = float(np.mean(labels == truth)) if truth.size else None
     print(json.dumps(out))
     return 0
 

@@ -42,11 +42,12 @@ def _run_jobs(jobs: list) -> list:
     thread freed. The first exception a job raises reaches the caller after
     every thread has stopped, and no thread takes a job after it.
 
-    A call made from inside a job runs its jobs in order on the calling
-    thread: that job already holds one of the threads the cores allow."""
-    if not jobs or getattr(_local, "in_job", False):
+    A call made from inside a job, or with one worker, runs its jobs in
+    order on the calling thread: a job already holds one of the threads the
+    cores allow."""
+    workers = 1 if getattr(_local, "in_job", False) else _class_workers(len(jobs))
+    if workers == 1:
         return [job() for job in jobs]
-    workers = _class_workers(len(jobs))
     results = [None] * len(jobs)
     rest = iter(range(workers, len(jobs)))
     lock = threading.Lock()
@@ -65,9 +66,6 @@ def _run_jobs(jobs: list) -> list:
         finally:
             _local.in_job = False
 
-    if workers == 1:
-        drain(0)
-        return results
     with ThreadPoolExecutor(workers - 1) as pool:
         futures = [pool.submit(drain, k) for k in range(1, workers)]
         drain(0)

@@ -116,7 +116,7 @@ def predict_labels(target, model, gamma: float, delta: float) -> PseudoLabels:
 
     def block_job(lo):
         rows = slice(lo, lo + step)
-        block = y if step >= n else np.ascontiguousarray(y[..., rows])
+        block = np.ascontiguousarray(y[..., rows])
         if model.u_target is not None:
             rec = dict_apply(dict_project(block, model.u_target), model.u_target)
             block = np.subtract(block, rec, out=rec)

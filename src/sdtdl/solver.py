@@ -43,6 +43,7 @@ from .tensor import (
 )
 
 __all__ = [
+    "CLASS_UPDATES",
     "Hyperparams",
     "LabeledTensorSet",
     "SdtdlModel",
@@ -60,6 +61,9 @@ __all__ = [
     "run_block_updates",
     "nearest_centroid_labels",
 ]
+
+
+CLASS_UPDATES = ("eigen-phi", "exact")
 
 
 def _count(value, name: str, low: int) -> int:
@@ -169,7 +173,7 @@ class LabeledTensorSet:
 
 @dataclass
 class SdtdlModel:
-    u_source: list  # M orthonormal factor matrices
+    u_source: list | None  # M orthonormal factor matrices, None before initialization
     u_target: list | None  # M factor matrices, None before initialization
     w_class: list  # C lists of M factor matrices
     class_means_source: list  # C mean code tensors (ranks-shaped)
@@ -180,15 +184,15 @@ class SdtdlModel:
     def class_count(self) -> int:
         return len(self.w_class)
 
-    def validate(self, tol: float = 1e-8):
+    def validate(self):
         for m, u in enumerate(self.u_source):
-            require_orthonormal(u, tol, name=f"u_source[{m}]")
+            require_orthonormal(u, name=f"u_source[{m}]")
         if self.u_target is not None:
             for m, u in enumerate(self.u_target):
-                require_orthonormal(u, tol, name=f"u_target[{m}]")
+                require_orthonormal(u, name=f"u_target[{m}]")
         for c, w in enumerate(self.w_class):
             for m, wm in enumerate(w):
-                require_orthonormal(wm, tol, name=f"w_class[{c}][{m}]")
+                require_orthonormal(wm, name=f"w_class[{c}][{m}]")
 
 
 @dataclass
@@ -372,9 +376,10 @@ def _domain_residual(tensor_set: LabeledTensorSet, c: int, domain_codes, factors
 def _class_residuals(tensor_set: LabeledTensorSet, codes_by_class, dicts_by_class):
     """Samples minus their class-dictionary reconstruction, in set order.
 
-    Each class's reconstruction fills one run of a class-ordered buffer, and
-    one gather by the inverse of the stable label sort puts the buffer back
-    in set order: a scatter into the set's sample mode would write strided.
+    Each class's reconstruction fills one run of a class-ordered buffer,
+    which a gather by the inverse of the stable label sort puts back in set
+    order in place, one leading-mode slice at a time: no strided scatter
+    into the sample mode, and no second set-sized array.
     """
     counts = np.bincount(tensor_set.labels, minlength=len(dicts_by_class) + 1)[1:]
     rec = np.empty_like(tensor_set.samples)
@@ -384,8 +389,9 @@ def _class_residuals(tensor_set: LabeledTensorSet, codes_by_class, dicts_by_clas
             rec[..., lo : lo + n] = dict_apply(k, w)
             lo += n
     inverse = np.argsort(np.argsort(tensor_set.labels, kind="stable"))
-    out = np.take(rec, inverse, axis=-1)
-    return np.subtract(tensor_set.samples, out, out=out)
+    for part in rec:
+        part[...] = np.take(part, inverse, axis=-1)
+    return np.subtract(tensor_set.samples, rec, out=rec)
 
 
 def _hooi_dict(samples: np.ndarray, hyper: Hyperparams, factors):
@@ -404,7 +410,7 @@ def _hooi_dict(samples: np.ndarray, hyper: Hyperparams, factors):
         skip_last=True,
         max_sweeps=hyper.inner_sweeps,
         tol=hyper.tol,
-        init_factors=factors or None,
+        init_factors=factors,
     )
     error = max(frobenius_norm(samples) ** 2 - frobenius_norm(res.core) ** 2, 0.0)
     return list(res.factors), res.core, error
@@ -452,18 +458,17 @@ def _refresh_means(model: SdtdlModel, codes: SdtdlCodes) -> None:
 
 
 def _selected_set(target: LabeledTensorSet, pl) -> LabeledTensorSet:
+    """The selected targets, labeled; the class count is the pass's."""
     idx = np.flatnonzero(pl.selected)
     return LabeledTensorSet(
         samples=_gather(target.samples, idx),
-        class_count=target.class_count,
+        class_count=pl.fidelity_probs.shape[1],
         labels=pl.labels[idx],
     )
 
 
 def _accuracy(labels, truth) -> float:
-    if truth is None or np.size(truth) == 0:
-        return float("nan")
-    return float(np.mean(labels == np.asarray(truth)))
+    return float("nan") if truth is None else float(np.mean(labels == truth))
 
 
 def fit(
@@ -484,12 +489,13 @@ def fit(
     stopping when the pseudo-labels stop changing or after
     ``max_outer_iters`` iterations.
 
-    Returns ``(model, pseudo_labels, history)``; ``truth`` is used for
-    accuracy reporting only. Each history objective is read from the norms
-    of the residuals and codes of the domain updates that precede it, not
-    by reconstructing the samples. After at least one outer iteration the
-    last history row records the final prediction pass alone, and its
-    objective is NaN.
+    Returns ``(model, pseudo_labels, history)``; ``truth``, one label per
+    target sample, is used for accuracy reporting only. The class count is
+    the source's. Every argument is checked before any HOOI sweep. Each
+    history objective is read from the norms of the residuals and codes of
+    the domain updates that precede it, not by reconstructing the samples.
+    After at least one outer iteration the last history row records the
+    final prediction pass alone, and its objective is NaN.
 
     The per-class work of init step 1 and of each block pass runs on
     :func:`sdtdl.jobs._class_workers` threads. A prediction pass reads no
@@ -504,16 +510,15 @@ def fit(
     (:func:`sdtdl.pseudolabel.predict_labels`). The outputs do not depend
     on the thread count.
     """
-    if source.labels is None:
-        raise ValueError("source set must be labeled")
+    if class_update not in CLASS_UPDATES:
+        raise ValueError(f"unknown class-update method: {class_update}")
     if source.samples.shape[:-1] != target.samples.shape[:-1]:
         raise ValueError("source and target sample dims differ")
     if target.n_samples == 0:
         raise ValueError("target has no samples")
+    if truth is not None and np.shape(truth) != (target.n_samples,):
+        raise ValueError("truth must hold one label per target sample")
     C = source.class_count
-    ranks = hyper.ranks
-    if len(ranks) != source.order:
-        raise ValueError(f"expected {source.order} ranks, got {len(ranks)}")
     for c in range(1, C + 1):
         if source.class_indices(c).size == 0:
             raise ValueError(f"source class {c} has no samples")
@@ -534,7 +539,7 @@ def fit(
         *_run_jobs([functools.partial(init_class, c) for c in range(1, C + 1)])
     )
     model = SdtdlModel(
-        u_source=[],
+        u_source=None,
         u_target=None,
         w_class=list(w_class),
         class_means_source=[],
@@ -543,7 +548,7 @@ def fit(
     )
     # no target is selected yet; the domain codes come from the HOOI calls below
     codes = SdtdlCodes(
-        a0=None, b0=None, a_class=list(a_class), b_class=[np.zeros(ranks + (0,))] * C
+        a0=None, b0=None, a_class=list(a_class), b_class=[np.zeros(hyper.ranks + (0,))] * C
     )
     _refresh_means(model, codes)
 
@@ -596,14 +601,12 @@ def fit(
 def nearest_centroid_labels(source: LabeledTensorSet, target: LabeledTensorSet) -> np.ndarray:
     """No-adaptation baseline: each target sample gets the class of the
     nearest source class centroid in raw tensor space."""
-    if source.labels is None:
-        raise ValueError("source set must be labeled")
     C = source.class_count
-    n = target.n_samples
+    y = target.samples
     centroids = np.stack(
         [source.class_samples(c).mean(axis=-1).ravel() for c in range(1, C + 1)]
     )
-    flat = target.samples.reshape(-1, n).T
+    flat = y.reshape(math.prod(y.shape[:-1]), y.shape[-1]).T
     d2 = (
         np.sum(flat**2, axis=1, keepdims=True)
         - 2.0 * flat @ centroids.T

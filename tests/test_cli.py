@@ -587,6 +587,24 @@ class TestBaseline:
         # 4-sigma binomial band around 1/3 with N=300
         assert abs(acc - 1.0 / 3.0) <= 4 * np.sqrt((1 / 3) * (2 / 3) / n_t)
 
+    def test_empty_target(self, tmp_path, capsys):
+        # the target used to be reshaped by -1, which numpy cannot do for no
+        # samples; an empty truth scores null, as in eval
+        rng = np.random.default_rng(2)
+        dataio.write_tensor(tmp_path / "s.stdl", rng.standard_normal((4, 4, 6)))
+        dataio.write_labels(tmp_path / "sl.txt", [1, 1, 2, 2, 3, 3])
+        dataio.write_tensor(tmp_path / "t.stdl", np.zeros((4, 4, 0)))
+        dataio.write_labels(tmp_path / "tt.txt", [])
+        code, stdout, err = run(
+            capsys, "baseline",
+            "--source", str(tmp_path / "s.stdl"),
+            "--source-labels", str(tmp_path / "sl.txt"),
+            "--target", str(tmp_path / "t.stdl"),
+            "--truth", str(tmp_path / "tt.txt"),
+        )
+        assert code == 0, err
+        assert json.loads(stdout) == {"labels": [], "accuracy": None}
+
     @pytest.mark.parametrize("n_truth", [1, 31])
     def test_truth_count_mismatch(self, tmp_path, capsys, n_truth):
         d = synth_dir(tmp_path, capsys)  # 30 targets

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from sdtdl import cli
+from sdtdl import cli, solver
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "compare_fits.py")
@@ -17,6 +17,10 @@ compare_fits = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compare_fits)
 
 TOLERANCES = {"conf_max_abs": 1e-15, "projector_max": 1e-12, "objective_max_rel": 1e-12}
+
+
+def test_routes_are_the_solver_routes():
+    assert compare_fits.ROUTES == solver.CLASS_UPDATES
 
 
 def test_one_tree_against_itself_reports_no_change(tmp_path):

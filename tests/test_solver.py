@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -511,6 +512,23 @@ class TestClassResiduals:
         assert got.shape == want.shape and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
 
+    def test_holds_one_set_sized_array(self):
+        # the result is the one set-sized array; the class reconstructions
+        # and the per-slice reorder add a fifth and a sixteenth of it
+        rng = np.random.default_rng(7)
+        C, dims, ranks = 5, (16, 16), (4, 4)
+        labels = rng.permutation(np.repeat(np.arange(1, C + 1), 400))
+        tensor_set = LabeledTensorSet(rng.standard_normal(dims + (labels.size,)), C, labels)
+        dicts = [[rand_orth(rng, d, r) for d, r in zip(dims, ranks)] for _ in range(C)]
+        codes = [rng.standard_normal(ranks + (400,)) for _ in range(C)]
+        tracemalloc.start()
+        try:
+            S._class_residuals(tensor_set, codes, dicts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * tensor_set.samples.nbytes
+
 
 class TestBlockPass:
     @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
@@ -821,6 +839,64 @@ class TestFit:
         tgt = LabeledTensorSet(samples=rng.standard_normal((4, 4, 5)), class_count=3)
         with pytest.raises(ValueError, match="class 3 has no samples"):
             fit(src, tgt, Hyperparams(ranks=(2, 2)))
+
+    @staticmethod
+    def entry_problem():
+        spec = SyntheticSpec(
+            class_count=3, dims=(6, 5), ranks=(2, 2), n_source_per_class=5,
+            n_target_per_class=10, noise=0.1, shift=0.5, seed=3,
+        )
+        return generate_synthetic(spec)
+
+    @staticmethod
+    def hooi_calls(monkeypatch):
+        calls, real = [], S.hooi
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(S, "hooi", spy)
+        return calls
+
+    @pytest.mark.parametrize("iters", [0, 2])
+    def test_unknown_route_rejected_before_any_hooi(self, iters, monkeypatch):
+        # without iterations the route used to go unread; with them it was
+        # rejected at the first class update, after the initialization
+        source, target, truth = self.entry_problem()
+        calls = self.hooi_calls(monkeypatch)
+        hyper = Hyperparams(ranks=(2, 2), max_outer_iters=iters)
+        with pytest.raises(ValueError, match="unknown class-update method: bogus"):
+            fit(source, target, hyper, truth=truth, class_update="bogus")
+        assert calls == []
+
+    @pytest.mark.parametrize("n_truth", [1, 0, 5])
+    def test_truth_of_another_length_rejected_before_any_hooi(self, n_truth, monkeypatch):
+        # one row used to broadcast to accuracy 1/3, no row gave NaN, and
+        # five rows for 30 targets failed to broadcast after the initialization
+        source, target, truth = self.entry_problem()
+        calls = self.hooi_calls(monkeypatch)
+        hyper = Hyperparams(ranks=(2, 2), max_outer_iters=2)
+        with pytest.raises(ValueError, match="one label per target sample"):
+            fit(source, target, hyper, truth=truth[:n_truth])
+        assert calls == []
+
+    @pytest.mark.parametrize("route", ["eigen-phi", "exact"])
+    def test_the_target_class_count_is_not_read(self, route):
+        source, target, truth = self.entry_problem()
+        hyper = Hyperparams(ranks=(2, 2), theta=2.0, max_outer_iters=2)
+        want_model, want_pl, _ = fit(source, target, hyper, truth=truth, class_update=route)
+        for count in (2, 5):
+            other = LabeledTensorSet(target.samples, count)
+            model, pl, _ = fit(source, other, hyper, truth=truth, class_update=route)
+            assert np.array_equal(pl.labels, want_pl.labels)
+            assert np.array_equal(pl.selected, want_pl.selected)
+            for got, want in [
+                (model.u_source, want_model.u_source),
+                (model.u_target, want_model.u_target),
+                *zip(model.w_class, want_model.w_class),
+            ]:
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
     def test_unlabeled_source_rejected(self):
         rng = np.random.default_rng(5)
