@@ -1,10 +1,13 @@
-"""Independent jobs on the cores that BLAS leaves free: a fit's per-class
-work, each source-dictionary update beside the prediction pass after it,
-and the sample blocks of a prediction pass."""
+"""Independent jobs on every core, with BLAS held at one thread: a fit's
+per-class work, each source-dictionary update beside the prediction pass
+after it, and the sample blocks of a prediction pass."""
 
 from __future__ import annotations
 
 import collections
+import contextlib
+import ctypes
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -12,25 +15,81 @@ from concurrent.futures import ThreadPoolExecutor
 # ``in_job`` is true on a thread while it runs a job of _run_jobs
 _local = threading.local()
 
+# (getter, setter) names of an OpenBLAS thread count: numpy's bundled
+# OpenBLAS, then a system one
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_controls():
+    """``(get, set)`` of the loaded OpenBLAS's thread count, or None when
+    no loaded library exports them. The libraries are the ones this
+    process maps whose path names BLAS."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "blas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+_hold_lock = threading.Lock()
+_hold_depth = 0  # holds entered and not yet left
+_hold_saved = 0  # the thread count the outermost hold found
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold BLAS at one thread, process-wide, and give the caller's count
+    back on the way out, also when the body raises. The count belongs to
+    the process, so the holds share one depth: only the outermost of
+    nested or overlapping holds, on any thread, sets and restores it."""
+    global _hold_depth, _hold_saved
+    controls = _blas_controls()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    with _hold_lock:
+        if _hold_depth == 0:
+            _hold_saved = get()
+            set_(1)
+        _hold_depth += 1
+    try:
+        yield
+    finally:
+        with _hold_lock:
+            _hold_depth -= 1
+            if _hold_depth == 0:
+                set_(_hold_saved)
+
 
 def _class_workers(count: int) -> int:
-    """Threads for ``count`` independent jobs: the cores that BLAS leaves
-    free, ``cores // blas_threads``, and at most one per job. When no BLAS
-    thread count is set, BLAS already runs on every core: one worker."""
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            blas = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if blas > 0:
-            break
-    else:
+    """Threads for ``count`` independent jobs: one per core, at most one
+    per job. Without a BLAS thread setter, BLAS may run on every core
+    already: one worker."""
+    if _blas_controls() is None:
         return 1
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    return max(1, min(count, cores // blas))
+    return max(1, min(count, cores))
 
 
 def _run_jobs(jobs: list) -> list:

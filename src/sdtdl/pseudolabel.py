@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .jobs import _run_jobs
+from .jobs import _one_blas_thread, _run_jobs
 from .tensor import dict_apply, dict_project
 
 __all__ = [
@@ -91,6 +91,7 @@ def centroid_probs(dists: np.ndarray) -> np.ndarray:
     return _softmax_rows(dists)
 
 
+@_one_blas_thread()
 def predict_labels(target, model, gamma: float, delta: float) -> PseudoLabels:
     """One prediction pass: labels and selection of ``target`` under ``model``.
 
@@ -106,7 +107,8 @@ def predict_labels(target, model, gamma: float, delta: float) -> PseudoLabels:
 
     The blocks run as jobs (:func:`sdtdl.jobs._run_jobs`), each writing its
     own rows of the two ``N x C`` matrices; a pass called from inside a job,
-    as beside a source update in ``fit``, keeps them on its thread. The
+    as beside a source update in ``fit``, keeps them on its thread. As
+    ``fit`` does, the pass holds BLAS at one thread while it runs. The
     result does not depend on the thread count.
     """
     y = target.samples

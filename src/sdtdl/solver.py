@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hooi import eig_sym_topk, hooi, sweep
-from .jobs import _run_jobs
+from .jobs import _one_blas_thread, _run_jobs
 from .pseudolabel import predict_labels
 from .tensor import (
     dict_apply,
@@ -39,7 +39,6 @@ from .tensor import (
     # not called here: test_real_package_bindings_are_wrapped_and_restored wraps it
     mode_product,
     require_orthonormal,
-    stack_last,
 )
 
 __all__ = [
@@ -212,10 +211,12 @@ class SdtdlCodes:
 
 @dataclass
 class ClassSubproblem:
-    """Source and target residual tensors of one class-dictionary update."""
+    """The stacked residual of one class-dictionary update: the class's
+    ``n_s`` source residuals, then its target residuals, along the last
+    (sample) mode."""
 
-    x_tilde: np.ndarray
-    y_tilde: np.ndarray
+    z: np.ndarray
+    n_s: int
 
 
 def class_means(codes: np.ndarray) -> np.ndarray:
@@ -296,15 +297,12 @@ class SampleOperator:
             ((-lam * n_t / n_s**2, cross), (cross, -lam * n_s / n_t**2)),
         )
 
-    def apply(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``z x_N M``: the operator acting on the last (sample) mode of ``z``.
-
-        The result is written into ``out`` when given: a C-contiguous array
-        of ``z``'s shape, which may be ``z`` itself."""
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        """``z x_N M``: the operator acting on the last (sample) mode of ``z``."""
         flat = z.reshape(math.prod(z.shape[:-1]), z.shape[-1])
         domains = (slice(None, self.n_s), slice(self.n_s, None))
         sums = [flat[:, cols].sum(axis=1) for cols in domains]
-        res = np.empty_like(flat) if out is None else out.reshape(flat.shape)
+        res = np.empty_like(flat)
         for (b_s, b_t), scale, cols in zip(self.block, self.scale, domains):
             np.multiply(scale, flat[:, cols], out=res[:, cols])
             res[:, cols] += (b_s * sums[0] + b_t * sums[1])[:, None]
@@ -334,43 +332,65 @@ def update_class_dict(
     per-mode eigen updates (:func:`sdtdl.hooi.sweep`) on the stacked residual.
 
     Returns ``(w_c, a_c, b_c)``: the updated factor matrices and the class
-    codes of the source / target residuals under them. ``method`` selects the
-    sample-mode operator, built from ``theta`` and ``lam`` in structured form
-    (:class:`SampleOperator`): ``"eigen-phi"`` pre-weights the stack with the
-    published Phi and maximizes its core norm; ``"exact"`` keeps the raw
-    stack and puts the quadratic form Q on the sample mode.
+    codes of the source / target residuals under them, both taken from one
+    projection of the stack. ``method`` selects the sample-mode operator,
+    built from ``theta`` and ``lam`` in structured form
+    (:class:`SampleOperator`): ``"eigen-phi"`` sweeps a Phi-weighted copy
+    of the stack and maximizes its core norm; ``"exact"`` sweeps the stack
+    itself and puts the quadratic form Q on the sample mode.
 
     Without ``w_init`` each mode starts from the top eigenvectors of its
     form on the uncompressed tensor: the HOSVD of the Phi-weighted stack on
     the Phi route, and of ``Z_(m) (I kron Q) Z_(m)^T`` on the exact route.
     With ``Q = Phi^T Phi`` the two starts coincide.
     """
-    n_s = sub.x_tilde.shape[-1]
-    n_t = sub.y_tilde.shape[-1]
-    z = stack_last(sub.x_tilde, sub.y_tilde)
+    z, n_s = sub.z, sub.n_s
+    n_t = z.shape[-1] - n_s
     ranks = [int(r) for r in ranks]
     quad = None
     if method == "eigen-phi":
-        z = SampleOperator.phi(n_s, n_t, theta, lam).apply(z, out=z)
+        swept = SampleOperator.phi(n_s, n_t, theta, lam).apply(z)
     elif method == "exact":
+        swept = z
         quad = SampleOperator.quadratic_form(n_s, n_t, theta, lam)
     else:
         raise ValueError(f"unknown class-update method: {method}")
     form = functools.partial(_mode_form, quad=quad)
     if w_init is None:
-        w = [eig_sym_topk(form(z, m), r)[1] for m, r in enumerate(ranks)]
+        w = [eig_sym_topk(form(swept, m), r)[1] for m, r in enumerate(ranks)]
     else:
         w = [np.asarray(u, dtype=np.float64) for u in w_init]
     for _ in range(inner_sweeps):
-        sweep(z, w, ranks, form)
-    return w, dict_project(sub.x_tilde, w), dict_project(sub.y_tilde, w)
+        sweep(swept, w, ranks, form)
+    del swept
+    k = dict_project(z, w)
+    # each domain's codes in an array of its own, C-contiguous, as later
+    # products expect of a class's codes
+    return w, np.ascontiguousarray(k[..., :n_s]), np.ascontiguousarray(k[..., n_s:])
 
 
-def _domain_residual(tensor_set: LabeledTensorSet, c: int, domain_codes, factors):
-    """Class-``c`` samples minus their domain-dictionary reconstruction."""
-    idx = tensor_set.class_indices(c)
-    rec = dict_apply(_gather(domain_codes, idx), factors)
-    return np.subtract(_gather(tensor_set.samples, idx), rec, out=rec)
+def _class_stack(source, selected, c: int, model, codes) -> ClassSubproblem:
+    """Class ``c``'s source residuals, then its selected targets' residuals,
+    in one array along the sample mode: each domain's samples are gathered
+    into that domain's columns, and their domain-dictionary reconstruction
+    is subtracted in place."""
+    # the gathered copy is freed before the reconstruction is formed.
+    # Writing the difference of the two into the columns saved 2 ms per
+    # wide-n block pass, but with two class jobs live at once it raised
+    # exact-n's peak RSS from 103 to 112 MiB (benchmark medians, 2 vCPUs).
+    domains = [
+        (source, codes.a0, model.u_source),
+        (selected, codes.b0, model.u_target),
+    ]
+    idx = [tensor_set.class_indices(c) for tensor_set, _, _ in domains]
+    z = np.empty(source.samples.shape[:-1] + (idx[0].size + idx[1].size,))
+    lo = 0
+    for (tensor_set, domain_codes, factors), i in zip(domains, idx):
+        cols = z[..., lo : lo + i.size]
+        cols[...] = _gather(tensor_set.samples, i)
+        cols -= dict_apply(_gather(domain_codes, i), factors)
+        lo += i.size
+    return ClassSubproblem(z, idx[0].size)
 
 
 def _class_residuals(tensor_set: LabeledTensorSet, codes_by_class, dicts_by_class):
@@ -467,10 +487,16 @@ def _selected_set(target: LabeledTensorSet, pl) -> LabeledTensorSet:
     )
 
 
+def _check_sample_dims(source: LabeledTensorSet, target: LabeledTensorSet) -> None:
+    if source.samples.shape[:-1] != target.samples.shape[:-1]:
+        raise ValueError("source and target sample dims differ")
+
+
 def _accuracy(labels, truth) -> float:
     return float("nan") if truth is None else float(np.mean(labels == truth))
 
 
+@_one_blas_thread()
 def fit(
     source: LabeledTensorSet,
     target: LabeledTensorSet,
@@ -497,9 +523,12 @@ def fit(
     After at least one outer iteration the last history row records the
     final prediction pass alone, and its objective is NaN.
 
+    The call holds BLAS at one thread, process-wide, and gives the caller's
+    count back on return or raise (:func:`sdtdl.jobs._one_blas_thread`).
     The per-class work of init step 1 and of each block pass runs on
-    :func:`sdtdl.jobs._class_workers` threads. A prediction pass reads no
-    source-dictionary state, so each source-dictionary update runs beside
+    :func:`sdtdl.jobs._class_workers` threads, one per core. A prediction
+    pass reads no source-dictionary state, so each source-dictionary update
+    runs beside
     the pass that follows it, the pass on the one extra thread when
     ``_class_workers`` gives two: init step 1's update beside the pass of
     init step 2, and each block pass's update beside the next loop pass,
@@ -512,8 +541,7 @@ def fit(
     """
     if class_update not in CLASS_UPDATES:
         raise ValueError(f"unknown class-update method: {class_update}")
-    if source.samples.shape[:-1] != target.samples.shape[:-1]:
-        raise ValueError("source and target sample dims differ")
+    _check_sample_dims(source, target)
     if target.n_samples == 0:
         raise ValueError("target has no samples")
     if truth is not None and np.shape(truth) != (target.n_samples,):
@@ -600,7 +628,9 @@ def fit(
 
 def nearest_centroid_labels(source: LabeledTensorSet, target: LabeledTensorSet) -> np.ndarray:
     """No-adaptation baseline: each target sample gets the class of the
-    nearest source class centroid in raw tensor space."""
+    nearest source class centroid in raw tensor space. Source and target
+    samples must have the same dims."""
+    _check_sample_dims(source, target)
     C = source.class_count
     y = target.samples
     centroids = np.stack(
@@ -637,10 +667,7 @@ def run_block_updates(
 
     def class_job(c):
         return update_class_dict(
-            ClassSubproblem(
-                x_tilde=_domain_residual(source, c, codes.a0, model.u_source),
-                y_tilde=_domain_residual(selected, c, codes.b0, model.u_target),
-            ),
+            _class_stack(source, selected, c, model, codes),
             hyper.ranks,
             hyper.inner_sweeps,
             method=class_update,

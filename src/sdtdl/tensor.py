@@ -18,7 +18,6 @@ __all__ = [
     "mode_gram",
     "dict_apply",
     "dict_project",
-    "stack_last",
     "frobenius_norm",
     "require_orthonormal",
 ]
@@ -90,13 +89,6 @@ def dict_project(t: np.ndarray, factors) -> np.ndarray:
     """Project ``t`` onto ``factors``: :func:`dict_apply` with each factor
     transposed. With one factor per mode this is the Tucker core."""
     return dict_apply(t, [np.asarray(u).T for u in factors])
-
-
-def stack_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Concatenate two tensors along the last (sample) mode."""
-    if a.ndim != b.ndim or a.shape[:-1] != b.shape[:-1]:
-        raise ValueError(f"leading dims mismatch: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=-1)
 
 
 def frobenius_norm(t: np.ndarray) -> float:

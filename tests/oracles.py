@@ -14,11 +14,11 @@ import math
 import numpy as np
 
 from sdtdl.solver import (
+    ClassSubproblem,
     LabeledTensorSet,
     SdtdlCodes,
     SdtdlModel,
     _discriminant,
-    _domain_residual,
     _gather,
     _refresh_means,
 )
@@ -44,6 +44,24 @@ def mode_unflatten(mat: np.ndarray, mode: int, dims) -> np.ndarray:
     if mat.shape != expected:
         raise ValueError(f"matrix shape {mat.shape} does not match expected {expected}")
     return np.ascontiguousarray(np.moveaxis(mat.reshape([dims[mode]] + rest), 0, mode))
+
+
+def stack_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Concatenate two tensors along the last (sample) mode."""
+    if a.ndim != b.ndim or a.shape[:-1] != b.shape[:-1]:
+        raise ValueError(f"leading dims mismatch: {a.shape} vs {b.shape}")
+    return np.concatenate([a, b], axis=-1)
+
+
+def class_subproblem(x: np.ndarray, y: np.ndarray) -> ClassSubproblem:
+    """The class subproblem of source residuals ``x`` and target residuals ``y``."""
+    return ClassSubproblem(stack_last(x, y), x.shape[-1])
+
+
+def domain_residual(tensor_set: LabeledTensorSet, c: int, domain_codes, factors):
+    """Class-``c`` samples minus their domain-dictionary reconstruction."""
+    idx = tensor_set.class_indices(c)
+    return _gather(tensor_set.samples, idx) - dict_apply(_gather(domain_codes, idx), factors)
 
 
 def class_residuals(tensor_set: LabeledTensorSet, codes_by_class, dicts_by_class):
@@ -149,9 +167,9 @@ def compute_codes(
     b0 = dict_project(target_selected.samples, model.u_target)
     a_class, b_class = [], []
     for c in range(1, model.class_count + 1):
-        x_tilde = _domain_residual(source, c, a0, model.u_source)
+        x_tilde = domain_residual(source, c, a0, model.u_source)
         a_class.append(dict_project(x_tilde, model.w_class[c - 1]))
-        y_tilde = _domain_residual(target_selected, c, b0, model.u_target)
+        y_tilde = domain_residual(target_selected, c, b0, model.u_target)
         b_class.append(dict_project(y_tilde, model.w_class[c - 1]))
     codes = SdtdlCodes(a0=a0, b0=b0, a_class=a_class, b_class=b_class)
     _refresh_means(model, codes)

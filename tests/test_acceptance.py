@@ -25,7 +25,6 @@ from sdtdl.dataio import SyntheticSpec, generate_synthetic
 from sdtdl.hooi import hooi, hosvd
 from sdtdl.pseudolabel import _softmax_rows, predict, select, selection_count
 from sdtdl.solver import (
-    ClassSubproblem,
     Hyperparams,
     fit,
     nearest_centroid_labels,
@@ -38,10 +37,16 @@ from sdtdl.tensor import (
     dict_project,
     frobenius_norm,
     mode_product,
-    stack_last,
 )
 
-from oracles import build_phi, compute_codes, mode_flatten, objective
+from oracles import (
+    build_phi,
+    class_subproblem,
+    compute_codes,
+    mode_flatten,
+    objective,
+    stack_last,
+)
 
 
 def rand_orth(rng, n, k):
@@ -142,7 +147,7 @@ def test_criterion_3_class_update_optimality_oracle():
         x = rng.standard_normal(dims + (n_s,))
         y = rng.standard_normal(dims + (n_t,))
         phi = build_phi(n_s, n_t, theta, lam)
-        sub = ClassSubproblem(x_tilde=x, y_tilde=y)
+        sub = class_subproblem(x, y)
         objectives = {
             "eigen-phi": lambda w: _phi_objective(x, y, w, phi),
             "exact": lambda w: _class_objective(x, y, w, theta, lam),

@@ -1,11 +1,15 @@
 import json
 import os
+import pathlib
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from sdtdl import dataio, solver
+import sdtdl
+from sdtdl import dataio, jobs, solver
 from sdtdl.cli import build_parser, main, read_predictions
 from sdtdl.hooi import hooi
 
@@ -443,18 +447,20 @@ class TestFitPredict:
         assert "do not match" in err
 
 
+    # workers None: the package's own rule on 3 cores, pooled where a BLAS
+    # thread setter is found; 1: every job on the calling thread
     @pytest.mark.parametrize(
-        "threads,failing",
+        "workers,failing",
         [
             pytest.param(None, "update_class_dict", id="None"),
-            pytest.param("1", "update_class_dict", id="1"),
+            pytest.param(1, "update_class_dict", id="1"),
             (None, "update_domain_source"),
-            ("1", "update_domain_source"),
+            (1, "update_domain_source"),
             (None, "predict_labels"),
-            ("1", "predict_labels"),
+            (1, "predict_labels"),
         ],
     )
-    def test_failing_class_job_exits_4(self, tmp_path, capsys, monkeypatch, threads, failing):
+    def test_failing_class_job_exits_4(self, tmp_path, capsys, monkeypatch, workers, failing):
         d = synth_dir(tmp_path, capsys)
         # keep 6 of class 2's 10 source samples, so its job is the one with 6
         labels = dataio.read_labels(d / "source_labels.txt")
@@ -464,7 +470,7 @@ class TestFitPredict:
         original = getattr(solver, failing)
 
         def class_update(sub, *args, **kwargs):
-            if sub.x_tilde.shape[-1] == 6:
+            if sub.n_s == 6:
                 raise np.linalg.LinAlgError("class 2 failed")
             return original(sub, *args, **kwargs)
 
@@ -475,16 +481,44 @@ class TestFitPredict:
 
         wrapper = class_update if failing == "update_class_dict" else first_call_fails
         monkeypatch.setattr(solver, failing, wrapper)
-        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        if threads is not None:
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        if workers is not None:
+            monkeypatch.setattr(jobs, "_class_workers", lambda count: workers)
         code, _, err = run(capsys, *fit_args(d, tmp_path / "out"))
         assert code == 4
         message = "class 2" if failing == "update_class_dict" else failing
         assert f"numeric error: {message} failed" in err
         assert not (tmp_path / "out" / "model.stdm").exists()
+
+    def test_written_files_do_not_depend_on_the_blas_thread_variables(self, tmp_path, capsys):
+        # 2 classes of 400 4x4 samples per domain: a domain residual holds
+        # 12,800 entries, past the 10,000 from which OpenBLAS splits a dot
+        # product over its threads. Its norm enters the history objective,
+        # so a fit that ran BLAS on 2 threads wrote another history.csv.
+        d = synth_dir(
+            tmp_path, capsys, classes=2, dims="4,4", ranks="2,2", n_source=400, n_target=400,
+            noise=0.1, seed=3,
+        )
+        src = str(pathlib.Path(sdtdl.__file__).resolve().parents[1])
+        blas_vars = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+        written = {}
+        for threads in ("1", "2", None):
+            env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"out-{threads}"
+            done = subprocess.run(
+                [sys.executable, "-m", "sdtdl.cli", *fit_args(d, out)],
+                env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            written[threads] = {
+                name: (out / name).read_bytes()
+                for name in ("model.stdm", "predictions.txt", "history.csv")
+            }
+        assert written["2"] == written["1"]
+        assert written[None] == written["1"]
 
 
 class TestEval:
@@ -604,6 +638,24 @@ class TestBaseline:
         )
         assert code == 0, err
         assert json.loads(stdout) == {"labels": [], "accuracy": None}
+
+    # a 2x8 target has as many entries as a 4x4 source, a 5x5 one has more;
+    # both are rejected by name, as fit rejects them
+    @pytest.mark.parametrize("dims", [(2, 8), (5, 5)])
+    def test_sample_dims_mismatch(self, tmp_path, capsys, dims):
+        rng = np.random.default_rng(3)
+        dataio.write_tensor(tmp_path / "s.stdl", rng.standard_normal((4, 4, 6)))
+        dataio.write_labels(tmp_path / "sl.txt", [1, 1, 2, 2, 3, 3])
+        dataio.write_tensor(tmp_path / "t.stdl", rng.standard_normal(dims + (3,)))
+        code, stdout, err = run(
+            capsys, "baseline",
+            "--source", str(tmp_path / "s.stdl"),
+            "--source-labels", str(tmp_path / "sl.txt"),
+            "--target", str(tmp_path / "t.stdl"),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "source and target sample dims differ" in err
 
     @pytest.mark.parametrize("n_truth", [1, 31])
     def test_truth_count_mismatch(self, tmp_path, capsys, n_truth):

@@ -30,7 +30,7 @@ def test_one_tree_against_itself_reports_no_change(tmp_path):
         "--n-target", "6", "--noise", "0.05", "--shift", "0.3", "--out", data,
     ]) == 0
     src = os.path.join(ROOT, "src")
-    # one BLAS thread: the fits run their threaded paths on a multi-core machine
+    # one BLAS thread variable set, which the report records
     env = {k: v for k, v in os.environ.items() if k not in compare_fits.BLAS_VARS}
     env["OPENBLAS_NUM_THREADS"] = "1"
     done = subprocess.run(

@@ -308,7 +308,7 @@ class TestSweep:
         for _ in range(sweeps):
             sweep(z_phi, want, ranks)
         got, a_c, b_c = update_class_dict(
-            ClassSubproblem(x_tilde=x, y_tilde=y),
+            ClassSubproblem(t, n_s),
             ranks,
             sweeps,
             "eigen-phi",
@@ -368,7 +368,7 @@ class TestSweep:
                 assert len(calls) == len(res.fit_history) * per_sweep + 1
 
         # the class update: the same sweep, inner_sweeps times
-        sub = ClassSubproblem(x_tilde=t[..., :2], y_tilde=t[..., 2:])
+        sub = ClassSubproblem(t, 2)
         for method in ("eigen-phi", "exact"):
             calls.clear()
             update_class_dict(sub, ranks, 5, method=method, theta=2.0, lam=0.1, w_init=factors)

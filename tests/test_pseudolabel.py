@@ -339,21 +339,42 @@ class TestProbabilityMatrices:
         assert pl.labels.shape == (0,) and pl.selected.shape == (0,)
         assert pl.fidelity_probs.shape == (0, 3)
 
-    def test_peak_memory_under_half_the_target(self):
-        # the pass holds one block of samples at a time (its copy, and its
-        # reconstruction turned into the residual in place) plus the N x C
-        # matrices, never a samples-sized array
+    @staticmethod
+    def pass_peak(workers):
+        """Traced peak bytes of one pass over 5,000 16x16 targets (10 blocks
+        of 1 MiB) on ``workers`` threads, and the target's bytes."""
         rng = np.random.default_rng(13)
         model = make_model(rng, dims=(16, 16), ranks=(4, 4), C=5)
         target = LabeledTensorSet(samples=rng.standard_normal((16, 16, 5000)), class_count=5)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            predict_labels(target, model, 0.25, 0.8)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.5 * target.samples.nbytes, peak / target.samples.nbytes
+        with mock.patch.object(jobs, "_class_workers", lambda count: min(count, workers)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                predict_labels(target, model, 0.25, 0.8)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        return peak, target.samples.nbytes
+
+    def test_peak_memory_under_half_the_target(self):
+        # on one thread the pass holds one block of samples at a time (its
+        # copy, and its reconstruction turned into the residual in place)
+        # plus the N x C matrices, never a samples-sized array
+        peak, nbytes = self.pass_peak(1)
+        assert peak < 0.5 * nbytes, peak / nbytes
+
+    def test_peak_memory_with_a_block_per_worker(self):
+        # on two threads two blocks can be live at once, one per worker.
+        # A live block of B bytes holds its copy (B), its reconstruction,
+        # which becomes its residual in place (B), and, while that is
+        # formed, the product before the last mode's (B * 4/16 at rank 4 of
+        # 16), then per class its codes (B / 16) and norms: under 3B. The
+        # pass adds the two N x C matrices the blocks fill. So the peak
+        # stays under 2 * 3 MiB + 2 * N * C * 8 bytes, about 0.65 of the
+        # target's 10.24 MB, where one samples-sized array would exceed it.
+        peak, nbytes = self.pass_peak(2)
+        bound = 2 * 3 * pseudolabel._BLOCK_BYTES + 2 * 5000 * 5 * 8
+        assert peak < bound, (peak / bound, peak / nbytes)
 
 
 class TestBlockInvariance:

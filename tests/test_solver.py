@@ -36,14 +36,17 @@ from sdtdl.solver import (
     update_domain_source,
     update_domain_target,
 )
-from sdtdl.tensor import frobenius_norm, mode_product, stack_last
+from sdtdl.tensor import frobenius_norm, mode_product
 
 from oracles import (
     build_phi,
     class_residuals,
+    class_subproblem,
     class_update_quadratic_form,
     compute_codes,
+    domain_residual,
     objective,
+    stack_last,
 )
 
 
@@ -246,10 +249,6 @@ class TestSampleOperator:
             scale = mode_product(np.abs(z), np.abs(m), z.ndim - 1)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
-            # in place, the same arithmetic gives the same bits
-            inplace = z.copy()
-            structured(n_s, n_t, theta, lam).apply(inplace, out=inplace)
-            assert np.array_equal(inplace, got)
 
 
 def zero_model(dims, ranks, C, hyper):
@@ -363,7 +362,7 @@ class TestUpdateClassDict:
         x = rng.standard_normal((4, 4, 3))
         y = rng.standard_normal((4, 4, 2))
         sweeps = 6
-        sub = ClassSubproblem(x_tilde=x, y_tilde=y)
+        sub = class_subproblem(x, y)
         w, a_c, b_c = update_class_dict(sub, (2, 2), sweeps, "eigen-phi", theta=1.0, lam=0.0)
         ref = hooi(stack_last(x, y), (2, 2), skip_last=True, max_sweeps=sweeps, tol=1e-300)
         for wm, um in zip(w, ref.factors):
@@ -374,7 +373,7 @@ class TestUpdateClassDict:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((3, 3, 3))
         y = rng.standard_normal((3, 3, 2))
-        sub = ClassSubproblem(x_tilde=x, y_tilde=y)
+        sub = class_subproblem(x, y)
         w, a_c, b_c = update_class_dict(sub, (3, 3), 3, "eigen-phi", theta=1.5, lam=0.2)
         for wm in w:
             assert np.max(np.abs(wm.T @ wm - np.eye(3))) <= 1e-8
@@ -382,7 +381,7 @@ class TestUpdateClassDict:
         assert frobenius_norm(y - apply_dict(b_c, w)) <= 1e-10 * max(1, frobenius_norm(y))
 
     def test_rank_exceeds_extent(self):
-        sub = ClassSubproblem(x_tilde=np.zeros((2, 2, 2)), y_tilde=np.zeros((2, 2, 1)))
+        sub = ClassSubproblem(np.zeros((2, 2, 3)), 2)
         with pytest.raises(ValueError, match="out of range"):
             update_class_dict(sub, (3, 2), 1, "eigen-phi", theta=1.0, lam=0.0)
 
@@ -401,7 +400,7 @@ class TestUpdateClassDict:
         x = rng.standard_normal((3, 3, 3))
         y = rng.standard_normal((3, 3, 2))
         theta, lam = 2.0, 0.6
-        sub = ClassSubproblem(x_tilde=x, y_tilde=y)
+        sub = class_subproblem(x, y)
         w, _, _ = update_class_dict(sub, (2, 2), 30, method="exact", theta=theta, lam=lam)
         val = self.class_objective(x, y, w, theta, lam)
         best = min(
@@ -420,14 +419,14 @@ class TestUpdateClassDict:
         x = rng.standard_normal((4, 3, 3))
         y = rng.standard_normal((4, 3, 2))
         theta = 2.5
-        sub = ClassSubproblem(x_tilde=x, y_tilde=y)
+        sub = class_subproblem(x, y)
         w_eig, _, _ = update_class_dict(sub, (2, 2), sweeps, "eigen-phi", theta=theta, lam=0.0)
         w_ex, _, _ = update_class_dict(sub, (2, 2), sweeps, method="exact", theta=theta, lam=0.0)
         for we, wx in zip(w_eig, w_ex):
             assert np.max(np.abs(we - wx)) <= 1e-10
 
     def test_unknown_method(self):
-        sub = ClassSubproblem(x_tilde=np.zeros((2, 2, 1)), y_tilde=np.zeros((2, 2, 1)))
+        sub = ClassSubproblem(np.zeros((2, 2, 2)), 1)
         with pytest.raises(ValueError, match="unknown"):
             update_class_dict(sub, (1, 1), 1, method="bogus", theta=1.0, lam=0.0)
 
@@ -539,6 +538,24 @@ class TestBlockPass:
             run_block_updates(source, selected, model, codes)
             after = objective(model, source, selected, codes)
             assert after <= before + 1e-8 * abs(before)
+
+    @pytest.mark.parametrize("route", ["eigen-phi", "exact"])
+    def test_class_stack_is_the_stacked_domain_residuals(self, route):
+        model, source, selected, codes = make_fitted_state(seed=2)
+        hyper = model.hyper
+        for c in range(1, model.class_count + 1):
+            x = domain_residual(source, c, codes.a0, model.u_source)
+            y = domain_residual(selected, c, codes.b0, model.u_target)
+            sub = S._class_stack(source, selected, c, model, codes)
+            assert sub.n_s == x.shape[-1]
+            assert np.array_equal(sub.z, stack_last(x, y))
+            # the codes of both domains come from one projection of the stack
+            w, a_c, b_c = update_class_dict(
+                sub, hyper.ranks, 3, route, hyper.theta, hyper.lam, w_init=model.w_class[c - 1]
+            )
+            assert a_c.flags.c_contiguous and b_c.flags.c_contiguous
+            assert np.allclose(a_c, project_dict(x, w), rtol=0, atol=1e-12)
+            assert np.allclose(b_c, project_dict(y, w), rtol=0, atol=1e-12)
 
     def test_empty_selected_class_fallback(self):
         model, source, selected, codes = make_fitted_state(seed=3)
@@ -680,16 +697,16 @@ class TestFit:
 
     @pytest.mark.parametrize("route", ["eigen-phi", "exact"])
     @pytest.mark.parametrize(
-        "lam,threads",
+        "lam,workers",
         [
-            pytest.param(0.1, {}, id="0.1"),
-            pytest.param(1.0, {}, id="1.0"),
-            pytest.param(0.1, {"OPENBLAS_NUM_THREADS": "1"}, id="0.1-pooled"),
-            pytest.param(1.0, {"OPENBLAS_NUM_THREADS": "1"}, id="1.0-pooled"),
+            pytest.param(0.1, 1, id="0.1"),
+            pytest.param(1.0, 1, id="1.0"),
+            pytest.param(0.1, 4, id="0.1-pooled"),
+            pytest.param(1.0, 4, id="1.0-pooled"),
         ],
     )
     def test_history_objective_is_the_oracle_without_calling_it(
-        self, route, lam, threads, monkeypatch
+        self, route, lam, workers, monkeypatch
     ):
         def forbidden(*args):
             raise AssertionError("fit reconstructed the samples to report the objective")
@@ -717,7 +734,7 @@ class TestFit:
 
         monkeypatch.setattr(S, "update_domain_source", source_update)
         monkeypatch.setattr(S, "update_domain_target", target_update)
-        blas_env(monkeypatch, 4, **threads)
+        pool_of(monkeypatch, workers)
         source, target, truth = interleaved_problem(seed=4)
         hyper = Hyperparams(ranks=(2, 2), theta=2.0, lam=lam, max_outer_iters=4)
         _, _, history = fit(source, target, hyper, truth=truth, class_update=route)
@@ -911,12 +928,19 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"
 
 def blas_env(monkeypatch, cores, **threads):
     """Run on ``cores`` cores with the BLAS thread variables ``threads`` set
-    and the others unset."""
+    and the others unset, and with a BLAS thread setter found."""
     for var in BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in threads.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(J, "_blas_controls", lambda: (lambda: 1, lambda n: None))
+
+
+def pool_of(monkeypatch, workers):
+    """Run jobs on ``workers`` threads, at most one per job: serially with
+    one worker."""
+    monkeypatch.setattr(J, "_class_workers", lambda count: max(1, min(count, workers)))
 
 
 def unequal_problem(dims, ranks, seed=5):
@@ -940,23 +964,32 @@ def unequal_problem(dims, ranks, seed=5):
 
 
 class TestClassPool:
+    # BLAS is held at one thread while jobs run, so it leaves every core
+    # free: one worker per core, whatever the BLAS thread variables say
     @pytest.mark.parametrize(
         "threads,cores,count,want",
         [
-            ({}, 2, 5, 1),
+            ({}, 2, 5, 2),
             ({"OPENBLAS_NUM_THREADS": "1"}, 2, 5, 2),
-            ({"OPENBLAS_NUM_THREADS": "2"}, 2, 5, 1),
-            ({"OPENBLAS_NUM_THREADS": "3"}, 2, 5, 1),
-            ({"OPENBLAS_NUM_THREADS": "many"}, 2, 5, 1),
-            ({"OPENBLAS_NUM_THREADS": "0"}, 2, 5, 1),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 2, 5, 2),
+            ({"OPENBLAS_NUM_THREADS": "3"}, 2, 5, 2),
+            ({"OPENBLAS_NUM_THREADS": "many"}, 2, 5, 2),
+            ({"OPENBLAS_NUM_THREADS": "0"}, 2, 5, 2),
             ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 5, 2),
-            ({"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 5, 2),
+            ({"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 5, 4),
             ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3, 3),
         ],
     )
     def test_workers_are_the_cores_blas_leaves_free(self, threads, cores, count, want, monkeypatch):
         blas_env(monkeypatch, cores, **threads)
         assert J._class_workers(count) == want
+
+    @pytest.mark.parametrize("threads", [{}, {"OPENBLAS_NUM_THREADS": "1"}])
+    def test_one_worker_without_a_blas_thread_setter(self, threads, monkeypatch):
+        # BLAS may already run on every core, and nothing can hold it at one
+        blas_env(monkeypatch, 4, **threads)
+        monkeypatch.setattr(J, "_blas_controls", lambda: None)
+        assert J._class_workers(5) == 1
 
     def test_workers_without_an_affinity_call(self, monkeypatch):
         blas_env(monkeypatch, 2, OMP_NUM_THREADS="1")
@@ -966,7 +999,7 @@ class TestClassPool:
 
     def test_every_thread_takes_jobs_and_results_keep_class_order(self, monkeypatch):
         workers, count = 4, 40
-        blas_env(monkeypatch, workers, OPENBLAS_NUM_THREADS="1")
+        pool_of(monkeypatch, workers)
         # the first four jobs wait for each other, so four threads run them
         barrier = threading.Barrier(workers, timeout=30)
         runs, threads = [0] * (count + 1), set()
@@ -989,7 +1022,7 @@ class TestClassPool:
         assert threading.get_ident() in threads and len(threads) == workers
 
     def test_an_error_in_a_pool_thread_reaches_the_caller(self, monkeypatch):
-        blas_env(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+        pool_of(monkeypatch, 2)
         caller = threading.get_ident()
         barrier = threading.Barrier(2, timeout=30)
         started = []
@@ -1008,7 +1041,7 @@ class TestClassPool:
         assert len(started) < 100  # no job starts after the failure
 
     def test_a_job_runs_nested_jobs_on_its_own_thread(self, monkeypatch):
-        blas_env(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+        pool_of(monkeypatch, 2)
         pools = []
 
         def pool(n):
@@ -1062,10 +1095,10 @@ class TestClassPool:
         monkeypatch.setattr(pseudolabel, "_sample_sq_norms", recorded)
         # blocks of 2 samples: 12 or more blocks per pass
         monkeypatch.setattr(pseudolabel, "_BLOCK_BYTES", 2 * 6 * 5 * 8)
-        blas_env(monkeypatch, 4)
+        pool_of(monkeypatch, 1)
         serial = fit(source, target, hyper, truth=truth)
         assert pools == [] and all(len(p) == 1 for p in passes)
-        blas_env(monkeypatch, 4, OPENBLAS_NUM_THREADS="1")
+        pool_of(monkeypatch, 4)
         passes.clear()
         model, pl, history = fit(source, target, hyper, truth=truth)
 
@@ -1087,29 +1120,21 @@ class TestClassPool:
         assert all(np.array_equal(a, b) for a, b in zip(factors(serial[0]), factors(model)))
 
     @pytest.mark.parametrize(
-        "threads,failing,message",
+        "workers,failing,message",
         [
-            pytest.param({}, "update_class_dict", "class 2 failed", id="threads0"),
-            pytest.param(
-                {"OPENBLAS_NUM_THREADS": "1"}, "update_class_dict", "class 2 failed", id="threads1"
-            ),
-            pytest.param({}, "update_domain_source", "source update failed", id="serial-source"),
-            pytest.param(
-                {"OPENBLAS_NUM_THREADS": "1"}, "update_domain_source", "source update failed",
-                id="pooled-source",
-            ),
-            pytest.param({}, "predict_labels", "prediction pass failed", id="serial-pass"),
-            pytest.param(
-                {"OPENBLAS_NUM_THREADS": "1"}, "predict_labels", "prediction pass failed",
-                id="pooled-pass",
-            ),
+            pytest.param(1, "update_class_dict", "class 2 failed", id="threads0"),
+            pytest.param(4, "update_class_dict", "class 2 failed", id="threads1"),
+            pytest.param(1, "update_domain_source", "source update failed", id="serial-source"),
+            pytest.param(4, "update_domain_source", "source update failed", id="pooled-source"),
+            pytest.param(1, "predict_labels", "prediction pass failed", id="serial-pass"),
+            pytest.param(4, "predict_labels", "prediction pass failed", id="pooled-pass"),
         ],
     )
     def test_a_failing_class_job_reaches_fit_with_its_type(
-        self, threads, failing, message, monkeypatch
+        self, workers, failing, message, monkeypatch
     ):
         source, target, truth = unequal_problem((6, 5), (2, 2))
-        pooled = bool(threads)
+        pooled = workers > 1
         update, update_source, predict = (
             S.update_class_dict, S.update_domain_source, S.predict_labels
         )
@@ -1118,7 +1143,7 @@ class TestClassPool:
         pair_started = threading.Event()
 
         def class_update(sub, *args, **kwargs):
-            if failing == "update_class_dict" and sub.x_tilde.shape[-1] == 6:
+            if failing == "update_class_dict" and sub.n_s == 6:
                 raise np.linalg.LinAlgError(message)
             return update(sub, *args, **kwargs)
 
@@ -1146,7 +1171,7 @@ class TestClassPool:
         monkeypatch.setattr(S, "update_class_dict", class_update)
         monkeypatch.setattr(S, "update_domain_source", source_update)
         monkeypatch.setattr(S, "predict_labels", prediction)
-        blas_env(monkeypatch, 4, **threads)
+        pool_of(monkeypatch, workers)
         hyper = Hyperparams(ranks=(2, 2), theta=2.0, lam=0.1, delta=0.8, max_outer_iters=3)
         with pytest.raises(np.linalg.LinAlgError, match=message):
             fit(source, target, hyper, truth=truth)
@@ -1191,10 +1216,10 @@ class TestClassPool:
         monkeypatch.setattr(J, "ThreadPoolExecutor", pool)
         monkeypatch.setattr(S, "predict_labels", prediction)
         monkeypatch.setattr(S, "update_domain_source", source_update)
-        blas_env(monkeypatch, 4)
+        pool_of(monkeypatch, 1)
         serial = fit(source, target, hyper, truth=truth, class_update=route)
         assert pools == []
-        blas_env(monkeypatch, 4, OPENBLAS_NUM_THREADS="1")
+        pool_of(monkeypatch, 4)
         pass_threads.clear()
         source_threads.clear()
         pooled = fit(source, target, hyper, truth=truth, class_update=route)
@@ -1229,6 +1254,122 @@ class TestClassPool:
             [r.objective for r in h1], [r.objective for r in h2], equal_nan=True
         )
         assert [(r.n_selected, r.accuracy) for r in h1] == [(r.n_selected, r.accuracy) for r in h2]
+
+
+class TestOneBlasThread:
+    """``fit`` and ``predict_labels`` hold the loaded BLAS at one thread
+    while they run, and give the caller's thread count back."""
+
+    CALLER = 3  # a count that neither BLAS's default nor the hold sets
+
+    @pytest.fixture
+    def blas_threads(self):
+        controls = J._blas_controls()
+        if controls is None:
+            pytest.skip("no BLAS thread setter is loaded")
+        get, set_ = controls
+        before = get()
+        set_(self.CALLER)
+        try:
+            yield get
+        finally:
+            set_(before)
+
+    def test_jobs_see_one_thread_and_the_callers_count_comes_back(
+        self, blas_threads, monkeypatch
+    ):
+        source, target, truth = unequal_problem((6, 5), (2, 2))
+        hyper = Hyperparams(ranks=(2, 2), theta=2.0, lam=0.1, delta=0.8, max_outer_iters=3)
+        update, norms = S.update_class_dict, pseudolabel._sample_sq_norms
+        seen = {"class": [], "pass": []}
+
+        def class_update(*args, **kwargs):
+            seen["class"].append(blas_threads())
+            return update(*args, **kwargs)
+
+        def recorded(t):
+            seen["pass"].append(blas_threads())
+            return norms(t)
+
+        monkeypatch.setattr(S, "update_class_dict", class_update)
+        monkeypatch.setattr(pseudolabel, "_sample_sq_norms", recorded)
+        # blocks of 2 samples, so that passes run their blocks as jobs too
+        monkeypatch.setattr(pseudolabel, "_BLOCK_BYTES", 2 * 6 * 5 * 8)
+        pool_of(monkeypatch, 2)
+        model, _, _ = fit(source, target, hyper, truth=truth)
+        # the class jobs, and the passes beside source updates and alone
+        assert seen["class"] and set(seen["class"]) == {1}
+        assert seen["pass"] and set(seen["pass"]) == {1}
+        assert blas_threads() == self.CALLER
+
+        seen["pass"].clear()
+        pseudolabel.predict_labels(target, model, 0.25, 0.8)
+        assert seen["pass"] and set(seen["pass"]) == {1}
+        assert blas_threads() == self.CALLER
+
+    @pytest.mark.parametrize("failing", ["update_class_dict", "predict_labels"])
+    def test_the_callers_count_comes_back_when_a_job_raises(
+        self, blas_threads, failing, monkeypatch
+    ):
+        source, target, truth = unequal_problem((6, 5), (2, 2))
+        hyper = Hyperparams(ranks=(2, 2), theta=2.0, lam=0.1, delta=0.8, max_outer_iters=3)
+
+        def failing_job(*args, **kwargs):
+            assert blas_threads() == 1
+            raise np.linalg.LinAlgError("job failed")
+
+        pool_of(monkeypatch, 2)
+        if failing == "update_class_dict":
+            monkeypatch.setattr(S, "update_class_dict", failing_job)
+            with pytest.raises(np.linalg.LinAlgError, match="job failed"):
+                fit(source, target, hyper, truth=truth)
+        else:
+            model, _, _ = fit(source, target, hyper, truth=truth)
+            monkeypatch.setattr(pseudolabel, "_BLOCK_BYTES", 2 * 6 * 5 * 8)
+            monkeypatch.setattr(pseudolabel, "dict_project", failing_job)
+            with pytest.raises(np.linalg.LinAlgError, match="job failed"):
+                pseudolabel.predict_labels(target, model, 0.25, 0.8)
+        assert blas_threads() == self.CALLER
+
+
+    def test_overlapping_holds_share_one_count(self, monkeypatch):
+        # a counter stands in for the library: eight threads enter and leave
+        # holds at once, some nested, and every body sees one thread
+        count, sets, bad = [self.CALLER], [], []
+
+        def set_(n):
+            sets.append(n)
+            count[0] = n
+
+        monkeypatch.setattr(J, "_blas_controls", lambda: (lambda: count[0], set_))
+
+        def body():
+            if count[0] != 1:
+                bad.append(count[0])
+
+        def worker():
+            for k in range(200):
+                with J._one_blas_thread():
+                    if k % 3 == 0:
+                        with J._one_blas_thread():
+                            body()
+                    body()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+        assert count[0] == self.CALLER
+        # each set to one is undone by one set back, and none is nested
+        assert sets == [1, self.CALLER] * (len(sets) // 2)
 
 
 class TestBaseline:

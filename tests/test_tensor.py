@@ -11,10 +11,9 @@ from sdtdl.tensor import (
     mode_gram,
     mode_product,
     require_orthonormal,
-    stack_last,
 )
 
-from oracles import mode_flatten, mode_unflatten
+from oracles import mode_flatten, mode_unflatten, stack_last
 
 
 def rand_orth(rng, n, k):

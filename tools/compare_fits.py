@@ -16,12 +16,14 @@ the largest confidence change, the largest projector change
 ``||U U^T - V V^T||_2`` over every factor matrix, and the largest relative
 change of a history objective. Each line, and a last line with the maxima
 and whether every file was identical, also gives the BLAS thread variables
-the fits ran under (``blas_threads``, null where unset): with no BLAS
-thread count set, ``sdtdl`` runs its class work, its source update and
-the blocks of its prediction passes on one thread, so a report from such
-a run does not exercise the threaded paths. The exit code is 0 when every comparison is
-within the tolerances, 1 when one is not, 2 on a usage error or a fit that
-failed; it does not depend on byte identity.
+the fits ran under (``blas_threads``, null where unset). Whatever they
+say, ``sdtdl`` holds BLAS at one thread while it fits and runs its class
+work, its source update and the blocks of its prediction passes on one
+thread per core, so its written files do not depend on them. A tree from
+before that rule ran BLAS on the threads they name, and its history
+objectives may round differently under each setting. The exit code is 0
+when every comparison is within the tolerances, 1 when one is not, 2 on a
+usage error or a fit that failed; it does not depend on byte identity.
 """
 
 from __future__ import annotations
