@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import dataio, pseudolabel, solver
+from . import dataio, jobs, pseudolabel, solver
 from .dataio import TensorFileError
 from .hooi import hooi
 from .solver import CLASS_UPDATES, Hyperparams, LabeledTensorSet
@@ -27,7 +27,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 # defaults of the fit options whose flags have none, so that a config can set them
-_DEFAULTS = {"class_update": "eigen-phi", "out": "."}
+_DEFAULTS = {"class_update": CLASS_UPDATES[0], "out": "."}
 
 
 class ConfigError(ValueError):
@@ -115,6 +115,8 @@ def write_predictions(path, pl: pseudolabel.PseudoLabels) -> None:
 
 
 def read_predictions(path):
+    """The labels and confidences of a prediction file. Each row's index
+    must be its 0-based row number."""
     with open(path) as fh:
         header = fh.readline()
         if header.strip() != "index,label,confidence":
@@ -124,12 +126,15 @@ def read_predictions(path):
             if not line.strip():
                 continue
             try:
-                _, label, conf = line.strip().split(",")
-                rows.append((int(label), float(conf)))
+                index, label, conf = line.strip().split(",")
+                index, label, conf = int(index), int(label), float(conf)
             except ValueError as exc:
                 raise ValueError(
                     f"{path}:{lineno}: expected index,label,confidence, got {line.strip()!r}"
                 ) from exc
+            if index != len(rows):
+                raise ValueError(f"{path}:{lineno}: index {index}, expected {len(rows)}")
+            rows.append((label, conf))
     labels = np.array([r[0] for r in rows], dtype=np.int64)
     conf = np.array([r[1] for r in rows], dtype=np.float64)
     return labels, conf
@@ -148,14 +153,8 @@ def _load_problem(args):
     src_path = _require_file(args.source, "--source")
     lab_path = _require_file(args.source_labels, "--source-labels")
     samples = dataio.read_tensor(src_path)
-    labels = dataio.read_labels(lab_path)
-    if labels.size == 0:
-        raise ConfigError(f"no labels in {lab_path}")
-    source = LabeledTensorSet(samples=samples, class_count=int(labels.max()), labels=labels)
-    tgt_path = _require_file(args.target, "--target")
-    target = LabeledTensorSet(
-        samples=dataio.read_tensor(tgt_path), class_count=source.class_count
-    )
+    source = LabeledTensorSet(samples=samples, labels=dataio.read_labels(lab_path))
+    target = LabeledTensorSet(samples=dataio.read_tensor(_require_file(args.target, "--target")))
     truth = None
     if args.truth is not None:
         truth = dataio.read_labels(_require_file(args.truth, "--truth"))
@@ -198,12 +197,8 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     model = dataio.load_model(_require_file(args.model, "--model"))
-    samples = dataio.read_tensor(_require_file(args.target, "--target"))
-    dims = tuple(u.shape[0] for u in model.u_source)
-    if samples.shape[:-1] != dims:
-        raise ConfigError(f"target dims {samples.shape[:-1]} do not match model dims {dims}")
-    target = LabeledTensorSet(samples=samples, class_count=model.class_count)
-    pl = pseudolabel.predict_labels(target, model, model.hyper.gamma, model.hyper.delta)
+    target = LabeledTensorSet(samples=dataio.read_tensor(_require_file(args.target, "--target")))
+    pl = pseudolabel.predict_labels(target, model)
     write_predictions(args.out, pl)
     return 0
 
@@ -245,12 +240,15 @@ def cmd_synth(args) -> int:
 
 def cmd_decompose(args) -> int:
     t = dataio.read_tensor(_require_file(args.input, "--input"))
-    res = hooi(t, _parse_ranks(args.ranks), max_sweeps=args.max_sweeps, tol=args.tol)
+    # BLAS held at one thread, as fit holds it: the written files then do
+    # not depend on the caller's BLAS thread setting
+    with jobs._one_blas_thread():
+        res = hooi(t, _parse_ranks(args.ranks), max_sweeps=args.max_sweeps, tol=args.tol)
+        err = float(np.linalg.norm((t - res.reconstruct()).ravel()))
     os.makedirs(args.out, exist_ok=True)
     dataio.write_tensor(os.path.join(args.out, "core.stdl"), res.core)
     for m, u in enumerate(res.factors):
         dataio.write_tensor(os.path.join(args.out, f"factor_{m}.stdl"), u)
-    err = float(np.linalg.norm((t - res.reconstruct()).ravel()))
     report = {"reconstruction_error": err, "fit_history": res.fit_history}
     with open(os.path.join(args.out, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2)
@@ -290,7 +288,7 @@ def _add_fit_options(p):
     p.add_argument("--inner-sweeps", dest="inner_sweeps", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--out")
-    p.add_argument("--class-update", choices=CLASS_UPDATES, help="default eigen-phi")
+    p.add_argument("--class-update", choices=CLASS_UPDATES, help=f"default {CLASS_UPDATES[0]}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -147,8 +147,6 @@ def _model_entries(model: SdtdlModel):
             entries.append((f"w/{c}/{m}", wm))
     for c, mean in enumerate(model.class_means_source):
         entries.append((f"mean_src/{c}", mean))
-    for c, mean in enumerate(model.class_means_target):
-        entries.append((f"mean_tgt/{c}", mean))
     return entries
 
 
@@ -234,7 +232,6 @@ def load_model(path) -> SdtdlModel:
         u_target=u_target,
         w_class=w_class,
         class_means_source=[entry(f"mean_src/{c}", ranks) for c in range(C)],
-        class_means_target=[entry(f"mean_tgt/{c}", ranks) for c in range(C)],
         hyper=hyper,
     )
     try:
@@ -371,6 +368,6 @@ def generate_synthetic(spec: SyntheticSpec):
     src_samples, src_labels = draw_domain(u_s, dom_mean_s, spec.n_source_per_class)
     tgt_samples, tgt_labels = draw_domain(u_t, dom_mean_t, spec.n_target_per_class)
 
-    source = LabeledTensorSet(samples=src_samples, class_count=C, labels=src_labels)
-    target = LabeledTensorSet(samples=tgt_samples, class_count=C)
+    source = LabeledTensorSet(samples=src_samples, labels=src_labels)
+    target = LabeledTensorSet(samples=tgt_samples)
     return source, target, tgt_labels

@@ -92,8 +92,11 @@ def centroid_probs(dists: np.ndarray) -> np.ndarray:
 
 
 @_one_blas_thread()
-def predict_labels(target, model, gamma: float, delta: float) -> PseudoLabels:
-    """One prediction pass: labels and selection of ``target`` under ``model``.
+def predict_labels(target, model) -> PseudoLabels:
+    """One prediction pass: labels and selection of ``target`` under ``model``,
+    with the mixing weight ``gamma`` and the selected share ``delta`` of
+    ``model.hyper``. The target samples must have the model's dims, the row
+    counts of its class dictionaries.
 
     The pass runs over blocks of at most ``_BLOCK_BYTES`` of target samples,
     each gathered C-contiguous so that its products stay in cache. A block's
@@ -112,6 +115,9 @@ def predict_labels(target, model, gamma: float, delta: float) -> PseudoLabels:
     result does not depend on the thread count.
     """
     y = target.samples
+    dims = tuple(w.shape[0] for w in model.w_class[0])
+    if y.shape[:-1] != dims:
+        raise ValueError(f"target dims {y.shape[:-1]} do not match model dims {dims}")
     n, c = y.shape[-1], len(model.w_class)
     errors, dists = np.empty((n, c)), np.empty((n, c))
     step = max(1, _BLOCK_BYTES // (math.prod(y.shape[:-1]) * y.itemsize))
@@ -130,7 +136,8 @@ def predict_labels(target, model, gamma: float, delta: float) -> PseudoLabels:
             dists[rows, ci] = _sample_sq_norms(k)
 
     _run_jobs([functools.partial(block_job, lo) for lo in range(0, n, step)])
-    return select(predict(fidelity_probs(errors), centroid_probs(dists), gamma), delta)
+    pl = predict(fidelity_probs(errors), centroid_probs(dists), model.hyper.gamma)
+    return select(pl, model.hyper.delta)
 
 
 def predict(fid: np.ndarray, cen: np.ndarray, gamma: float) -> PseudoLabels:

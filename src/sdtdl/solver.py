@@ -137,7 +137,6 @@ class LabeledTensorSet:
     """
 
     samples: np.ndarray
-    class_count: int
     labels: np.ndarray | None = None
 
     def __post_init__(self):
@@ -148,23 +147,25 @@ class LabeledTensorSet:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.samples.shape[-1],):
                 raise ValueError("label count does not match sample count")
-            if self.labels.size and (
-                self.labels.min() < 1 or self.labels.max() > self.class_count
-            ):
-                raise ValueError(f"labels must lie in 1..{self.class_count}")
+            if self.labels.size and self.labels.min() < 1:
+                raise ValueError("labels must be 1-based positive integers")
 
     @property
     def n_samples(self) -> int:
         return self.samples.shape[-1]
 
-    @property
-    def order(self) -> int:
-        return self.samples.ndim - 1
-
-    def class_indices(self, c: int) -> np.ndarray:
+    def _labeled(self) -> np.ndarray:
         if self.labels is None:
             raise ValueError("set is unlabeled")
-        return np.flatnonzero(self.labels == c)
+        return self.labels
+
+    @property
+    def class_count(self) -> int:
+        """The largest label, or 0 for a set with no samples."""
+        return int(self._labeled().max(initial=0))
+
+    def class_indices(self, c: int) -> np.ndarray:
+        return np.flatnonzero(self._labeled() == c)
 
     def class_samples(self, c: int) -> np.ndarray:
         return _gather(self.samples, self.class_indices(c))
@@ -176,7 +177,6 @@ class SdtdlModel:
     u_target: list | None  # M factor matrices, None before initialization
     w_class: list  # C lists of M factor matrices
     class_means_source: list  # C mean code tensors (ranks-shaped)
-    class_means_target: list  # C mean code tensors, zeros for empty classes
     hyper: Hyperparams
 
     @property
@@ -464,32 +464,32 @@ class FitHistoryRow:
 
 
 def _refresh_means(model: SdtdlModel, codes: SdtdlCodes) -> None:
-    """Set the model's class means from the class codes; a class with no
-    samples gets a zero mean."""
-
-    def means(codes_by_class):
-        return [
-            class_means(k) if k.shape[-1] else np.zeros(model.hyper.ranks)
-            for k in codes_by_class
-        ]
-
-    model.class_means_source = means(codes.a_class)
-    model.class_means_target = means(codes.b_class)
+    """Set the model's source class means, the ones prediction reads, from
+    the source class codes."""
+    model.class_means_source = [class_means(k) for k in codes.a_class]
 
 
 def _selected_set(target: LabeledTensorSet, pl) -> LabeledTensorSet:
-    """The selected targets, labeled; the class count is the pass's."""
+    """The selected targets, labeled."""
     idx = np.flatnonzero(pl.selected)
-    return LabeledTensorSet(
-        samples=_gather(target.samples, idx),
-        class_count=pl.fidelity_probs.shape[1],
-        labels=pl.labels[idx],
-    )
+    return LabeledTensorSet(samples=_gather(target.samples, idx), labels=pl.labels[idx])
 
 
 def _check_sample_dims(source: LabeledTensorSet, target: LabeledTensorSet) -> None:
     if source.samples.shape[:-1] != target.samples.shape[:-1]:
         raise ValueError("source and target sample dims differ")
+
+
+def _source_class_count(source: LabeledTensorSet) -> int:
+    """The class count, the source's largest label. The source must be
+    labeled and hold a sample of every class up to it."""
+    C = source.class_count
+    if C == 0:
+        raise ValueError("source has no samples")
+    counts = np.bincount(source.labels)[1:]
+    if not counts.all():
+        raise ValueError(f"source class {np.argmin(counts) + 1} has no samples")
+    return C
 
 
 def _accuracy(labels, truth) -> float:
@@ -502,7 +502,7 @@ def fit(
     target: LabeledTensorSet,
     hyper: Hyperparams,
     truth=None,
-    class_update: str = "eigen-phi",
+    class_update: str = CLASS_UPDATES[0],
 ):
     """Run the full alternating procedure.
 
@@ -517,9 +517,10 @@ def fit(
 
     Returns ``(model, pseudo_labels, history)``; ``truth``, one label per
     target sample, is used for accuracy reporting only. The class count is
-    the source's. Every argument is checked before any HOOI sweep. Each
-    history objective is read from the norms of the residuals and codes of
-    the domain updates that precede it, not by reconstructing the samples.
+    the source's largest label, and every class up to it must have source
+    samples. Every argument is checked before any HOOI sweep. Each history
+    objective is read from the norms of the residuals and codes of the
+    domain updates that precede it, not by reconstructing the samples.
     After at least one outer iteration the last history row records the
     final prediction pass alone, and its objective is NaN.
 
@@ -546,10 +547,7 @@ def fit(
         raise ValueError("target has no samples")
     if truth is not None and np.shape(truth) != (target.n_samples,):
         raise ValueError("truth must hold one label per target sample")
-    C = source.class_count
-    for c in range(1, C + 1):
-        if source.class_indices(c).size == 0:
-            raise ValueError(f"source class {c} has no samples")
+    C = _source_class_count(source)
 
     def history_row(iteration, pl, objective_value):
         return FitHistoryRow(
@@ -557,7 +555,7 @@ def fit(
         )
 
     def predict():
-        return predict_labels(target, model, hyper.gamma, hyper.delta)
+        return predict_labels(target, model)
 
     # --- init step 1: class dictionaries from raw class samples, then U_s
     def init_class(c):
@@ -571,13 +569,11 @@ def fit(
         u_target=None,
         w_class=list(w_class),
         class_means_source=[],
-        class_means_target=[],
         hyper=hyper,
     )
-    # no target is selected yet; the domain codes come from the HOOI calls below
-    codes = SdtdlCodes(
-        a0=None, b0=None, a_class=list(a_class), b_class=[np.zeros(hyper.ranks + (0,))] * C
-    )
+    # no target is selected yet; the domain codes come from the HOOI calls
+    # below, the target class codes from init step 3
+    codes = SdtdlCodes(a0=None, b0=None, a_class=list(a_class), b_class=None)
     _refresh_means(model, codes)
 
     # --- init step 2: predict target labels with the U_t contribution
@@ -592,7 +588,6 @@ def fit(
     codes.b_class = [
         dict_project(selected.class_samples(c), model.w_class[c - 1]) for c in range(1, C + 1)
     ]
-    _refresh_means(model, codes)
     model.u_target, codes.b0, fid_t = update_domain_target(selected, model, codes)
     # no later step reads this selection; freed here, it is not held through
     # the prediction passes, which set the fit's peak memory
@@ -629,9 +624,10 @@ def fit(
 def nearest_centroid_labels(source: LabeledTensorSet, target: LabeledTensorSet) -> np.ndarray:
     """No-adaptation baseline: each target sample gets the class of the
     nearest source class centroid in raw tensor space. Source and target
-    samples must have the same dims."""
+    samples must have the same dims, and every source class up to the
+    largest label must have samples, as :func:`fit` requires."""
     _check_sample_dims(source, target)
-    C = source.class_count
+    C = _source_class_count(source)
     y = target.samples
     centroids = np.stack(
         [source.class_samples(c).mean(axis=-1).ravel() for c in range(1, C + 1)]
@@ -650,7 +646,7 @@ def run_block_updates(
     selected: LabeledTensorSet,
     model: SdtdlModel,
     codes: SdtdlCodes,
-    class_update: str = "eigen-phi",
+    class_update: str = CLASS_UPDATES[0],
     *,
     _beside=None,
 ) -> float:

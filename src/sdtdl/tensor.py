@@ -95,7 +95,7 @@ def frobenius_norm(t: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(t).ravel()))
 
 
-def require_orthonormal(mat: np.ndarray, tol: float = ORTHO_TOL, name: str = "factor") -> np.ndarray:
+def require_orthonormal(mat: np.ndarray, name: str = "factor") -> np.ndarray:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[1] > mat.shape[0]:
         raise ValueError(f"{name} must be a tall matrix, got shape {mat.shape}")
@@ -103,6 +103,6 @@ def require_orthonormal(mat: np.ndarray, tol: float = ORTHO_TOL, name: str = "fa
     # check; the overflow is reported by this check, not by a warning
     with np.errstate(over="ignore", invalid="ignore"):
         off = np.max(np.abs(mat.T @ mat - np.eye(mat.shape[1])))
-    if not off <= tol:
-        raise ValueError(f"{name} columns are not orthonormal within {tol}")
+    if not off <= ORTHO_TOL:
+        raise ValueError(f"{name} columns are not orthonormal within {ORTHO_TOL}")
     return mat

@@ -4,6 +4,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -499,6 +500,11 @@ class TestFitPredict:
             tmp_path, capsys, classes=2, dims="4,4", ranks="2,2", n_source=400, n_target=400,
             noise=0.1, seed=3,
         )
+        # decompose on these 4x4x800 entries wrote other files under 2 threads
+        # before it held BLAS at one thread
+        dataio.write_tensor(
+            tmp_path / "t.stdl", np.random.default_rng(3).standard_normal((4, 4, 800))
+        )
         src = str(pathlib.Path(sdtdl.__file__).resolve().parents[1])
         blas_vars = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
         written = {}
@@ -508,17 +514,31 @@ class TestFitPredict:
                 env["OPENBLAS_NUM_THREADS"] = threads
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             out = tmp_path / f"out-{threads}"
-            done = subprocess.run(
-                [sys.executable, "-m", "sdtdl.cli", *fit_args(d, out)],
-                env=env, capture_output=True, text=True,
-            )
-            assert done.returncode == 0, done.stderr
+            for argv in [
+                fit_args(d, out),
+                # the model this setting saved
+                ["predict", "--model", str(out / "model.stdm"), "--target",
+                 str(d / "target.stdl"), "--out", str(out / "predicted.txt")],
+                ["decompose", "--input", str(tmp_path / "t.stdl"), "--ranks", "2,2,3",
+                 "--max-sweeps", "2", "--out", str(out / "decompose")],
+            ]:
+                done = subprocess.run(
+                    [sys.executable, "-m", "sdtdl.cli", *argv],
+                    env=env, capture_output=True, text=True,
+                )
+                assert done.returncode == 0, done.stderr
             written[threads] = {
-                name: (out / name).read_bytes()
-                for name in ("model.stdm", "predictions.txt", "history.csv")
+                path.relative_to(out).as_posix(): path.read_bytes()
+                for path in out.rglob("*") if path.is_file()
             }
+        assert set(written["1"]) == {
+            "model.stdm", "predictions.txt", "history.csv", "predicted.txt",
+            "decompose/core.stdl", "decompose/report.json",
+            *(f"decompose/factor_{m}.stdl" for m in range(3)),
+        }
         assert written["2"] == written["1"]
         assert written[None] == written["1"]
+        assert written["1"]["predicted.txt"] == written["1"]["predictions.txt"]
 
 
 class TestEval:
@@ -541,7 +561,7 @@ class TestEval:
         pred = tmp_path / "pred.txt"
         pred.write_text(
             "index,label,confidence\n"
-            "0,1,0.9\n0,2,0.9\n0,2,0.9\n0,1,0.9\n0,3,0.9\n0,3,0.9\n"
+            "0,1,0.9\n1,2,0.9\n2,2,0.9\n3,1,0.9\n4,3,0.9\n5,3,0.9\n"
         )
         truth = tmp_path / "truth.txt"
         truth.write_text("1\n2\n2\n2\n3\n1\n")
@@ -578,6 +598,26 @@ class TestEval:
         assert "pred.txt:3" in err
         with pytest.raises(ValueError, match="index,label,confidence"):
             read_predictions(pred)
+
+    # rows out of order scored 0.0 against truth 1,2 where their indices say
+    # 1.0; a skipped or repeated index was not noticed
+    @pytest.mark.parametrize(
+        "rows, line",
+        [("1,2,0.9\n0,1,0.9\n", 2), ("0,1,0.9\n2,2,0.9\n", 3),
+         ("0,1,0.9\n0,2,0.9\n", 3), ("0,1,0.9\nx,2,0.9\n", 3)],
+        ids=["swapped", "skipped", "repeated", "not-a-number"],
+    )
+    def test_index_must_be_the_row_number(self, tmp_path, capsys, rows, line):
+        pred = tmp_path / "pred.txt"
+        pred.write_text("index,label,confidence\n" + rows)
+        truth = tmp_path / "truth.txt"
+        truth.write_text("1\n2\n")
+        code, stdout, err = run(
+            capsys, "eval", "--predictions", str(pred), "--truth", str(truth)
+        )
+        assert code == 2
+        assert stdout == ""
+        assert f"pred.txt:{line}: " in err
 
 
 class TestBaseline:
@@ -656,6 +696,25 @@ class TestBaseline:
         assert code == 2
         assert stdout == ""
         assert "source and target sample dims differ" in err
+
+    def test_source_label_gap(self, tmp_path, capsys):
+        # class 2 has no samples: its centroid used to be NaN, which took
+        # every target with a RuntimeWarning, and the command exited 0
+        rng = np.random.default_rng(4)
+        dataio.write_tensor(tmp_path / "s.stdl", rng.standard_normal((4, 4, 4)))
+        dataio.write_labels(tmp_path / "sl.txt", [1, 1, 3, 3])
+        dataio.write_tensor(tmp_path / "t.stdl", rng.standard_normal((4, 4, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(
+                capsys, "baseline",
+                "--source", str(tmp_path / "s.stdl"),
+                "--source-labels", str(tmp_path / "sl.txt"),
+                "--target", str(tmp_path / "t.stdl"),
+            )
+        assert code == 2
+        assert stdout == ""
+        assert "source class 2 has no samples" in err
 
     @pytest.mark.parametrize("n_truth", [1, 31])
     def test_truth_count_mismatch(self, tmp_path, capsys, n_truth):

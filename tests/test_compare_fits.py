@@ -49,6 +49,7 @@ def test_one_tree_against_itself_reports_no_change(tmp_path):
             "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None, "OMP_NUM_THREADS": None
         }
     assert all(r["labels_equal"] and r["masks_equal"] for r in rows[:2])
+    assert [r["differing_files"] for r in rows[:2]] == [[], []]
 
 
 def fake_fit(rng):
@@ -85,3 +86,13 @@ def test_each_change_fails_its_tolerance(key, change, failing):
     wrong = {k for k in TOLERANCES if diff[k] > TOLERANCES[k]}
     wrong |= {k for k in ("labels_equal", "masks_equal") if not diff[k]}
     assert wrong == {failing}
+
+
+def test_differing_files_are_named():
+    a = fake_fit(np.random.default_rng(0))
+    b = {**a, "sha256:history.csv": np.array("1" * 64)}
+    diff = compare_fits.compare(a, b)
+    assert diff["differing_files"] == ["history.csv"]
+    assert diff["files_identical"] is False
+    # byte identity is reported, not judged
+    assert compare_fits.within(diff, TOLERANCES)

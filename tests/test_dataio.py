@@ -140,7 +140,6 @@ def make_model(rng, with_target=True):
         ),
         w_class=[[rand_orth(rng, d, r) for d, r in zip(dims, ranks)] for _ in range(C)],
         class_means_source=[rng.standard_normal(ranks) for _ in range(C)],
-        class_means_target=[rng.standard_normal(ranks) for _ in range(C)],
         hyper=Hyperparams(ranks=ranks, theta=3.5, lam=0.25, gamma=0.4, delta=0.9),
     )
 
@@ -215,7 +214,26 @@ class TestModelFile:
                 assert np.array_equal(a, b)
         for a, b in zip(model.class_means_source, back.class_means_source):
             assert np.array_equal(a, b)
-        for a, b in zip(model.class_means_target, back.class_means_target):
+
+    def test_a_file_with_target_class_means_still_loads(self, tmp_path):
+        # files written before the model dropped its target class means hold
+        # 'mean_tgt/c' entries, which nothing reads
+        model = make_model(np.random.default_rng(5))
+        path = tmp_path / "model.stdm"
+        save_model(path, model)
+        entries = read_container(path)
+        assert not [name for name in entries if name.startswith("mean_tgt/")]
+        old = tmp_path / "old.stdm"
+        means = {f"mean_tgt/{c}": np.ones(model.hyper.ranks) for c in range(2)}
+        write_container(old, {**entries, **means})
+        back = load_model(old)
+        assert back.hyper == model.hyper
+        for a, b in [
+            *zip(model.u_source, back.u_source),
+            *zip(model.u_target, back.u_target),
+            *zip(model.class_means_source, back.class_means_source),
+            *((a, b) for wa, wb in zip(model.w_class, back.w_class) for a, b in zip(wa, wb)),
+        ]:
             assert np.array_equal(a, b)
 
     def test_every_proper_prefix_is_a_file_error(self, tmp_path):

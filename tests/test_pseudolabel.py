@@ -31,7 +31,7 @@ def rand_orth(rng, n, k):
     return q * np.sign(np.diag(r))
 
 
-def make_model(rng, dims=(4, 4), ranks=(2, 2), C=2, with_target=True):
+def make_model(rng, dims=(4, 4), ranks=(2, 2), C=2, with_target=True, **hyper):
     return SdtdlModel(
         u_source=[rand_orth(rng, d, r) for d, r in zip(dims, ranks)],
         u_target=(
@@ -39,8 +39,7 @@ def make_model(rng, dims=(4, 4), ranks=(2, 2), C=2, with_target=True):
         ),
         w_class=[[rand_orth(rng, d, r) for d, r in zip(dims, ranks)] for _ in range(C)],
         class_means_source=[rng.standard_normal(ranks) for _ in range(C)],
-        class_means_target=[rng.standard_normal(ranks) for _ in range(C)],
-        hyper=Hyperparams(ranks=ranks),
+        hyper=Hyperparams(ranks=ranks, **hyper),
     )
 
 
@@ -225,7 +224,7 @@ def pass_matrices(monkeypatch, target, model):
         monkeypatch.setattr(
             pseudolabel, name, lambda m, real=real: seen.append(m.copy()) or real(m)
         )
-    predict_labels(target, model, 0.25, 0.8)
+    predict_labels(target, model)
     return seen
 
 
@@ -233,8 +232,8 @@ class TestProbabilityMatrices:
     def test_row_stochastic_on_model(self):
         rng = np.random.default_rng(4)
         model = make_model(rng, C=3)
-        target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 7)), class_count=3)
-        pl = predict_labels(target, model, 0.25, 0.8)
+        target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 7)))
+        pl = predict_labels(target, model)
         for probs in (pl.fidelity_probs, pl.centroid_probs):
             assert probs.shape == (7, 3)
             assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-9
@@ -242,23 +241,23 @@ class TestProbabilityMatrices:
     def test_single_class_certain(self):
         rng = np.random.default_rng(5)
         model = make_model(rng, C=1)
-        target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 3)), class_count=1)
-        pl = predict_labels(target, model, 0.25, 0.8)
+        target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 3)))
+        pl = predict_labels(target, model)
         assert np.all(pl.labels == 1)
         assert np.allclose(pl.combined_conf, 1.0)
 
     def test_no_target_dictionary_uses_raw_samples(self):
         rng = np.random.default_rng(6)
         model = make_model(rng, with_target=False)
-        target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 5)), class_count=2)
-        got = predict_labels(target, model, 0.25, 0.8)
+        target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 5)))
+        got = predict_labels(target, model)
         # zero target factors act as an explicit zero reconstruction
         zero = make_model(rng, with_target=True)
         zero.u_source = model.u_source
         zero.w_class = model.w_class
         zero.class_means_source = model.class_means_source
         zero.u_target = [np.zeros_like(u) for u in zero.u_target]
-        want = predict_labels(target, zero, 0.25, 0.8)
+        want = predict_labels(target, zero)
         assert np.allclose(got.fidelity_probs, want.fidelity_probs, atol=1e-12)
         assert np.allclose(got.centroid_probs, want.centroid_probs, atol=1e-12)
 
@@ -269,8 +268,8 @@ class TestProbabilityMatrices:
         # samples built inside the class-1 dictionary span
         codes = rng.standard_normal(ranks + (6,))
         samples = np.einsum("ia,jb,abn->ijn", *model.w_class[0], codes)
-        target = LabeledTensorSet(samples=samples, class_count=2)
-        probs = predict_labels(target, model, 0.25, 0.8).fidelity_probs
+        target = LabeledTensorSet(samples=samples)
+        probs = predict_labels(target, model).fidelity_probs
         assert np.all(probs[:, 0] > probs[:, 1])
 
     def test_centroid_prefers_matching_mean(self):
@@ -280,14 +279,14 @@ class TestProbabilityMatrices:
         # one sample whose class-1 code equals the class-1 source mean
         mean = model.class_means_source[0]
         sample = np.einsum("ia,jb,ab->ij", *model.w_class[0], mean)
-        target = LabeledTensorSet(samples=sample[..., None], class_count=2)
-        probs = predict_labels(target, model, 0.25, 0.8).centroid_probs
+        target = LabeledTensorSet(samples=sample[..., None])
+        probs = predict_labels(target, model).centroid_probs
         assert probs[0, 0] > probs[0, 1]
 
     def test_centroid_distance_from_codes(self, monkeypatch):
         rng = np.random.default_rng(9)
         model = make_model(rng, C=3)
-        target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 6)), class_count=3)
+        target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 6)))
         _, codes = pass_inputs(target, model)
         dists = np.stack(
             [
@@ -303,8 +302,8 @@ class TestProbabilityMatrices:
     def test_pass_is_fidelity_then_centroid_then_select(self, monkeypatch):
         # once each per pass, over several blocks of 2 samples
         rng = np.random.default_rng(11)
-        model = make_model(rng, C=3)
-        target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 9)), class_count=3)
+        model = make_model(rng, C=3, gamma=0.3, delta=0.6)
+        target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 9)))
         monkeypatch.setattr(pseudolabel, "_BLOCK_BYTES", 2 * 16 * 8)
         calls = []
         for name in ("fidelity_probs", "centroid_probs", "predict", "select"):
@@ -314,7 +313,7 @@ class TestProbabilityMatrices:
                 name,
                 lambda *a, real=real, name=name: calls.append((name, a)) or real(*a),
             )
-        got = predict_labels(target, model, 0.3, 0.6)
+        got = predict_labels(target, model)
         assert [name for name, _ in calls] == [
             "fidelity_probs", "centroid_probs", "predict", "select"
         ]
@@ -334,10 +333,21 @@ class TestProbabilityMatrices:
     def test_empty_target(self):
         rng = np.random.default_rng(12)
         model = make_model(rng, C=3)
-        target = LabeledTensorSet(samples=np.zeros((4, 4, 0)), class_count=3)
-        pl = predict_labels(target, model, 0.25, 0.8)
+        target = LabeledTensorSet(samples=np.zeros((4, 4, 0)))
+        pl = predict_labels(target, model)
         assert pl.labels.shape == (0,) and pl.selected.shape == (0,)
         assert pl.fidelity_probs.shape == (0, 3)
+
+    @pytest.mark.parametrize("with_target", [True, False])
+    def test_target_dims_must_match_the_model(self, with_target):
+        # the model dims are the rows of the class dictionaries, which exist
+        # before the target dictionary does (init step 2 of fit)
+        rng = np.random.default_rng(17)
+        model = make_model(rng, dims=(4, 4), C=2, with_target=with_target)
+        for dims in [(4, 5), (2, 8), (4, 4, 1)]:
+            target = LabeledTensorSet(samples=rng.standard_normal(dims + (3,)))
+            with pytest.raises(ValueError, match=r"do not match model dims \(4, 4\)"):
+                predict_labels(target, model)
 
     @staticmethod
     def pass_peak(workers):
@@ -345,12 +355,12 @@ class TestProbabilityMatrices:
         of 1 MiB) on ``workers`` threads, and the target's bytes."""
         rng = np.random.default_rng(13)
         model = make_model(rng, dims=(16, 16), ranks=(4, 4), C=5)
-        target = LabeledTensorSet(samples=rng.standard_normal((16, 16, 5000)), class_count=5)
+        target = LabeledTensorSet(samples=rng.standard_normal((16, 16, 5000)))
         with mock.patch.object(jobs, "_class_workers", lambda count: min(count, workers)):
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                predict_labels(target, model, 0.25, 0.8)
+                predict_labels(target, model)
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -384,7 +394,7 @@ class TestBlockInvariance:
     @staticmethod
     def run(target, model, budget):
         with mock.patch.object(pseudolabel, "_BLOCK_BYTES", budget):
-            return predict_labels(target, model, 0.25, 0.8)
+            return predict_labels(target, model)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -400,7 +410,7 @@ class TestBlockInvariance:
         dims, ranks = dims_ranks
         rng = np.random.default_rng(seed)
         model = make_model(rng, dims=dims, ranks=ranks, C=c, with_target=with_target)
-        target = LabeledTensorSet(samples=rng.standard_normal(dims + (n,)), class_count=c)
+        target = LabeledTensorSet(samples=rng.standard_normal(dims + (n,)))
         sample_bytes = target.samples[..., 0].nbytes
         want = self.run(target, model, n * sample_bytes)
         # blocks of 1, 2 and 3 samples, and of n - 1, which leaves a last
@@ -415,7 +425,7 @@ class TestBlockInvariance:
     def test_empty_target_in_blocks(self):
         rng = np.random.default_rng(15)
         model = make_model(rng, C=3)
-        target = LabeledTensorSet(samples=np.zeros((4, 4, 0)), class_count=3)
+        target = LabeledTensorSet(samples=np.zeros((4, 4, 0)))
         for budget in (1, 16 * 8, 1 << 20):
             pl = self.run(target, model, budget)
             assert pl.labels.shape == (0,) and pl.selected.shape == (0,)
@@ -444,7 +454,7 @@ class TestPooledPass:
             ), mock.patch.object(
                 jobs, "_class_workers", lambda count: max(1, min(count, workers))
             ):
-                return predict_labels(target, model, 0.3, 0.6), threads
+                return predict_labels(target, model), threads
         finally:
             sys.setswitchinterval(interval)
 
@@ -462,8 +472,10 @@ class TestPooledPass:
     ):
         dims, ranks = dims_ranks
         rng = np.random.default_rng(seed)
-        model = make_model(rng, dims=dims, ranks=ranks, C=c, with_target=with_target)
-        target = LabeledTensorSet(samples=rng.standard_normal(dims + (n,)), class_count=c)
+        model = make_model(
+            rng, dims=dims, ranks=ranks, C=c, with_target=with_target, gamma=0.3, delta=0.6
+        )
+        target = LabeledTensorSet(samples=rng.standard_normal(dims + (n,)))
         budget = per_block * target.samples[..., 0].nbytes
         blocks = -(-n // per_block)
         want, threads = self.run(target, model, budget, 1)
@@ -480,7 +492,7 @@ class TestPooledPass:
         rng = np.random.default_rng(16)
         # one class and no target dictionary: one projection per block
         model = make_model(rng, C=1, with_target=False)
-        target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 100)), class_count=1)
+        target = LabeledTensorSet(samples=rng.standard_normal((4, 4, 100)))
         caller = threading.get_ident()
         barrier = threading.Barrier(2, timeout=30)
         started = []
@@ -499,7 +511,7 @@ class TestPooledPass:
             pseudolabel, "dict_project", failing
         ), mock.patch.object(jobs, "_class_workers", lambda count: min(count, 2)):
             with pytest.raises(np.linalg.LinAlgError, match="block failed"):
-                predict_labels(target, model, 0.25, 0.8)
+                predict_labels(target, model)
         assert len(set(started)) == 2
         assert len(started) < 100  # no block starts after the failure
 
@@ -515,8 +527,7 @@ class TestFidelityError:
         rng = np.random.default_rng(13)
         model = make_model(rng, dims=(6, 5, 4), ranks=(3, 2, 2), C=4)
         target = LabeledTensorSet(
-            samples=rng.standard_normal((6, 5, 4, 40)) * 10.0 ** rng.integers(-6, 6, size=40),
-            class_count=4,
+            samples=rng.standard_normal((6, 5, 4, 40)) * 10.0 ** rng.integers(-6, 6, size=40)
         )
         resid, codes = pass_inputs(target, model)
         got = self.errors(monkeypatch, target, model)
@@ -531,7 +542,7 @@ class TestFidelityError:
         w = model.w_class[0]
         resid = dict_apply(rng.standard_normal((2, 2, 200)), w)
         codes = [dict_project(resid, wc) for wc in model.w_class]
-        target = LabeledTensorSet(samples=resid, class_count=2)
+        target = LabeledTensorSet(samples=resid)
         got = self.errors(monkeypatch, target, model)
         r2 = np.sum(resid.reshape(25, -1) ** 2, axis=0)
         raw = r2 - np.sum(codes[0].reshape(4, -1) ** 2, axis=0)
@@ -561,7 +572,7 @@ class TestPassesInFit:
         # passes of iterations 1 and 2, with no repeat of the last one
         assert [row.iteration for row in history] == [0, 1, 2]
         assert len(calls) == 3
-        again = predict_labels(target, model, hyper.gamma, hyper.delta)
+        again = predict_labels(target, model)
         assert np.array_equal(pl.labels, again.labels)
         assert np.array_equal(pl.selected, again.selected)
         assert np.array_equal(pl.combined_conf, again.combined_conf)

@@ -99,8 +99,8 @@ def interleaved_problem(dims=(6, 5), ranks=(2, 2), seed=1):
     source, target, truth = generate_synthetic(spec)
     order = np.arange(C * n).reshape(C, n).T.ravel()
     return (
-        LabeledTensorSet(source.samples[..., order], C, source.labels[order]),
-        LabeledTensorSet(target.samples[..., order], C),
+        LabeledTensorSet(source.samples[..., order], source.labels[order]),
+        LabeledTensorSet(target.samples[..., order]),
         truth[order],
     )
 
@@ -144,17 +144,21 @@ class TestHyperparams:
 class TestLabeledTensorSet:
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError, match="label count"):
-            LabeledTensorSet(samples=np.zeros((2, 2, 3)), class_count=2, labels=[1, 2])
+            LabeledTensorSet(samples=np.zeros((2, 2, 3)), labels=[1, 2])
 
     def test_label_range(self):
-        with pytest.raises(ValueError, match="1[.][.]2"):
-            LabeledTensorSet(samples=np.zeros((2, 2, 2)), class_count=2, labels=[1, 3])
+        with pytest.raises(ValueError, match="1-based"):
+            LabeledTensorSet(samples=np.zeros((2, 2, 2)), labels=[0, 1])
+
+    def test_class_count_is_the_largest_label(self):
+        assert LabeledTensorSet(np.zeros((2, 2, 3)), [1, 3, 1]).class_count == 3
+        assert LabeledTensorSet(np.zeros((2, 2, 0)), []).class_count == 0
+        with pytest.raises(ValueError, match="set is unlabeled"):
+            LabeledTensorSet(np.zeros((2, 2, 3))).class_count
 
     def test_class_access(self):
         rng = np.random.default_rng(0)
-        ts = LabeledTensorSet(
-            samples=rng.standard_normal((2, 2, 4)), class_count=2, labels=[1, 2, 1, 2]
-        )
+        ts = LabeledTensorSet(samples=rng.standard_normal((2, 2, 4)), labels=[1, 2, 1, 2])
         assert np.array_equal(ts.class_indices(1), [0, 2])
         assert ts.class_samples(2).shape == (2, 2, 2)
 
@@ -258,7 +262,6 @@ def zero_model(dims, ranks, C, hyper):
         u_target=[m.copy() for m in zdict],
         w_class=[[m.copy() for m in zdict] for _ in range(C)],
         class_means_source=[np.zeros(ranks) for _ in range(C)],
-        class_means_target=[np.zeros(ranks) for _ in range(C)],
         hyper=hyper,
     )
 
@@ -268,12 +271,8 @@ class TestObjective:
         rng = np.random.default_rng(7)
         dims, ranks, C = (3, 3), (2, 2), 2
         hyper = Hyperparams(ranks=ranks, theta=2.5, lam=0.3)
-        src = LabeledTensorSet(
-            samples=rng.standard_normal(dims + (4,)), class_count=C, labels=[1, 1, 2, 2]
-        )
-        tgt = LabeledTensorSet(
-            samples=rng.standard_normal(dims + (4,)), class_count=C, labels=[1, 2, 1, 2]
-        )
+        src = LabeledTensorSet(samples=rng.standard_normal(dims + (4,)), labels=[1, 1, 2, 2])
+        tgt = LabeledTensorSet(samples=rng.standard_normal(dims + (4,)), labels=[1, 2, 1, 2])
         model = zero_model(dims, ranks, C, hyper)
         codes = SdtdlCodes(
             a0=np.zeros(ranks + (4,)),
@@ -312,14 +311,13 @@ class TestObjective:
             tgt_samples[..., idx] = apply_dict(b0[..., idx], u_t) + apply_dict(
                 b_class[c - 1], w[c - 1]
             )
-        src = LabeledTensorSet(samples=src_samples, class_count=C, labels=labels)
-        tgt = LabeledTensorSet(samples=tgt_samples, class_count=C, labels=labels)
+        src = LabeledTensorSet(samples=src_samples, labels=labels)
+        tgt = LabeledTensorSet(samples=tgt_samples, labels=labels)
         model = SdtdlModel(
             u_source=u_s,
             u_target=u_t,
             w_class=w,
             class_means_source=[class_means(a) for a in a_class],
-            class_means_target=[class_means(b) for b in b_class],
             hyper=hyper,
         )
         codes = SdtdlCodes(a0=a0, b0=b0, a_class=a_class, b_class=b_class)
@@ -438,7 +436,7 @@ class TestDomainUpdates:
         u_true = [rand_orth(rng, d, r) for d, r in zip(dims, ranks)]
         a0_true = rng.standard_normal(ranks + (6,))
         samples = apply_dict(a0_true, u_true)
-        src = LabeledTensorSet(samples=samples, class_count=2, labels=[1, 1, 1, 2, 2, 2])
+        src = LabeledTensorSet(samples=samples, labels=[1, 1, 1, 2, 2, 2])
         hyper = Hyperparams(ranks=ranks, theta=1.0, lam=0.0)
         model = zero_model(dims, ranks, 2, hyper)
         model.u_source = [rand_orth(rng, d, r) for d, r in zip(dims, ranks)]
@@ -457,7 +455,7 @@ class TestDomainUpdates:
         rng = np.random.default_rng(16)
         dims = (3, 4)
         samples = rng.standard_normal(dims + (1,))
-        src = LabeledTensorSet(samples=samples, class_count=1, labels=[1])
+        src = LabeledTensorSet(samples=samples, labels=[1])
         hyper = Hyperparams(ranks=dims, theta=1.0, lam=0.0)
         model = zero_model(dims, dims, 1, hyper)
         model.u_source = [np.eye(d) for d in dims]
@@ -498,9 +496,7 @@ class TestClassResiduals:
         labels = np.array(sorted(labels) if sort else labels, dtype=np.int64)
         rng = np.random.default_rng(seed)
         ranks = [min(2, d) for d in dims]
-        tensor_set = LabeledTensorSet(
-            rng.standard_normal(dims + (labels.size,)), class_count, labels
-        )
+        tensor_set = LabeledTensorSet(rng.standard_normal(dims + (labels.size,)), labels)
         dicts = [[rand_orth(rng, d, r) for d, r in zip(dims, ranks)] for _ in range(class_count)]
         codes = [
             rng.standard_normal(tuple(ranks) + (np.sum(labels == c),))
@@ -517,7 +513,7 @@ class TestClassResiduals:
         rng = np.random.default_rng(7)
         C, dims, ranks = 5, (16, 16), (4, 4)
         labels = rng.permutation(np.repeat(np.arange(1, C + 1), 400))
-        tensor_set = LabeledTensorSet(rng.standard_normal(dims + (labels.size,)), C, labels)
+        tensor_set = LabeledTensorSet(rng.standard_normal(dims + (labels.size,)), labels)
         dicts = [[rand_orth(rng, d, r) for d, r in zip(dims, ranks)] for _ in range(C)]
         codes = [rng.standard_normal(ranks + (400,)) for _ in range(C)]
         tracemalloc.start()
@@ -563,7 +559,6 @@ class TestBlockPass:
         keep = np.flatnonzero(selected.labels != 2)
         reduced = LabeledTensorSet(
             samples=selected.samples[..., keep],
-            class_count=selected.class_count,
             labels=selected.labels[keep],
         )
         codes = compute_codes(model, source, reduced)
@@ -571,7 +566,6 @@ class TestBlockPass:
         assert np.isclose(value, objective(model, source, reduced, codes), rtol=1e-12)
         model.validate()
         assert codes.b_class[1].shape[-1] == 0
-        assert np.max(np.abs(model.class_means_target[1])) == 0.0
 
 
 class TestFit:
@@ -614,12 +608,11 @@ class TestFit:
             u_target=None,
             w_class=model.w_class,
             class_means_source=model.class_means_source,
-            class_means_target=model.class_means_target,
             hyper=hyper,
         )
         from sdtdl import pseudolabel as plm
 
-        want = plm.predict_labels(target, init_model, hyper.gamma, hyper.delta)
+        want = plm.predict_labels(target, init_model)
         assert np.array_equal(pl.labels, want.labels)
 
     def test_factors_stay_orthonormal(self):
@@ -781,8 +774,9 @@ class TestFit:
             """Fit, and record how far each prediction pass is from a tie."""
             predict = S.predict_labels
 
-            def recorded(target, model, gamma, delta):
-                pl = predict(target, model, gamma, delta)
+            def recorded(target, model):
+                pl = predict(target, model)
+                gamma = model.hyper.gamma
                 top = np.sort(gamma * pl.fidelity_probs + (1 - gamma) * pl.centroid_probs)
                 margins.append(np.min(top[:, -1] - top[:, -2]))
                 return pl
@@ -799,13 +793,11 @@ class TestFit:
         assume(min(margins) > 1e-4)
 
         perm = np.array(data.draw(st.permutations(range(target.n_samples))))
-        shuffled = LabeledTensorSet(target.samples[..., perm], target.class_count)
+        shuffled = LabeledTensorSet(target.samples[..., perm])
         assert np.array_equal(fit_recording_margins(source, shuffled).labels, pl.labels[perm])
 
         perm = np.array(data.draw(st.permutations(range(source.n_samples))))
-        relisted = LabeledTensorSet(
-            source.samples[..., perm], source.class_count, source.labels[perm]
-        )
+        relisted = LabeledTensorSet(source.samples[..., perm], source.labels[perm])
         assert np.array_equal(fit_recording_margins(relisted, target).labels, pl.labels)
 
     @settings(max_examples=30, deadline=None)
@@ -828,7 +820,7 @@ class TestFit:
             assert np.max(np.abs(u.T @ u - np.eye(u.shape[1]))) <= 1e-10
         # relabeling the source classes by pi relabels the fit by pi
         pi = np.array([0, *perm])
-        relabeled = LabeledTensorSet(source.samples, source.class_count, pi[source.labels])
+        relabeled = LabeledTensorSet(source.samples, pi[source.labels])
         _, got, _ = fit(relabeled, target, hyper, class_update=route)
         assert np.array_equal(got.labels, pi[pl.labels])
         assert np.array_equal(got.selected, pl.selected)
@@ -844,18 +836,19 @@ class TestFit:
         hyper = Hyperparams(ranks=(2, 2), theta=2.0, lam=0.1, delta=0.8, max_outer_iters=3)
         _, pl, _ = fit(source, target, hyper, class_update=route)
         perm = np.random.default_rng(1).permutation(target.n_samples)
-        shuffled = LabeledTensorSet(target.samples[..., perm], target.class_count)
+        shuffled = LabeledTensorSet(target.samples[..., perm])
         _, pl_perm, _ = fit(source, shuffled, hyper, class_update=route)
         assert np.array_equal(pl_perm.labels, pl.labels[perm])
 
-    def test_missing_source_class(self):
+    def test_missing_source_class(self, monkeypatch):
+        # the class count is the largest label: a class below it must have samples
         rng = np.random.default_rng(4)
-        src = LabeledTensorSet(
-            samples=rng.standard_normal((4, 4, 3)), class_count=3, labels=[1, 1, 2]
-        )
-        tgt = LabeledTensorSet(samples=rng.standard_normal((4, 4, 5)), class_count=3)
-        with pytest.raises(ValueError, match="class 3 has no samples"):
+        src = LabeledTensorSet(samples=rng.standard_normal((4, 4, 3)), labels=[1, 1, 3])
+        tgt = LabeledTensorSet(samples=rng.standard_normal((4, 4, 5)))
+        calls = self.hooi_calls(monkeypatch)
+        with pytest.raises(ValueError, match="source class 2 has no samples"):
             fit(src, tgt, Hyperparams(ranks=(2, 2)))
+        assert calls == []
 
     @staticmethod
     def entry_problem():
@@ -898,29 +891,23 @@ class TestFit:
             fit(source, target, hyper, truth=truth[:n_truth])
         assert calls == []
 
-    @pytest.mark.parametrize("route", ["eigen-phi", "exact"])
-    def test_the_target_class_count_is_not_read(self, route):
-        source, target, truth = self.entry_problem()
-        hyper = Hyperparams(ranks=(2, 2), theta=2.0, max_outer_iters=2)
-        want_model, want_pl, _ = fit(source, target, hyper, truth=truth, class_update=route)
-        for count in (2, 5):
-            other = LabeledTensorSet(target.samples, count)
-            model, pl, _ = fit(source, other, hyper, truth=truth, class_update=route)
-            assert np.array_equal(pl.labels, want_pl.labels)
-            assert np.array_equal(pl.selected, want_pl.selected)
-            for got, want in [
-                (model.u_source, want_model.u_source),
-                (model.u_target, want_model.u_target),
-                *zip(model.w_class, want_model.w_class),
-            ]:
-                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-
-    def test_unlabeled_source_rejected(self):
+    def test_unlabeled_source_rejected(self, monkeypatch):
         rng = np.random.default_rng(5)
-        src = LabeledTensorSet(samples=rng.standard_normal((4, 4, 3)), class_count=2)
-        tgt = LabeledTensorSet(samples=rng.standard_normal((4, 4, 5)), class_count=2)
-        with pytest.raises(ValueError, match="labeled"):
+        src = LabeledTensorSet(samples=rng.standard_normal((4, 4, 3)))
+        tgt = LabeledTensorSet(samples=rng.standard_normal((4, 4, 5)))
+        calls = self.hooi_calls(monkeypatch)
+        with pytest.raises(ValueError, match="set is unlabeled"):
             fit(src, tgt, Hyperparams(ranks=(2, 2)))
+        assert calls == []
+
+    def test_empty_source_rejected(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        src = LabeledTensorSet(samples=np.zeros((4, 4, 0)), labels=[])
+        tgt = LabeledTensorSet(samples=rng.standard_normal((4, 4, 5)))
+        calls = self.hooi_calls(monkeypatch)
+        with pytest.raises(ValueError, match="source has no samples"):
+            fit(src, tgt, Hyperparams(ranks=(2, 2)))
+        assert calls == []
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
@@ -957,8 +944,8 @@ def unequal_problem(dims, ranks, seed=5):
 
     ks, kt = keep(source.labels, (9, 6, 4, 3)), keep(truth, (8, 3, 7, 5))
     return (
-        LabeledTensorSet(source.samples[..., ks], 4, source.labels[ks]),
-        LabeledTensorSet(target.samples[..., kt], 4),
+        LabeledTensorSet(source.samples[..., ks], source.labels[ks]),
+        LabeledTensorSet(target.samples[..., kt]),
         truth[kt],
     )
 
@@ -1245,7 +1232,7 @@ class TestClassPool:
         def arrays(m):
             return [
                 *m.u_source, *m.u_target, *(w for ws in m.w_class for w in ws),
-                *m.class_means_source, *m.class_means_target,
+                *m.class_means_source,
             ]
 
         assert len(arrays(m1)) == len(arrays(m2))
@@ -1303,7 +1290,7 @@ class TestOneBlasThread:
         assert blas_threads() == self.CALLER
 
         seen["pass"].clear()
-        pseudolabel.predict_labels(target, model, 0.25, 0.8)
+        pseudolabel.predict_labels(target, model)
         assert seen["pass"] and set(seen["pass"]) == {1}
         assert blas_threads() == self.CALLER
 
@@ -1328,7 +1315,7 @@ class TestOneBlasThread:
             monkeypatch.setattr(pseudolabel, "_BLOCK_BYTES", 2 * 6 * 5 * 8)
             monkeypatch.setattr(pseudolabel, "dict_project", failing_job)
             with pytest.raises(np.linalg.LinAlgError, match="job failed"):
-                pseudolabel.predict_labels(target, model, 0.25, 0.8)
+                pseudolabel.predict_labels(target, model)
         assert blas_threads() == self.CALLER
 
 
@@ -1389,8 +1376,6 @@ class TestBaseline:
 
     def test_single_class(self):
         rng = np.random.default_rng(6)
-        src = LabeledTensorSet(
-            samples=rng.standard_normal((3, 3, 4)), class_count=1, labels=[1, 1, 1, 1]
-        )
-        tgt = LabeledTensorSet(samples=rng.standard_normal((3, 3, 5)), class_count=1)
+        src = LabeledTensorSet(samples=rng.standard_normal((3, 3, 4)), labels=[1, 1, 1, 1])
+        tgt = LabeledTensorSet(samples=rng.standard_normal((3, 3, 5)))
         assert np.all(nearest_centroid_labels(src, tgt) == 1)

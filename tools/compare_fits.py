@@ -11,8 +11,8 @@ synth`` and the benchmark write them. Options after ``--`` go to every
 
 One JSON line per data set and route reports whether the labels and the
 selection masks are equal, whether the written ``model.stdm``,
-``predictions.txt`` and ``history.csv`` are byte-identical (by SHA-256),
-the largest confidence change, the largest projector change
+``predictions.txt`` and ``history.csv`` are byte-identical (by SHA-256)
+and which of them differ (``differing_files``), the largest confidence change, the largest projector change
 ``||U U^T - V V^T||_2`` over every factor matrix, and the largest relative
 change of a history objective. Each line, and a last line with the maxima
 and whether every file was identical, also gives the BLAS thread variables
@@ -112,6 +112,7 @@ def compare(a: dict, b: dict) -> dict:
     """The differences between two fits saved by :func:`run_fit`."""
     same_shape = a["labels"].shape == b["labels"].shape
     names = sorted(k for k in a if k.startswith("factor:"))
+    differing = [f for f in FILES if a["sha256:" + f] != b["sha256:" + f]]
     if names != sorted(k for k in b if k.startswith("factor:")):
         projector = math.inf
     else:
@@ -119,7 +120,8 @@ def compare(a: dict, b: dict) -> dict:
     return {
         "labels_equal": bool(np.array_equal(a["labels"], b["labels"])),
         "masks_equal": bool(np.array_equal(a["selected"], b["selected"])),
-        "files_identical": all(a["sha256:" + f] == b["sha256:" + f] for f in FILES),
+        "files_identical": not differing,
+        "differing_files": differing,
         "conf_max_abs": float(np.max(np.abs(a["conf"] - b["conf"]), initial=0.0))
         if same_shape
         else math.inf,
