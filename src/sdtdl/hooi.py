@@ -4,17 +4,23 @@ iteration, plus the dense symmetric eigen-solver backing it.
 The sample mode (last mode) of a data tensor can be left uncompressed with
 ``skip_last=True``; the returned factor list then covers the leading modes
 only, with an implicit identity on the sample mode.
+
+With the sample mode kept, each mode's matrix depends on the data only
+through the ``P x P`` sample moment of the ``P`` feature entries (Kolda &
+Bader, SIAM Review 2009): :func:`moment_sweep` sweeps on it, where
+:func:`sweep` projects the tensor itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tensor import dict_apply, mode_gram, mode_product
 
-__all__ = ["TuckerResult", "eig_sym_topk", "hosvd", "sweep", "hooi"]
+__all__ = ["TuckerResult", "eig_sym_topk", "hosvd", "sweep", "moment_sweep", "hooi"]
 
 
 @dataclass
@@ -71,13 +77,19 @@ def _check_ranks(t: np.ndarray, ranks, skip_last: bool):
     return ranks
 
 
-def hosvd(t: np.ndarray, ranks, skip_last: bool = False) -> list:
+def hosvd(t: np.ndarray, ranks, skip_last: bool = False, moment=None) -> list:
     """Truncated HOSVD factors: per mode, the top eigenvectors of the Gram
     matrix of the mode flattening. Standard deterministic initializer for
-    HOOI; no core is formed."""
+    HOOI; no core is formed. With ``skip_last``, each mode's matrix may be
+    read from ``t``'s sample ``moment`` instead (:func:`moment_sweep`), with
+    every other mode traced out."""
     t = np.asarray(t, dtype=np.float64)
     ranks = _check_ranks(t, ranks, skip_last)
-    return [eig_sym_topk(mode_gram(t, m), r)[1] for m, r in enumerate(ranks)]
+    if moment is None:
+        forms = (mode_gram(t, m) for m in range(len(ranks)))
+    else:
+        forms = (_moment_form(moment, t.shape[:-1], m) for m in range(len(ranks)))
+    return [eig_sym_topk(s, r)[1] for s, r in zip(forms, ranks)]
 
 
 def sweep(t: np.ndarray, factors: list, ranks, form=mode_gram):
@@ -107,6 +119,52 @@ def sweep(t: np.ndarray, factors: list, ranks, form=mode_gram):
     return h, vals
 
 
+def _sample_moment(t: np.ndarray) -> np.ndarray:
+    """``Z Z^T`` for the flattening ``Z`` of ``t``, feature entries by
+    samples; an overflow is left for :func:`eig_sym_topk` to report."""
+    flat = t.reshape(math.prod(t.shape[:-1]), t.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return flat @ flat.T
+
+
+def _moment_form(g: np.ndarray, dims, m: int, factors=None) -> np.ndarray:
+    """Mode ``m``'s matrix from the sample moment ``g`` of a tensor with
+    feature dims ``dims``: every other mode ``k`` contracted on both sides
+    with ``U_k U_k^T`` for ``U_k = factors[k]`` (projected on the factor and
+    traced out), or traced out as it is without ``factors``."""
+    h = g.reshape(tuple(dims) * 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # from the last mode down, so the axes of the modes below k keep
+        # their places: row axis k, column axis half + k
+        for k in range(len(dims) - 1, -1, -1):
+            if k == m:
+                continue
+            half = h.ndim // 2
+            if factors is None:
+                h = np.trace(h, axis1=k, axis2=half + k)
+            else:
+                u = factors[k]
+                h = np.tensordot(h, u @ u.T, axes=([k, half + k], [0, 1]))
+        return 0.5 * (h + h.T)
+
+
+def moment_sweep(g: np.ndarray, dims, factors: list, ranks):
+    """:func:`sweep` on a tensor with feature dims ``dims`` known only by
+    its sample moment ``g = Z M Z^T``: ``Z`` its flattening (feature entries
+    by samples), ``M`` a symmetric sample-mode operator.
+
+    Mode ``m`` takes the top eigenvectors of the moment with every other
+    mode projected on its factor and traced out, the matrix :func:`sweep`
+    forms with ``M`` on the sample mode, in ``O(P^2)`` for ``P`` feature
+    entries whatever the sample count. Replaces ``factors`` in place and
+    returns the last mode's top eigenvalues, whose sum is the squared core
+    norm when ``M`` is the identity.
+    """
+    for m in range(len(factors)):
+        vals, factors[m] = eig_sym_topk(_moment_form(g, dims, m, factors), ranks[m])
+    return vals
+
+
 def hooi(
     t: np.ndarray,
     ranks,
@@ -127,6 +185,12 @@ def hooi(
     after ``max_sweeps`` sweeps; the recorded fit history is non-decreasing.
     The returned core is formed once, from the last sweep's last partial
     projection.
+
+    A cold start with ``skip_last`` and at least as many samples as feature
+    entries forms the sample moment once, no larger than ``t``, and takes
+    the HOSVD and every sweep from it (:func:`moment_sweep`); the core is
+    then ``t`` projected on the factors. A warm start, which stops after a
+    few sweeps, keeps :func:`sweep`.
     """
     t = np.asarray(t, dtype=np.float64)
     ranks = _check_ranks(t, ranks, skip_last)
@@ -134,18 +198,29 @@ def hooi(
         raise ValueError("max_sweeps must be >= 1")
     if not 0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
+    g = None
     if init_factors is None:
-        factors = hosvd(t, ranks, skip_last)
+        if skip_last and math.prod(t.shape[:-1]) <= t.shape[-1]:
+            g = _sample_moment(t)
+        factors = hosvd(t, ranks, skip_last, moment=g)
     else:
         if len(init_factors) != len(ranks):
             raise ValueError("init_factors length does not match ranks")
         factors = [np.asarray(u, dtype=np.float64) for u in init_factors]
     history = []
     for _ in range(max_sweeps):
-        h, vals = sweep(t, factors, ranks)
+        if g is None:
+            h, vals = sweep(t, factors, ranks)
+        else:
+            vals = moment_sweep(g, t.shape[:-1], factors, ranks)
         history.append(float(np.sum(vals)))
         if len(history) > 1 and abs(history[-1] - history[-2]) <= tol * max(history[-2], 1e-300):
             break
-    last = len(ranks) - 1
-    core = mode_product(h, factors[last].T, last)
+    if g is None:
+        last = len(ranks) - 1
+        core = mode_product(h, factors[last].T, last)
+    else:
+        core = t
+        for m, u in enumerate(factors):
+            core = mode_product(core, u.T, m)
     return TuckerResult(core=core, factors=factors, fit_history=history)

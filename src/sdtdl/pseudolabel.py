@@ -112,7 +112,8 @@ def predict_labels(target, model) -> PseudoLabels:
     own rows of the two ``N x C`` matrices; a pass called from inside a job,
     as beside a source update in ``fit``, keeps them on its thread. As
     ``fit`` does, the pass holds BLAS at one thread while it runs. The
-    result does not depend on the thread count.
+    result does not depend on the thread count. A target so large that an
+    error or a distance overflows raises ``FloatingPointError``.
     """
     y = target.samples
     dims = tuple(w.shape[0] for w in model.w_class[0])
@@ -125,17 +126,21 @@ def predict_labels(target, model) -> PseudoLabels:
     def block_job(lo):
         rows = slice(lo, lo + step)
         block = np.ascontiguousarray(y[..., rows])
-        if model.u_target is not None:
-            rec = dict_apply(dict_project(block, model.u_target), model.u_target)
-            block = np.subtract(block, rec, out=rec)
-        r2 = _sample_sq_norms(block)
-        for ci, (w, mean) in enumerate(zip(model.w_class, model.class_means_source)):
-            k = dict_project(block, w)
-            np.maximum(r2 - _sample_sq_norms(k), 0.0, out=errors[rows, ci])
-            k -= mean[..., None]
-            dists[rows, ci] = _sample_sq_norms(k)
+        # an overflow leaves a non-finite entry, reported below, and no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if model.u_target is not None:
+                rec = dict_apply(dict_project(block, model.u_target), model.u_target)
+                block = np.subtract(block, rec, out=rec)
+            r2 = _sample_sq_norms(block)
+            for ci, (w, mean) in enumerate(zip(model.w_class, model.class_means_source)):
+                k = dict_project(block, w)
+                np.maximum(r2 - _sample_sq_norms(k), 0.0, out=errors[rows, ci])
+                k -= mean[..., None]
+                dists[rows, ci] = _sample_sq_norms(k)
 
     _run_jobs([functools.partial(block_job, lo) for lo in range(0, n, step)])
+    if not (np.all(np.isfinite(errors)) and np.all(np.isfinite(dists))):
+        raise FloatingPointError("a reconstruction error or centroid distance is not finite")
     pl = predict(fidelity_probs(errors), centroid_probs(dists), model.hyper.gamma)
     return select(pl, model.hyper.delta)
 

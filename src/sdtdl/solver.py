@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hooi import eig_sym_topk, hooi, sweep
+from .hooi import eig_sym_topk, hooi, hosvd, moment_sweep, sweep
 from .jobs import _one_blas_thread, _run_jobs
 from .pseudolabel import predict_labels
 from .tensor import (
@@ -297,6 +297,32 @@ class SampleOperator:
             ((-lam * n_t / n_s**2, cross), (cross, -lam * n_s / n_t**2)),
         )
 
+    def gram(self, n_t: int) -> SampleOperator:
+        """``M^T M`` for this operator ``M`` and ``n_t`` target samples: the
+        scales ``a`` square, and block ``(d, e)`` becomes ``a_d b_de + a_e
+        b_ed + sum_f n_f b_fd b_fe`` for the domain sizes ``n``."""
+        a, b = np.array(self.scale), np.array(self.block)
+        n = np.array([self.n_s, n_t], dtype=np.float64)
+        ab = a[:, None] * b
+        c = ab + ab.T + b.T @ (n[:, None] * b)
+        return SampleOperator(self.n_s, tuple(a**2), tuple(map(tuple, c)))
+
+    def moment(self, z: np.ndarray) -> np.ndarray:
+        """``Z M Z^T`` for the flattening ``Z`` of ``z`` (feature entries by
+        samples) and this operator ``M``, symmetric: ``sum_d a_d Z_d Z_d^T``
+        on each domain's columns in place, plus the block constants times
+        the outer products of the domain sample sums. ``z`` is not copied;
+        an overflow is left for :func:`sdtdl.hooi.eig_sym_topk` to report."""
+        flat = z.reshape(math.prod(z.shape[:-1]), z.shape[-1])
+        domains = (slice(None, self.n_s), slice(self.n_s, None))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = np.stack([flat[:, cols].sum(axis=1) for cols in domains], axis=1)
+            g = sums @ np.array(self.block) @ sums.T
+            for scale, cols in zip(self.scale, domains):
+                part = flat[:, cols]
+                g += scale * (part @ part.T)
+        return g
+
     def apply(self, z: np.ndarray) -> np.ndarray:
         """``z x_N M``: the operator acting on the last (sample) mode of ``z``."""
         flat = z.reshape(math.prod(z.shape[:-1]), z.shape[-1])
@@ -329,15 +355,21 @@ def update_class_dict(
     w_init=None,
 ):
     """Solve one class-dictionary subproblem by ``inner_sweeps`` alternating
-    per-mode eigen updates (:func:`sdtdl.hooi.sweep`) on the stacked residual.
+    per-mode eigen updates on the stacked residual.
 
     Returns ``(w_c, a_c, b_c)``: the updated factor matrices and the class
     codes of the source / target residuals under them, both taken from one
     projection of the stack. ``method`` selects the sample-mode operator,
     built from ``theta`` and ``lam`` in structured form
-    (:class:`SampleOperator`): ``"eigen-phi"`` sweeps a Phi-weighted copy
-    of the stack and maximizes its core norm; ``"exact"`` sweeps the stack
-    itself and puts the quadratic form Q on the sample mode.
+    (:class:`SampleOperator`): ``"eigen-phi"`` maximizes the core norm of
+    the Phi-weighted stack, whose per-mode forms put ``Phi^T Phi`` on the
+    sample mode; ``"exact"`` puts the quadratic form Q there.
+
+    With at least as many samples as feature entries, every sweep runs on
+    the stack's sample moment under that operator, formed once
+    (:func:`sdtdl.hooi.moment_sweep`). Otherwise each is
+    :func:`sdtdl.hooi.sweep`, on a Phi-weighted copy of the stack or on the
+    stack itself with Q on the sample mode.
 
     Without ``w_init`` each mode starts from the top eigenvectors of its
     form on the uncompressed tensor: the HOSVD of the Phi-weighted stack on
@@ -347,22 +379,28 @@ def update_class_dict(
     z, n_s = sub.z, sub.n_s
     n_t = z.shape[-1] - n_s
     ranks = [int(r) for r in ranks]
-    quad = None
     if method == "eigen-phi":
-        swept = SampleOperator.phi(n_s, n_t, theta, lam).apply(z)
+        op = SampleOperator.phi(n_s, n_t, theta, lam)
     elif method == "exact":
-        swept = z
-        quad = SampleOperator.quadratic_form(n_s, n_t, theta, lam)
+        op = SampleOperator.quadratic_form(n_s, n_t, theta, lam)
     else:
         raise ValueError(f"unknown class-update method: {method}")
-    form = functools.partial(_mode_form, quad=quad)
-    if w_init is None:
-        w = [eig_sym_topk(form(swept, m), r)[1] for m, r in enumerate(ranks)]
+    w = None if w_init is None else [np.asarray(u, dtype=np.float64) for u in w_init]
+    if math.prod(z.shape[:-1]) <= z.shape[-1]:
+        g = (op.gram(n_t) if method == "eigen-phi" else op).moment(z)
+        if w is None:
+            w = hosvd(z, ranks, skip_last=True, moment=g)
+        for _ in range(inner_sweeps):
+            moment_sweep(g, z.shape[:-1], w, ranks)
     else:
-        w = [np.asarray(u, dtype=np.float64) for u in w_init]
-    for _ in range(inner_sweeps):
-        sweep(swept, w, ranks, form)
-    del swept
+        quad = op if method == "exact" else None
+        swept = z if method == "exact" else op.apply(z)
+        form = functools.partial(_mode_form, quad=quad)
+        if w is None:
+            w = [eig_sym_topk(form(swept, m), r)[1] for m, r in enumerate(ranks)]
+        for _ in range(inner_sweeps):
+            sweep(swept, w, ranks, form)
+        del swept
     k = dict_project(z, w)
     # each domain's codes in an array of its own, C-contiguous, as later
     # products expect of a class's codes
@@ -422,7 +460,8 @@ def _hooi_dict(samples: np.ndarray, hyper: Hyperparams, factors):
     squared error of the samples' reconstruction from those codes. The
     factors are orthonormal and the codes are the projection of the
     samples, so that error is ``||samples||^2 - ||codes||^2``, clamped at
-    zero against cancellation.
+    zero against cancellation. A norm that overflows raises
+    ``FloatingPointError``, without a warning.
     """
     res = hooi(
         samples,
@@ -432,7 +471,10 @@ def _hooi_dict(samples: np.ndarray, hyper: Hyperparams, factors):
         tol=hyper.tol,
         init_factors=factors,
     )
-    error = max(frobenius_norm(samples) ** 2 - frobenius_norm(res.core) ** 2, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        error = max(frobenius_norm(samples) ** 2 - frobenius_norm(res.core) ** 2, 0.0)
+    if not math.isfinite(error):
+        raise FloatingPointError("a squared residual norm is not finite")
     return list(res.factors), res.core, error
 
 

@@ -57,7 +57,8 @@ def mode_gram(t: np.ndarray, mode: int, other: np.ndarray | None = None) -> np.n
     """``T_(mode) O_(mode)^T`` for ``O = other`` (``t`` itself when None).
 
     Computed on the C-order ``(lead, I_mode, trail)`` views, as one product
-    per leading index summed, so neither tensor is flattened by copy.
+    per leading index summed, so neither tensor is flattened by copy. An
+    overflow is left for :func:`sdtdl.hooi.eig_sym_topk` to report.
     """
     _check_mode(t, mode)
     o = t if other is None else other
@@ -66,11 +67,12 @@ def mode_gram(t: np.ndarray, mode: int, other: np.ndarray | None = None) -> np.n
     lead, trail = math.prod(t.shape[:mode]), math.prod(t.shape[mode + 1 :])
     t3 = t.reshape(lead, t.shape[mode], trail)
     o3 = o.reshape(lead, t.shape[mode], trail)
-    if lead == 1:
-        return t3[0] @ o3[0].T
-    if trail == 1:
-        return t3[:, :, 0].T @ o3[:, :, 0]
-    return np.matmul(t3, o3.transpose(0, 2, 1)).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if lead == 1:
+            return t3[0] @ o3[0].T
+        if trail == 1:
+            return t3[:, :, 0].T @ o3[:, :, 0]
+        return np.matmul(t3, o3.transpose(0, 2, 1)).sum(axis=0)
 
 
 def dict_apply(t: np.ndarray, factors) -> np.ndarray:

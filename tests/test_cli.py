@@ -57,6 +57,29 @@ def fit_args(d, out):
     ]
 
 
+def write_scaled_problem(tmp_path, scale, n_per_class=10, **spec):
+    """A 3-class problem of 6x5 samples, both domains times ``scale``."""
+    d = tmp_path / "data"
+    d.mkdir()
+    source, target, _ = dataio.generate_synthetic(dataio.SyntheticSpec(
+        class_count=3, dims=(6, 5), ranks=(2, 2), n_source_per_class=n_per_class,
+        n_target_per_class=n_per_class, noise=0.05, shift=0.5, seed=0, **spec,
+    ))
+    dataio.write_tensor(d / "source.stdl", source.samples * scale)
+    dataio.write_labels(d / "source_labels.txt", source.labels)
+    dataio.write_tensor(d / "target.stdl", target.samples * scale)
+    return d
+
+
+def scaled_fit_args(d, out):
+    return [
+        "fit", "--source", str(d / "source.stdl"),
+        "--source-labels", str(d / "source_labels.txt"),
+        "--target", str(d / "target.stdl"),
+        "--ranks", "2,2", "--theta", "2.0", "--out", str(out),
+    ]
+
+
 class TestSynth:
     def test_writes_all_files(self, tmp_path, capsys):
         d = synth_dir(tmp_path, capsys)
@@ -433,6 +456,45 @@ class TestFitPredict:
         assert "Traceback" not in err
         assert not pred.exists()
 
+    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    @pytest.mark.filterwarnings("error")
+    def test_predict_on_an_overflowing_target(self, tmp_path, capsys, scale):
+        # this used to exit 0 with label 1 and confidence nan for every
+        # sample, after two RuntimeWarnings
+        d = write_scaled_problem(tmp_path, 1.0)
+        out = tmp_path / "run"
+        code, _, err = run(capsys, *scaled_fit_args(d, out))
+        assert code == 0, err
+        huge = tmp_path / "huge.stdl"
+        dataio.write_tensor(huge, dataio.read_tensor(d / "target.stdl") * scale)
+        pred = tmp_path / "p.txt"
+        code, stdout, err = run(
+            capsys, "predict", "--model", str(out / "model.stdm"),
+            "--target", str(huge), "--out", str(pred),
+        )
+        assert code == 4
+        assert stdout == ""
+        assert err == "numeric error: a reconstruction error or centroid distance is not finite\n"
+        assert not pred.exists()
+
+    # 10 samples per class give class stacks with fewer samples than the 30
+    # feature entries, so init step 1's HOOI sweeps the stack (the direct
+    # path); 40 give more, so it sweeps the stack's sample moment
+    @pytest.mark.parametrize("n_per_class", [10, 40], ids=["direct", "moment"])
+    @pytest.mark.filterwarnings("error")
+    def test_fit_on_an_overflowing_problem(self, tmp_path, capsys, n_per_class):
+        # the Gram and moment matrices overflow at this scale; this used to
+        # print numpy's overflow warning before the numeric error line. The
+        # class jobs run on threads, and the first to fail names the error:
+        # an overflowed matrix, or a residual norm that overflowed first.
+        d = write_scaled_problem(tmp_path, 1e152, n_per_class=n_per_class, mean_separation=50.0)
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, *scaled_fit_args(d, out))
+        assert code == 4
+        assert stdout == ""
+        assert err.startswith("numeric error: ") and err.count("\n") == 1
+        assert not (out / "model.stdm").exists()
+
     def test_predict_dims_mismatch(self, tmp_path, capsys):
         d = synth_dir(tmp_path, capsys)
         out = tmp_path / "run"
@@ -784,20 +846,22 @@ class TestDecompose:
         assert "tol must be finite" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
     def test_eigensolver_failure_exit_code(self, tmp_path, capsys):
         # the mode Gram matrices of a tensor this large overflow, and the
         # eigensolver rejects them: a numeric error, as in fit
         t = np.random.default_rng(4).standard_normal((4, 5, 3)) * 1e155
         dataio.write_tensor(tmp_path / "t.stdl", t)
         out = tmp_path / "dec"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, stdout, err = run(
-                capsys, "decompose", "--input", str(tmp_path / "t.stdl"),
-                "--ranks", "2,2,2", "--out", str(out),
-            )
+        # the overflow is reported by the one line, not by a numpy warning
+        # before it (warnings are errors here)
+        code, stdout, err = run(
+            capsys, "decompose", "--input", str(tmp_path / "t.stdl"),
+            "--ranks", "2,2,2", "--out", str(out),
+        )
         assert code == 4
         assert stdout == ""
-        assert "numeric error: matrix has a non-finite entry" in err
+        assert err == "numeric error: matrix has a non-finite entry\n"
         assert not out.exists()
 
     def test_bad_ranks_exit_code(self, tmp_path, capsys):

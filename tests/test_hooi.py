@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sdtdl.hooi import TuckerResult, eig_sym_topk, hooi, hosvd, sweep
+from sdtdl.hooi import TuckerResult, _sample_moment, eig_sym_topk, hooi, hosvd, moment_sweep, sweep
 from sdtdl.solver import (
     ClassSubproblem,
     SampleOperator,
@@ -16,7 +16,7 @@ from sdtdl.solver import (
 )
 from sdtdl.tensor import dict_apply, dict_project, frobenius_norm, mode_product
 
-from oracles import build_phi, mode_flatten
+from oracles import build_phi, class_update_quadratic_form, mode_flatten
 
 # the module itself: the package attribute ``sdtdl.hooi`` is the function
 H = importlib.import_module("sdtdl.hooi")
@@ -231,13 +231,13 @@ def low_rank_tensor(rng, dims, ranks):
     return t + 1e-3 * rng.standard_normal(dims)
 
 
-def separated(form, r):
+def separated(form, r, gap=1e-4):
     """Whether the top-``r`` eigenspace of the symmetric ``form`` is set apart
-    by a relative eigen-gap of at least 1e-4 of its largest magnitude. By
-    Davis-Kahan, rounding then turns that subspace by about eps / 1e-4, some
-    2e-12, well under the 1e-10 the comparisons below allow."""
+    by a relative eigen-gap of at least ``gap`` of its largest magnitude. By
+    Davis-Kahan, rounding then turns that subspace by about eps / gap, some
+    2e-12 at the default, well under the 1e-10 most comparisons below allow."""
     v = np.linalg.eigvalsh(form)[::-1]
-    return r == v.size or v[r - 1] - v[r] >= 1e-4 * np.max(np.abs(v)) > 0
+    return r == v.size or v[r - 1] - v[r] >= gap * np.max(np.abs(v)) > 0
 
 
 def projector_gap(a, b):
@@ -346,6 +346,9 @@ class TestSweep:
         dims = (3,) * order + (4,)
         ranks = [2] * order
         t = rng.standard_normal(dims)
+        # only order 1 has no more feature entries (3) than samples (4): its
+        # cold start and its class update sweep the sample moment
+        moment = 3**order <= 4
         factors = hosvd(t, ranks, skip_last=True)
         calls = []
         real = H.mode_product
@@ -355,8 +358,10 @@ class TestSweep:
         assert len(calls) == per_sweep
 
         # hooi, warm or cold started: the sweeps' products plus the one that
-        # forms the returned core, and no projection of the tensor (every
-        # dict_apply and dict_project goes through the tensor module's binding)
+        # forms the returned core, and no projection of the tensor through
+        # the tensor module (every dict_apply and dict_project goes through
+        # its binding). A cold start on the moment makes no product per
+        # sweep, and forms the core with one product per mode.
         def no_projection(*args):
             raise AssertionError("hooi projected the tensor")
 
@@ -365,11 +370,78 @@ class TestSweep:
             for init in (factors, None):
                 calls.clear()
                 res = hooi(t, ranks, skip_last=True, max_sweeps=3, tol=1e-300, init_factors=init)
-                assert len(calls) == len(res.fit_history) * per_sweep + 1
+                if init is None and moment:
+                    assert len(calls) == order
+                else:
+                    assert len(calls) == len(res.fit_history) * per_sweep + 1
 
-        # the class update: the same sweep, inner_sweeps times
+        # the class update: the same sweep, inner_sweeps times, or on the
+        # moment no product at all
         sub = ClassSubproblem(t, 2)
         for method in ("eigen-phi", "exact"):
             calls.clear()
             update_class_dict(sub, ranks, 5, method=method, theta=2.0, lam=0.1, w_init=factors)
-            assert len(calls) == 5 * per_sweep
+            assert len(calls) == (0 if moment else 5 * per_sweep)
+
+
+class TestMomentSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        order=st.integers(2, 3),
+        route=st.sampled_from(["identity", "eigen-phi", "exact"]),
+        lam=st.sampled_from([0.0, 0.1, 1.5]),
+        n_s=st.integers(1, 6),
+        n_t=st.integers(0, 6),
+        warm=st.booleans(),
+        sweeps=st.integers(1, 3),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_direct_sweep(self, order, route, lam, n_s, n_t, warm, sweeps, data, seed):
+        # the same stack swept directly and on its sample moment: the domain
+        # HOOI (identity on the sample mode) and both class routes, with Q's
+        # source scale negative at lam 1.5, with and without target columns
+        rng = np.random.default_rng(seed)
+        dims = data.draw(st.lists(st.integers(2, 4), min_size=order, max_size=order))
+        ranks = [data.draw(st.integers(1, d)) for d in dims]
+        t = low_rank_tensor(rng, dims + [n_s + n_t], ranks)
+        quad, n = None, n_s + n_t
+        if route == "identity":
+            swept, g, dense = t, _sample_moment(t), np.eye(n)
+        elif route == "eigen-phi":
+            phi = SampleOperator.phi(n_s, n_t, 2.0, lam)
+            swept, g = phi.apply(t), phi.gram(n_t).moment(t)
+            dense = build_phi(n_s, n_t, 2.0, lam).T @ build_phi(n_s, n_t, 2.0, lam)
+        else:
+            quad = SampleOperator.quadratic_form(n_s, n_t, 2.0, lam)
+            swept, g, dense = t, quad.moment(t), class_update_quadratic_form(n_s, n_t, 2.0, lam)
+        # the magnitude of the terms summed into a form: a weighted form can
+        # be far smaller, by cancellation, and so be known only to eps times
+        # this, in both computations
+        scale = frobenius_norm(t) ** 2 * np.max(np.sum(np.abs(dense), axis=1))
+        forms = []
+
+        def form(h, m):
+            forms.append(_mode_form(h, m, quad))
+            return forms[-1]
+
+        if warm:
+            direct = [rand_orth(rng, d, r) for d, r in zip(dims, ranks)]
+            moment = list(direct)
+        else:
+            direct = [eig_sym_topk(form(swept, m), r)[1] for m, r in enumerate(ranks)]
+            moment = hosvd(t, ranks, skip_last=True, moment=g)
+        gaps, values = [projector_gap(direct, moment)], []
+        for _ in range(sweeps):
+            _, want = sweep(swept, direct, ranks, form)
+            got = moment_sweep(g, dims, moment, ranks)
+            gaps.append(projector_gap(direct, moment))
+            values.append((got, want))
+        # every eigensolve had a unique top subspace, set apart by 1e-3 of
+        # the scale: rounding then turns it by some 1e-13
+        for i, f in enumerate(forms):
+            v, r = np.linalg.eigvalsh(f)[::-1], ranks[i % order]
+            assume(r == v.size or v[r - 1] - v[r] >= 1e-3 * scale)
+        assert max(gaps) <= 1e-12
+        for got, want in values:
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)

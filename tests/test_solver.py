@@ -255,6 +255,35 @@ class TestSampleOperator:
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_s=st.integers(1, 12),
+        n_t=st.integers(0, 12),
+        theta=st.floats(1e-3, 50.0),
+        lam=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+        lead=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_phi_gram_and_moments_equal_dense_products(self, n_s, n_t, theta, lam, lead, seed):
+        n = n_s + n_t
+        phi = build_phi(n_s, n_t, theta, lam)
+        gram = SampleOperator.phi(n_s, n_t, theta, lam).gram(n_t)
+        # entry (i, j) of the identity times the operator on its sample mode
+        got = gram.apply(np.eye(n))
+        # relative to the magnitudes summed into each entry
+        assert np.all(np.abs(got - phi.T @ phi) <= 1e-12 * (np.abs(phi).T @ np.abs(phi)))
+        z = np.random.default_rng(seed).standard_normal(tuple(lead) + (n,))
+        flat = z.reshape(-1, n)
+        pairs = (
+            (gram, phi.T @ phi),
+            (SampleOperator.quadratic_form(n_s, n_t, theta, lam),
+             class_update_quadratic_form(n_s, n_t, theta, lam)),
+        )
+        for op, m in pairs:
+            scale = np.abs(flat) @ (np.abs(phi).T @ np.abs(phi) + np.abs(m)) @ np.abs(flat).T
+            assert np.all(np.abs(op.moment(z) - flat @ m @ flat.T) <= 1e-12 * scale)
+
+
 def zero_model(dims, ranks, C, hyper):
     zdict = [np.zeros((d, r)) for d, r in zip(dims, ranks)]
     return SdtdlModel(
@@ -423,6 +452,24 @@ class TestUpdateClassDict:
         for we, wx in zip(w_eig, w_ex):
             assert np.max(np.abs(we - wx)) <= 1e-10
 
+    @pytest.mark.parametrize("method", ["eigen-phi", "exact"])
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_moment_path_holds_no_second_stack(self, method, warm):
+        # 64 feature entries and 4,000 samples: the update sweeps the sample
+        # moment, and only the codes' first product, a quarter of the stack,
+        # and the codes themselves are stack-derived arrays. A weighted copy
+        # of the stack, such as Q applied to it, would reach the bound alone.
+        rng = np.random.default_rng(9)
+        sub = ClassSubproblem(rng.standard_normal((8, 8, 4000)), 2500)
+        w_init = [rand_orth(rng, 8, 2) for _ in range(2)] if warm else None
+        tracemalloc.start()
+        try:
+            update_class_dict(sub, (2, 2), 3, method, theta=2.0, lam=0.1, w_init=w_init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * sub.z.nbytes
+
     def test_unknown_method(self):
         sub = ClassSubproblem(np.zeros((2, 2, 2)), 1)
         with pytest.raises(ValueError, match="unknown"):
@@ -467,6 +514,16 @@ class TestDomainUpdates:
         )
         u_new, a0_new, _ = update_domain_source(src, model, codes)
         assert frobenius_norm(samples - apply_dict(a0_new, u_new)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [10, 40], ids=["direct", "moment"])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_fidelity_is_a_numeric_error(self, n):
+        # a squared norm of 1.5 times the largest float: every matrix the
+        # sweeps form holds a part of it, and stays finite
+        t = np.random.default_rng(5).standard_normal((6, 5, n))
+        t *= np.sqrt(1.5) * np.sqrt(np.finfo(float).max) / frobenius_norm(t)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            S._hooi_dict(t, Hyperparams(ranks=(2, 2)), None)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_objective_non_increase(self, seed):
