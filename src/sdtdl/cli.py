@@ -70,7 +70,8 @@ def _parse_ranks(value):
     if value is None:
         return None
     try:
-        return tuple(int(v) for v in str(value).split(",") if v.strip())
+        # every field counts: an empty one is an error, not a skipped mode
+        return tuple(int(v) for v in str(value).split(","))
     except ValueError as exc:
         raise ConfigError(f"bad ranks {value!r}: {exc}") from exc
 

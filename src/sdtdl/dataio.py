@@ -64,11 +64,14 @@ class TruncatedPayloadError(TensorFileError):
     pass
 
 
+def _header(t: np.ndarray) -> bytes:
+    """The tensor file header of ``t``: magic, version, order and dims."""
+    return TENSOR_MAGIC + struct.pack(f"<HH{t.ndim}Q", VERSION, t.ndim, *t.shape)
+
+
 def tensor_to_bytes(t: np.ndarray) -> bytes:
     t = np.ascontiguousarray(t, dtype="<f8")
-    header = TENSOR_MAGIC + struct.pack("<HH", VERSION, t.ndim)
-    header += struct.pack(f"<{t.ndim}Q", *t.shape)
-    return header + t.tobytes()
+    return _header(t) + t.tobytes()
 
 
 def _read(fh, n: int, what: str) -> bytes:
@@ -100,8 +103,13 @@ def _read_tensor(fh, size: int) -> np.ndarray:
 
 
 def write_tensor(path, t: np.ndarray) -> None:
+    """Write ``t`` as a tensor file: the bytes of :func:`tensor_to_bytes`,
+    the payload written straight from the array, with no copy of a
+    C-contiguous float64 one."""
+    t = np.ascontiguousarray(t, dtype="<f8")
     with open(path, "wb") as fh:
-        fh.write(tensor_to_bytes(t))
+        fh.write(_header(t))
+        fh.write(t.data)
 
 
 def read_tensor(path) -> np.ndarray:

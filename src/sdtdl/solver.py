@@ -393,9 +393,11 @@ def update_class_dict(
         for _ in range(inner_sweeps):
             moment_sweep(g, z.shape[:-1], w, ranks)
     else:
-        quad = op if method == "exact" else None
-        swept = z if method == "exact" else op.apply(z)
-        form = functools.partial(_mode_form, quad=quad)
+        if method == "exact":
+            swept, form = z, functools.partial(_mode_form, quad=op)
+        else:
+            # the plain Gram form, which sweep may sum over sample blocks
+            swept, form = op.apply(z), mode_gram
         if w is None:
             w = [eig_sym_topk(form(swept, m), r)[1] for m, r in enumerate(ranks)]
         for _ in range(inner_sweeps):
@@ -698,7 +700,8 @@ def run_block_updates(
     the pass, read from the norms the domain updates formed.
 
     The target dictionary is updated before the source dictionary: neither
-    update reads what the other writes. ``_beside`` is for :func:`fit`
+    update reads what the other writes, and ``selected`` is released once
+    the target update returns. ``_beside`` is for :func:`fit`
     alone: a job that reads no source-dictionary state, run beside the
     source update (:func:`_run_jobs`) and joined before the return."""
     hyper = model.hyper
@@ -722,6 +725,9 @@ def run_block_updates(
     _refresh_means(model, codes)
 
     model.u_target, codes.b0, fid_t = update_domain_target(selected, model, codes)
+    # the class jobs and the target update were its only readers; freed
+    # here, it is not held through the source update and the pass beside it
+    del selected
     jobs = [functools.partial(update_domain_source, source, model, codes)]
     if _beside is not None:
         jobs.append(_beside)

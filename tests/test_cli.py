@@ -123,6 +123,19 @@ class TestSynth:
             assert not out.exists()
 
 
+    def test_empty_dims_field_exit_code(self, tmp_path, capsys):
+        # an empty field used to be skipped: 6,,6 made a 6x6 data set
+        out = tmp_path / "x"
+        code, stdout, err = run(
+            capsys, "synth", "--classes", "2", "--dims", "6,,6", "--ranks", "2,2",
+            "--n-source", "1", "--n-target", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "bad ranks '6,,6'" in err
+        assert not out.exists()
+
+
 class TestFitPredict:
     def test_fit_outputs(self, tmp_path, capsys):
         d = synth_dir(tmp_path, capsys)
@@ -362,6 +375,19 @@ class TestFitPredict:
         code, _, err = run(capsys, *args)
         assert code == 2
         assert "target has no samples" in err
+
+    @pytest.mark.parametrize("ranks", ["3,,3", "3,3,"])
+    def test_empty_rank_field_exit_code(self, tmp_path, capsys, ranks):
+        # an empty field used to be skipped, so both fitted ranks (3, 3)
+        d = synth_dir(tmp_path, capsys)
+        out = tmp_path / "run"
+        args = fit_args(d, out)
+        args[args.index("--ranks") + 1] = ranks
+        code, stdout, err = run(capsys, *args)
+        assert code == 2
+        assert stdout == ""
+        assert f"bad ranks {ranks!r}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "option", [("--theta", "nan"), ("--lambda", "nan"), ("--theta", "inf"),
@@ -871,6 +897,18 @@ class TestDecompose:
             "--ranks", "4,2", "--out", str(tmp_path / "dec"),
         )
         assert code == 2
+
+    def test_empty_rank_field_exit_code(self, tmp_path, capsys):
+        # 2,,2,3 used to decompose with ranks (2, 2, 3)
+        dataio.write_tensor(tmp_path / "t.stdl", np.ones((3, 3, 4)))
+        code, stdout, err = run(
+            capsys, "decompose", "--input", str(tmp_path / "t.stdl"),
+            "--ranks", "2,,2,3", "--out", str(tmp_path / "dec"),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "bad ranks '2,,2,3'" in err
+        assert not (tmp_path / "dec").exists()
 
     @pytest.mark.parametrize("dims", [(131072, 65536), (2**31, 2**31)])
     def test_oversized_header_exit_code(self, tmp_path, capsys, dims):

@@ -48,6 +48,13 @@ def test_one_tree_against_itself_reports_no_change(tmp_path):
         assert row["blas_threads"] == {
             "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None, "OMP_NUM_THREADS": None
         }
+    # each tree's fit process's peak RSS, and the largest in the last line
+    for row in rows:
+        assert set(row["maxrss_mib"]) == {"a", "b"}
+        assert all(10 < mib < 4096 for mib in row["maxrss_mib"].values())
+    assert rows[-1]["maxrss_mib"] == {
+        side: max(r["maxrss_mib"][side] for r in rows[:2]) for side in ("a", "b")
+    }
     assert all(r["labels_equal"] and r["masks_equal"] for r in rows[:2])
     assert [r["differing_files"] for r in rows[:2]] == [[], []]
 

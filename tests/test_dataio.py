@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,31 @@ class TestTensorFile:
         buf = tensor_to_bytes(t)
         values = np.frombuffer(buf[24:], dtype="<f8")
         assert np.array_equal(values, [0, 1, 2, 3, 4, 5])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda t: t, id="c-order"),
+            pytest.param(np.asfortranarray, id="f-order"),
+            pytest.param(lambda t: t.astype(np.float32), id="float32"),
+        ],
+    )
+    def test_written_bytes_are_tensor_to_bytes(self, tmp_path, make):
+        t = make(np.random.default_rng(1).standard_normal((4, 3, 5)))
+        write_tensor(tmp_path / "t.stdl", t)
+        assert (tmp_path / "t.stdl").read_bytes() == tensor_to_bytes(t)
+
+    def test_write_holds_no_copy_of_the_payload(self, tmp_path):
+        # a C-order float64 tensor is written from its own buffer; a bytes
+        # payload and the header joined to it took two copies
+        t = np.random.default_rng(2).standard_normal((8, 8, 2000))
+        tracemalloc.start()
+        try:
+            write_tensor(tmp_path / "t.stdl", t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * t.nbytes
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "t.stdl"

@@ -1,6 +1,7 @@
 import functools
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from sdtdl.solver import (
     _mode_form,
     update_class_dict,
 )
-from sdtdl.tensor import dict_apply, dict_project, frobenius_norm, mode_product
+from sdtdl.tensor import dict_apply, dict_project, frobenius_norm, mode_gram, mode_product
 
 from oracles import build_phi, class_update_quadratic_form, mode_flatten
 
@@ -445,3 +446,130 @@ class TestMomentSweep:
         assert max(gaps) <= 1e-12
         for got, want in values:
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def projection_bytes(dims, ranks):
+    """Bytes of the last compressed mode's partial projection of a tensor
+    with ``dims``, the sample mode last: the quantity the block rule reads."""
+    last = len(ranks) - 1
+    return 8 * math.prod(ranks[:last]) * math.prod(dims[last:])
+
+
+class TestSampleBlocks:
+    # the object workload's domain sets (1,000 sources, 800 selected
+    # targets) pass the budget; its class stacks and the 16x16 shapes of
+    # wide-n and exact-n do not
+    @pytest.mark.parametrize(
+        "dims,ranks,count",
+        [
+            ((7, 7, 64, 1000), (6, 6, 28), 3),
+            ((7, 7, 64, 800), (6, 6, 28), 2),
+            ((7, 7, 64, 200), (6, 6, 28), None),
+            ((16, 16, 5000), (4, 4), None),
+            ((7, 7, 64, 1000), (6, 6, 28, 1000), None),  # no sample mode
+            ((3136, 1000), (6,), None),  # one mode: its projection is the tensor
+        ],
+    )
+    def test_rule_at_the_budget(self, dims, ranks, count):
+        blocks = H._sample_blocks(np.empty(dims), ranks)
+        if count is None:
+            assert blocks is None
+            return
+        assert len(blocks) == count
+        cols = np.arange(dims[-1])
+        assert np.array_equal(np.concatenate([cols[c] for c in blocks]), cols)
+        for c in blocks:
+            n = len(cols[c])
+            assert projection_bytes(dims[:-1] + (n,), ranks) <= H._SWEEP_BLOCK_BYTES
+        # as few blocks as the budget allows
+        assert projection_bytes(dims, ranks) > (count - 1) * H._SWEEP_BLOCK_BYTES
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        order=st.integers(2, 3),
+        n=st.integers(2, 9),
+        budget=st.integers(8, 400),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_sweep_and_core_match_the_whole_ones(self, order, n, budget, data, seed):
+        rng = np.random.default_rng(seed)
+        dims = data.draw(st.lists(st.integers(2, 4), min_size=order, max_size=order))
+        ranks = [data.draw(st.integers(1, d)) for d in dims]
+        t = low_rank_tensor(rng, dims + [n], ranks)
+        start = [rand_orth(rng, d, r) for d, r in zip(dims, ranks)]
+        whole, blocked = list(start), list(start)
+        forms = []
+        for _ in range(2):
+            h, want = sweep(t, whole, ranks)
+            forms.append(mode_gram(h, order - 1))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(H, "_SWEEP_BLOCK_BYTES", budget)
+                assume(H._sample_blocks(t, ranks) is not None)
+                h, got = sweep(t, blocked, ranks)
+            assert h is None
+            # the block sums add the same terms in another order
+            assert np.all(np.abs(got - want) <= 1e-12 * frobenius_norm(t) ** 2)
+        assume(all(separated(f, ranks[-1]) for f in forms))
+        assert projector_gap(blocked, whole) <= 1e-10
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(H, "_SWEEP_BLOCK_BYTES", budget)
+            res = hooi(t, ranks, skip_last=True, max_sweeps=2, tol=1e-300, init_factors=start)
+        want = dict_project(t, res.factors)
+        assert res.core.shape == want.shape
+        assert np.max(np.abs(res.core - want)) <= 1e-12 * frobenius_norm(t)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_one_eigensolve_per_mode_and_the_block_products(self, order, monkeypatch):
+        rng = np.random.default_rng(order)
+        dims, ranks = (4,) * order + (10,), [2] * order
+        t = rng.standard_normal(dims)
+        factors = hosvd(t, ranks, skip_last=True)
+        monkeypatch.setattr(H, "_SWEEP_BLOCK_BYTES", projection_bytes(dims, ranks) // 3)
+        count = len(H._sample_blocks(t, ranks))
+        assert count == 4
+        products, solves = [], []
+        real_product, real_solve = H.mode_product, H.eig_sym_topk
+        monkeypatch.setattr(H, "mode_product", lambda *a: products.append(a[2]) or real_product(*a))
+        monkeypatch.setattr(H, "eig_sym_topk", lambda *a: solves.append(1) or real_solve(*a))
+        res = hooi(t, ranks, skip_last=True, max_sweeps=3, tol=1e-300, init_factors=factors)
+        sweeps = len(res.fit_history)
+        assert len(solves) == sweeps * order
+        # a sweep: the suffix and the leading modes as before, then each
+        # block projected on the leading factors; the core: each block on
+        # every factor
+        per_sweep = (order - 1) + (order - 1) * (order - 2) // 2 + count * (order - 1)
+        assert len(products) == sweeps * per_sweep + count * order
+
+    def test_a_form_that_couples_samples_stays_whole(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        t = rng.standard_normal((4, 3, 12))
+        quad = SampleOperator.quadratic_form(5, 7, 2.0, 0.1)
+        monkeypatch.setattr(H, "_SWEEP_BLOCK_BYTES", 64)
+        seen = []
+
+        def form(h, m):
+            seen.append(h.shape[-1])
+            return _mode_form(h, m, quad)
+
+        h, _ = sweep(t, hosvd(t, (2, 2), skip_last=True), (2, 2), form)
+        assert h.shape == (2, 3, 12) and seen == [12, 12]
+
+    def test_warm_hooi_holds_less_than_the_stack(self):
+        # the object shape's source set passes the budget: the last mode's
+        # partial projection and the core are formed by sample blocks, and
+        # the largest arrays a sweep builds are its suffix products, 28/64
+        # and 24/64 of the stack. Whole, the two products of the partial
+        # projection would take 6/7 and 36/49 of it at once.
+        dims, ranks = (7, 7, 64, 1000), (6, 6, 28)
+        assert projection_bytes(dims, ranks) > H._SWEEP_BLOCK_BYTES
+        rng = np.random.default_rng(5)
+        t = rng.standard_normal(dims)
+        start = [rand_orth(rng, d, r) for d, r in zip(dims, ranks)]
+        tracemalloc.start()
+        try:
+            hooi(t, ranks, skip_last=True, max_sweeps=2, tol=1e-300, init_factors=start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t.nbytes

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import importlib
 import inspect
 import os
 import sys
@@ -48,6 +49,16 @@ from oracles import (
     objective,
     stack_last,
 )
+
+# the module itself: the package attribute ``sdtdl.hooi`` is the function
+H = importlib.import_module("sdtdl.hooi")
+
+
+# how far a fitted projector may move when every feature mode of the
+# problem is turned by an orthogonal matrix: rounding alone, amplified by
+# the eigen-gaps of the small random problems (at most 5.2e-14 over seeds
+# 0-39 of every case of the property below)
+ROTATION_TOL = 1e-10
 
 
 def rand_orth(rng, n, k):
@@ -896,6 +907,133 @@ class TestFit:
         shuffled = LabeledTensorSet(target.samples[..., perm])
         _, pl_perm, _ = fit(source, shuffled, hyper, class_update=route)
         assert np.array_equal(pl_perm.labels, pl.labels[perm])
+
+    # (dims, samples per class): feature entries above the source's sample
+    # count, at or below it (cold domain updates sweep the sample moment),
+    # and an order-3 shape
+    INVARIANCE_SHAPES = [((6, 5), 6), ((6, 5), 20), ((4, 3, 5), 8)]
+
+    @staticmethod
+    def invariance_problem(shape, seed):
+        """A small 3-class problem and the hyperparameters to fit it with."""
+        dims, n = shape
+        spec = SyntheticSpec(
+            class_count=3, dims=dims, ranks=(2,) * len(dims), n_source_per_class=n,
+            n_target_per_class=n, noise=0.05, shift=0.3, seed=seed,
+        )
+        source, target, _ = generate_synthetic(spec)
+        hyper = Hyperparams(
+            ranks=(2,) * len(dims), theta=2.0, lam=0.1, delta=0.8, max_outer_iters=3
+        )
+        return source, target, hyper
+
+    @classmethod
+    def invariance_fit(cls, shape, seed, route, transform, blocked):
+        """The fit of one small problem, and of the problem with ``transform``
+        applied to every source and target sample tensor. With ``blocked``,
+        the sweep budget lies below every partial projection, so every HOOI
+        sweep and every direct ``eigen-phi`` class sweep forms its last mode
+        by sample blocks."""
+        source, target, hyper = cls.invariance_problem(shape, seed)
+        moved = [LabeledTensorSet(transform(s.samples), s.labels) for s in (source, target)]
+        with pytest.MonkeyPatch.context() as patch:
+            if blocked:
+                patch.setattr(H, "_SWEEP_BLOCK_BYTES", 64)
+            return fit(source, target, hyper, class_update=route)[:2], fit(
+                *moved, hyper, class_update=route
+            )[:2]
+
+    @staticmethod
+    def model_factors(model):
+        """Each factor matrix with its mode: domain, then class dictionaries."""
+        for ws in [model.u_source, model.u_target, *model.w_class]:
+            yield from enumerate(ws)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        route=st.sampled_from(["eigen-phi", "exact"]),
+        shape=st.sampled_from(INVARIANCE_SHAPES),
+    )
+    def test_sample_block_sweeps_change_the_fit_in_rounding_only(self, seed, route, shape):
+        # every sweep and HOOI core over sample blocks against the whole
+        # ones. Over seeds 0-29 of every case the worst changes were 2.2e-15
+        # (confidences), 2.5e-14 (projectors) and a relative 4.4e-14
+        # (history objectives); the bounds are tools/compare_fits.py's
+        # defaults, with confidences at 1e-14
+        source, target, hyper = self.invariance_problem(shape, seed)
+        model, pl, history = fit(source, target, hyper, class_update=route)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(H, "_SWEEP_BLOCK_BYTES", 64)
+            blocked, pl_blocked, history_blocked = fit(source, target, hyper, class_update=route)
+        assert np.array_equal(pl_blocked.labels, pl.labels)
+        assert np.array_equal(pl_blocked.selected, pl.selected)
+        assert np.max(np.abs(pl_blocked.combined_conf - pl.combined_conf)) <= 1e-14
+        for (_, u), (_, v) in zip(self.model_factors(model), self.model_factors(blocked)):
+            assert np.linalg.norm(u @ u.T - v @ v.T, 2) <= 1e-12
+        a = np.array([row.objective for row in history])
+        b = np.array([row.objective for row in history_blocked])
+        assert a.shape == b.shape
+        assert np.allclose(b, a, rtol=1e-12, atol=0.0, equal_nan=True)
+
+    @pytest.mark.parametrize("blocked", [False, True])
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        route=st.sampled_from(["eigen-phi", "exact"]),
+        shape=st.sampled_from(INVARIANCE_SHAPES),
+    )
+    def test_rotated_feature_modes_rotate_the_fit(self, blocked, seed, route, shape):
+        # every sample's mode k turned by one orthogonal R_k: HOOI and the
+        # class sweeps are equivariant, and every norm and distance of the
+        # prediction pass is invariant, so each factor U_k becomes R_k U_k
+        # up to a turn within its span, which its projector does not see
+        rng = np.random.default_rng(seed)
+        rots = [rand_orth(rng, d, d) for d in shape[0]]
+        (model, pl), (turned, pl_turned) = self.invariance_fit(
+            shape, seed, route, lambda t: apply_dict(t, rots), blocked
+        )
+        assert np.array_equal(pl_turned.labels, pl.labels)
+        assert np.array_equal(pl_turned.selected, pl.selected)
+        for (m, u), (_, v) in zip(self.model_factors(model), self.model_factors(turned)):
+            ru = rots[m] @ u
+            assert np.linalg.norm(ru @ ru.T - v @ v.T, 2) <= ROTATION_TOL
+
+    @pytest.mark.parametrize("blocked", [False, True])
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        route=st.sampled_from(["eigen-phi", "exact"]),
+        shape=st.sampled_from(INVARIANCE_SHAPES),
+        power=st.sampled_from([20, -20, 200, -200]),
+    )
+    def test_power_of_two_scaling_leaves_the_fit_bitwise(self, blocked, seed, route, shape, power):
+        # scaling by 2^k is exact, and so is every product, Gram matrix and
+        # block sum of the scaled samples: eigenvectors, labels and masks are
+        # the same bits
+        (model, pl), (scaled, pl_scaled) = self.invariance_fit(
+            shape, seed, route, lambda t: t * 2.0**power, blocked
+        )
+        assert np.array_equal(pl_scaled.labels, pl.labels)
+        assert np.array_equal(pl_scaled.selected, pl.selected)
+        for (_, u), (_, v) in zip(self.model_factors(model), self.model_factors(scaled)):
+            assert u.tobytes() == v.tobytes()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="at lam 1 the digit preset's class dictionaries follow the "
+        "pseudo-labeled targets, and the labels cycle between two states",
+    )
+    def test_digit_preset_adapts_on_the_default_route(self):
+        # the nearest-centroid baseline, the init pass and the exact route
+        # all reach accuracy 1.0 here; the default route ends at 0.5
+        spec = SyntheticSpec(
+            class_count=10, dims=(7, 7, 64), ranks=(7, 7, 30), n_source_per_class=10,
+            n_target_per_class=30, noise=0.05, shift=0.5, seed=0,
+        )
+        source, target, truth = generate_synthetic(spec)
+        _, _, history = fit(source, target, digit_preset(max_outer_iters=3), truth=truth)
+        assert history[-1].accuracy >= 0.9
 
     def test_missing_source_class(self, monkeypatch):
         # the class count is the largest label: a class below it must have samples

@@ -14,8 +14,11 @@ selection masks are equal, whether the written ``model.stdm``,
 ``predictions.txt`` and ``history.csv`` are byte-identical (by SHA-256)
 and which of them differ (``differing_files``), the largest confidence change, the largest projector change
 ``||U U^T - V V^T||_2`` over every factor matrix, and the largest relative
-change of a history objective. Each line, and a last line with the maxima
-and whether every file was identical, also gives the BLAS thread variables
+change of a history objective. Each line also gives the peak resident
+memory of each tree's fit process in MiB (``maxrss_mib``, its
+``ru_maxrss``), and the last line the largest of each tree. Each line, and
+a last line with the maxima and whether every file was identical, also
+gives the BLAS thread variables
 the fits ran under (``blas_threads``, null where unset). Whatever they
 say, ``sdtdl`` holds BLAS at one thread while it fits and runs its class
 work, its source update and the blocks of its prediction passes on one
@@ -34,6 +37,7 @@ import json
 import math
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import tempfile
@@ -49,7 +53,8 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 def run_fit(data: str, route: str, out: str, fit_options: list) -> None:
     """Fit ``data`` with the ``sdtdl`` on ``sys.path`` and save the fitted
     labels, selection mask, confidences, factor matrices, history
-    objectives and the SHA-256 of each written file to ``out`` (``.npz``)."""
+    objectives, the SHA-256 of each written file and the process's peak
+    resident memory in MiB to ``out`` (``.npz``)."""
     from sdtdl import cli, solver
 
     fitted = []
@@ -78,6 +83,7 @@ def run_fit(data: str, route: str, out: str, fit_options: list) -> None:
         factors.update({f"w/{c}/{m}": u for m, u in enumerate(w)})
     np.savez(
         out,
+        maxrss_mib=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
         labels=pl.labels,
         selected=pl.selected,
         conf=pl.combined_conf,
@@ -185,13 +191,15 @@ def main(argv=None) -> int:
         "objective_max_rel": args.objective_tol,
     }
     worst = dict.fromkeys(DELTAS, 0.0)
+    sides = ("a", "b")
+    peak = dict.fromkeys(sides, 0.0)
     blas = {var: os.environ.get(var) for var in BLAS_VARS}  # the children inherit them
     ok = identical = True
     with tempfile.TemporaryDirectory() as tmp:
         for k, data in enumerate(args.data):
             for route in ROUTES:
                 fits = []
-                for side, src in (("a", args.src_a), ("b", args.src_b)):
+                for side, src in zip(sides, (args.src_a, args.src_b)):
                     out = os.path.join(tmp, f"{k}-{route}-{side}.npz")
                     try:
                         _fit_in_child(src, data, route, out, fit_options)
@@ -205,10 +213,15 @@ def main(argv=None) -> int:
                 identical = identical and diff["files_identical"]
                 for key in DELTAS:
                     worst[key] = max(worst[key], diff[key])
-                row = {"data": data, "route": route, **diff, "blas_threads": blas}
+                rss = {side: float(f["maxrss_mib"]) for side, f in zip(sides, fits)}
+                for side in sides:
+                    peak[side] = max(peak[side], rss[side])
+                row = {"data": data, "route": route, **diff, "maxrss_mib": rss}
+                row["blas_threads"] = blas
                 print(json.dumps(_printable(row)))
     summary = {
-        "summary": True, "files_identical": identical, **worst, "pass": ok, "blas_threads": blas
+        "summary": True, "files_identical": identical, **worst, "pass": ok,
+        "maxrss_mib": peak, "blas_threads": blas,
     }
     print(json.dumps(_printable(summary)))
     return 0 if ok else 1
