@@ -70,7 +70,8 @@ def _header(t: np.ndarray) -> bytes:
 
 
 def tensor_to_bytes(t: np.ndarray) -> bytes:
-    t = np.ascontiguousarray(t, dtype="<f8")
+    # not np.ascontiguousarray, which gives an order-0 tensor one dimension
+    t = np.asarray(t, dtype="<f8", order="C")
     return _header(t) + t.tobytes()
 
 
@@ -106,7 +107,7 @@ def write_tensor(path, t: np.ndarray) -> None:
     """Write ``t`` as a tensor file: the bytes of :func:`tensor_to_bytes`,
     the payload written straight from the array, with no copy of a
     C-contiguous float64 one."""
-    t = np.ascontiguousarray(t, dtype="<f8")
+    t = np.asarray(t, dtype="<f8", order="C")
     with open(path, "wb") as fh:
         fh.write(_header(t))
         fh.write(t.data)

@@ -8,7 +8,11 @@ only, with an implicit identity on the sample mode.
 With the sample mode kept, each mode's matrix depends on the data only
 through the ``P x P`` sample moment of the ``P`` feature entries (Kolda &
 Bader, SIAM Review 2009): :func:`moment_sweep` sweeps on it, where
-:func:`sweep` projects the tensor itself.
+:func:`sweep` projects the tensor itself. The same holds inside a sweep:
+once the last mode is contracted, the leading modes depend on the
+projection only through its moment over them, which :func:`sweep` forms
+and sweeps when it is no larger than the projection. :func:`takes_moment`
+is the one rule for both.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ import numpy as np
 
 from .tensor import dict_apply, mode_gram, mode_product
 
-__all__ = ["TuckerResult", "eig_sym_topk", "hosvd", "sweep", "moment_sweep", "hooi"]
+__all__ = [
+    "TuckerResult", "eig_sym_topk", "hosvd", "takes_moment", "sweep", "moment_sweep", "hooi",
+]
 
 
 @dataclass
@@ -131,17 +137,33 @@ def _project(h: np.ndarray, factors: list, modes) -> np.ndarray:
     return h
 
 
+def takes_moment(z: np.ndarray, modes: int) -> bool:
+    """Whether ``z``'s first ``modes`` modes are swept on their moment: when
+    its side, their entry count, is no longer than the columns it sums over,
+    so that the moment is no larger than ``z``."""
+    side = math.prod(z.shape[:modes])
+    return side * side <= z.size
+
+
 def sweep(t: np.ndarray, factors: list, ranks, form=mode_gram):
     """One sweep of per-mode eigen updates, replacing ``factors`` in place.
 
     Mode ``m`` takes the top ``ranks[m]`` eigenvectors of the symmetric
     matrix ``form(h, m)``, where ``h = t x_{k != m} U_k^T`` is ``t``
     projected on every other factor, the modes before ``m`` already updated.
-    The suffix projections ``t x_{k > m} U_k^T`` are built once, from the
-    back, and each is released once its mode has used it; mode ``m`` then
-    adds only its ``m`` products by the updated factors. A sweep over ``M``
-    factors makes ``(M-1) + M(M-1)/2`` mode products. Modes of ``t`` past
-    the factors (a skipped sample mode) stay untouched.
+    Modes of ``t`` past the factors (a skipped sample mode) stay untouched.
+
+    The sweep first contracts the last mode, ``s = t x_{M-1} U_{M-1}^T``,
+    and every leading mode then sees ``t`` only through ``s``. With two or
+    more leading modes whose moment is no larger than ``s``
+    (:func:`takes_moment`), it forms that moment once, ``form`` of ``s``
+    flattened at them, and sweeps them on it (:func:`moment_sweep`, De
+    Lathauwer, De Moor & Vandewalle, SIMAX 2000); otherwise it sweeps ``s``
+    over them the same way, recursively. ``s`` is released before the last
+    mode projects ``t`` on the updated leading factors, with ``M-1``
+    products. Without a moment step the recursion makes the suffix products
+    ``t x_{k > m} U_k^T`` of a plain sweep, ``(M-1) + M(M-1)/2`` products
+    in all; with it at the top, ``M`` on an order-``M`` sweep.
 
     With the Gram matrix as ``form`` (the default), a sum over samples, the
     last mode's partial projection is formed one sample block at a time
@@ -155,23 +177,33 @@ def sweep(t: np.ndarray, factors: list, ranks, form=mode_gram):
     matrix, their sum is the squared norm of the core under the updated
     factors, ``h x_{M-1} U_{M-1}^T``.
     """
-    last = len(factors) - 1
     blocks = _sample_blocks(t, ranks) if form is mode_gram else None
-    suffix = [t]
-    for k in range(last, 0, -1):
-        suffix.append(mode_product(suffix[-1], factors[k].T, k))
-    for m in range(last + 1):
-        h = suffix.pop()
-        if m == last and blocks is not None:
-            h = None
-            s = sum(
-                mode_gram(_project(np.ascontiguousarray(t[..., c]), factors, range(m)), m)
-                for c in blocks
-            )
+    return _sweep_modes(t, factors, ranks, form, len(factors), blocks)
+
+
+def _sweep_modes(t, factors, ranks, form, count, blocks=None):
+    """:func:`sweep` of ``t``'s first ``count`` modes, the last one over
+    ``blocks`` of samples when given."""
+    last = count - 1
+    if last > 0:
+        s = mode_product(t, factors[last].T, last)
+        if last > 1 and takes_moment(s, last):
+            lead = math.prod(s.shape[:last])
+            g = form(s.reshape((lead,) + s.shape[last:]), 0)
+            moment_sweep(g, s.shape[:last], factors, ranks)
         else:
-            h = _project(h, factors, range(m))
-            s = form(h, m)
-        vals, factors[m] = eig_sym_topk(s, ranks[m])
+            _sweep_modes(s, factors, ranks, form, last)
+        del s
+    if blocks is None:
+        h = _project(t, factors, range(last))
+        mat = form(h, last)
+    else:
+        h = None
+        mat = sum(
+            mode_gram(_project(np.ascontiguousarray(t[..., c]), factors, range(last)), last)
+            for c in blocks
+        )
+    vals, factors[last] = eig_sym_topk(mat, ranks[last])
     return h, vals
 
 
@@ -205,18 +237,19 @@ def _moment_form(g: np.ndarray, dims, m: int, factors=None) -> np.ndarray:
 
 
 def moment_sweep(g: np.ndarray, dims, factors: list, ranks):
-    """:func:`sweep` on a tensor with feature dims ``dims`` known only by
-    its sample moment ``g = Z M Z^T``: ``Z`` its flattening (feature entries
-    by samples), ``M`` a symmetric sample-mode operator.
+    """:func:`sweep` of the modes ``dims`` of a tensor known only by their
+    moment ``g = Z M Z^T``: ``Z`` its flattening (their entries by the
+    columns of every later mode), ``M`` a symmetric operator on those
+    columns, the identity but on a sample mode.
 
     Mode ``m`` takes the top eigenvectors of the moment with every other
     mode projected on its factor and traced out, the matrix :func:`sweep`
-    forms with ``M`` on the sample mode, in ``O(P^2)`` for ``P`` feature
-    entries whatever the sample count. Replaces ``factors`` in place and
-    returns the last mode's top eigenvalues, whose sum is the squared core
-    norm when ``M`` is the identity.
+    forms with ``M`` on the sample mode, in ``O(P^2)`` for ``P`` entries
+    whatever the column count. Replaces the first ``len(dims)`` of
+    ``factors`` in place and returns the last mode's top eigenvalues, whose
+    sum is the squared core norm when ``M`` is the identity.
     """
-    for m in range(len(factors)):
+    for m in range(len(dims)):
         vals, factors[m] = eig_sym_topk(_moment_form(g, dims, m, factors), ranks[m])
     return vals
 
@@ -233,12 +266,16 @@ def hooi(
 
     Each :func:`sweep` updates every compressed mode in turn: the factor
     becomes the top eigenvectors of the Gram matrix of the partial
-    projection flattened at that mode. Initialized from HOSVD unless
-    ``init_factors`` warm-starts it. A sweep's fit history value is the
-    squared norm of the core under its factors, read from the sum of the
-    last mode's top eigenvalues, so no sweep projects the tensor again.
-    Stops when the relative change of that value falls below ``tol`` or
-    after ``max_sweeps`` sweeps; the recorded fit history is non-decreasing.
+    projection flattened at that mode (the leading modes' read from their
+    moment once the last mode is contracted, where that is no larger).
+    Each sweep starts after the previous one's partial projection is
+    released, so a warm HOOI holds no more than one sweep needs.
+    Initialized from HOSVD unless ``init_factors`` warm-starts it. A
+    sweep's fit history value is the squared norm of the core under its
+    factors, read from the sum of the last mode's top eigenvalues, so no
+    sweep projects the tensor again. Stops when the relative change of that
+    value falls below ``tol`` or after ``max_sweeps`` sweeps; the recorded
+    fit history is non-decreasing.
     The returned core is formed once, from the last sweep's last partial
     projection; when that projection is formed by sample blocks (see
     :func:`sweep`), the core is formed per block instead, each block's core
@@ -260,7 +297,7 @@ def hooi(
         raise ValueError("tol must be finite and positive")
     g = None
     if init_factors is None:
-        if skip_last and math.prod(t.shape[:-1]) <= t.shape[-1]:
+        if skip_last and takes_moment(t, t.ndim - 1):
             g = _sample_moment(t)
         factors = hosvd(t, ranks, skip_last, moment=g)
     else:
@@ -270,6 +307,7 @@ def hooi(
     history = []
     for _ in range(max_sweeps):
         if g is None:
+            h = None  # the previous sweep's projection, freed before this one
             h, vals = sweep(t, factors, ranks)
         else:
             vals = moment_sweep(g, t.shape[:-1], factors, ranks)
@@ -280,8 +318,8 @@ def hooi(
     blocks = _sample_blocks(t, ranks)
     if blocks is not None:
         core = np.empty(tuple(ranks) + t.shape[-1:])
-        # the last mode first, as a sweep's suffix goes: on the object shape
-        # its product leaves 28/64 of a block, where mode 0's leaves 6/7
+        # the last mode first, as a sweep starts: on the object shape its
+        # product leaves 28/64 of a block, where mode 0's leaves 6/7
         for cols in blocks:
             core[..., cols] = _project(np.ascontiguousarray(t[..., cols]), factors, modes[::-1])
     elif g is None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hooi import eig_sym_topk, hooi, hosvd, moment_sweep, sweep
+from .hooi import eig_sym_topk, hooi, hosvd, moment_sweep, sweep, takes_moment
 from .jobs import _one_blas_thread, _run_jobs
 from .pseudolabel import predict_labels
 from .tensor import (
@@ -386,7 +386,7 @@ def update_class_dict(
     else:
         raise ValueError(f"unknown class-update method: {method}")
     w = None if w_init is None else [np.asarray(u, dtype=np.float64) for u in w_init]
-    if math.prod(z.shape[:-1]) <= z.shape[-1]:
+    if takes_moment(z, z.ndim - 1):
         g = (op.gram(n_t) if method == "eigen-phi" else op).moment(z)
         if w is None:
             w = hosvd(z, ranks, skip_last=True, moment=g)

@@ -5,7 +5,9 @@ from norms its updates already form, Phi and Q as structured sample-mode
 operators, mode products and Gram matrices on C-order views instead of
 flattened copies, class residuals through a class-ordered buffer instead
 of a scatter. These direct forms are what that arithmetic is checked
-against. The mode-``m`` flattening is the unfolding of Kolda & Bader
+against, and a HOOI sweep that projects the tensor for every mode is
+what the sweep on the leading modes' moment is checked against. The
+mode-``m`` flattening is the unfolding of Kolda & Bader
 (SIAM Review 2009), with the column order induced by C-order layout.
 """
 
@@ -13,6 +15,7 @@ import math
 
 import numpy as np
 
+from sdtdl.hooi import _project, _sample_blocks, eig_sym_topk
 from sdtdl.solver import (
     ClassSubproblem,
     LabeledTensorSet,
@@ -22,7 +25,14 @@ from sdtdl.solver import (
     _gather,
     _refresh_means,
 )
-from sdtdl.tensor import _check_mode, dict_apply, dict_project, frobenius_norm
+from sdtdl.tensor import (
+    _check_mode,
+    dict_apply,
+    dict_project,
+    frobenius_norm,
+    mode_gram,
+    mode_product,
+)
 
 
 def mode_flatten(t: np.ndarray, mode: int) -> np.ndarray:
@@ -174,3 +184,31 @@ def compute_codes(
     codes = SdtdlCodes(a0=a0, b0=b0, a_class=a_class, b_class=b_class)
     _refresh_means(model, codes)
     return codes
+
+
+def suffix_sweep(t: np.ndarray, factors: list, ranks, form=mode_gram):
+    """:func:`sdtdl.hooi.sweep` by suffix products, with no moment step.
+
+    The suffix projections ``t x_{k > m} U_k^T`` are built once, from the
+    back, and each is released once its mode has used it; mode ``m`` then
+    adds only its ``m`` products by the updated factors, ``(M-1) + M(M-1)/2``
+    mode products over ``M`` factors. The last mode takes the same sample
+    blocks as the package's sweep. Returns what that sweep returns."""
+    last = len(factors) - 1
+    blocks = _sample_blocks(t, ranks) if form is mode_gram else None
+    suffix = [t]
+    for k in range(last, 0, -1):
+        suffix.append(mode_product(suffix[-1], factors[k].T, k))
+    for m in range(last + 1):
+        h = suffix.pop()
+        if m == last and blocks is not None:
+            h = None
+            s = sum(
+                mode_gram(_project(np.ascontiguousarray(t[..., c]), factors, range(m)), m)
+                for c in blocks
+            )
+        else:
+            h = _project(h, factors, range(m))
+            s = form(h, m)
+        vals, factors[m] = eig_sym_topk(s, ranks[m])
+    return h, vals

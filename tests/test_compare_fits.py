@@ -55,6 +55,13 @@ def test_one_tree_against_itself_reports_no_change(tmp_path):
     assert rows[-1]["maxrss_mib"] == {
         side: max(r["maxrss_mib"][side] for r in rows[:2]) for side in ("a", "b")
     }
+    # each tree's sdtdl fit wall time, and the sum in the last line
+    for row in rows:
+        assert set(row["fit_s"]) == {"a", "b"}
+        assert all(0 < s < 600 for s in row["fit_s"].values())
+    assert rows[-1]["fit_s"] == {
+        side: pytest.approx(sum(r["fit_s"][side] for r in rows[:2])) for side in ("a", "b")
+    }
     assert all(r["labels_equal"] and r["masks_equal"] for r in rows[:2])
     assert [r["differing_files"] for r in rows[:2]] == [[], []]
 

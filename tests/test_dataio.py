@@ -1,3 +1,4 @@
+import io
 import math
 import re
 import struct
@@ -12,6 +13,7 @@ from sdtdl.dataio import (
     TensorFileError,
     TruncatedPayloadError,
     UnsupportedVersionError,
+    _read_tensor,
     draw_structure,
     generate_synthetic,
     load_model,
@@ -41,6 +43,18 @@ class TestTensorFile:
             back = read_tensor(path)
             assert back.shape == t.shape
             assert np.array_equal(back, t)
+
+    def test_order_zero_roundtrips(self, tmp_path):
+        # as a file and as a model blob, an order-0 tensor stays order 0
+        t = np.array(3.0)
+        write_tensor(tmp_path / "t.stdl", t)
+        buf = tensor_to_bytes(t)
+        assert (tmp_path / "t.stdl").read_bytes() == buf
+        assert int.from_bytes(buf[6:8], "little") == 0  # order
+        assert len(buf) == 8 + 8
+        for back in (read_tensor(tmp_path / "t.stdl"), _read_tensor(io.BytesIO(buf), len(buf))):
+            assert back.shape == ()
+            assert back == t
 
     def test_header_layout(self):
         buf = tensor_to_bytes(np.zeros((2, 3)))

@@ -17,7 +17,7 @@ from sdtdl.solver import (
 )
 from sdtdl.tensor import dict_apply, dict_project, frobenius_norm, mode_gram, mode_product
 
-from oracles import build_phi, class_update_quadratic_form, mode_flatten
+from oracles import build_phi, class_update_quadratic_form, mode_flatten, suffix_sweep
 
 # the module itself: the package attribute ``sdtdl.hooi`` is the function
 H = importlib.import_module("sdtdl.hooi")
@@ -188,6 +188,25 @@ class TestHooi:
         for u in res.factors:
             assert np.max(np.abs(u.T @ u - np.eye(u.shape[1]))) <= 1e-8
 
+    def test_a_second_sweep_holds_no_more_than_the_first(self):
+        # below the sample-block budget a sweep builds the last mode's whole
+        # partial projection, 6/7 and then 36/49 of the object shape's class
+        # stack; hooi frees the previous sweep's before the next sweep
+        dims, ranks = (7, 7, 64, 200), (6, 6, 28)
+        assert projection_bytes(dims, ranks) <= H._SWEEP_BLOCK_BYTES
+        rng = np.random.default_rng(13)
+        t = rng.standard_normal(dims)
+        start = [rand_orth(rng, d, r) for d, r in zip(dims, ranks)]
+        peaks = []
+        for sweeps in (1, 2):
+            tracemalloc.start()
+            try:
+                hooi(t, ranks, skip_last=True, max_sweeps=sweeps, tol=1e-300, init_factors=start)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
+
     def test_bad_args(self):
         t = np.zeros((3, 3))
         with pytest.raises(ValueError, match="ranks"):
@@ -354,7 +373,16 @@ class TestSweep:
         calls = []
         real = H.mode_product
         monkeypatch.setattr(H, "mode_product", lambda *a: calls.append(a[2]) or real(*a))
-        per_sweep = (order - 1) + order * (order - 1) // 2
+        # a sweep contracts the last mode, sweeps the leading modes of that
+        # projection s, then projects t on the order - 1 leading factors.
+        # The leading modes take their moment only when there are two or
+        # more and the moment is no larger than s; else s is swept the same
+        # way. Order 1: no product. Order 2: 1 + 1 (one leading mode).
+        # Order 3: s is 3x3x2x4, a 9x9 moment over 8 columns, so s is swept
+        # as order 2 (2 products): 1 + 2 + 2 = 5. Order 4: s is 3x3x3x2x4
+        # (27 > 8), swept as order 3, whose 3x3x2x2x4 projection takes its
+        # 9x9 moment over 16 columns (1 + 2 products): 1 + 3 + 3 = 7.
+        per_sweep = {1: 0, 2: 2, 3: 5, 4: 7}[order]
         sweep(t, list(factors), ranks)
         assert len(calls) == per_sweep
 
@@ -383,6 +411,78 @@ class TestSweep:
             calls.clear()
             update_class_dict(sub, ranks, 5, method=method, theta=2.0, lam=0.1, w_init=factors)
             assert len(calls) == (0 if moment else 5 * per_sweep)
+
+
+class TestLeadingMoment:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        order=st.integers(2, 4),
+        route=st.sampled_from(["gram", "eigen-phi", "exact"]),
+        moment=st.booleans(),
+        blocked=st.booleans(),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_suffix_sweep(self, order, route, moment, blocked, data, seed):
+        # two warm sweeps of the package and of the oracle, which projects
+        # the tensor for every mode, on the Gram, Phi-weighted and Q forms,
+        # whole and over sample blocks (a coupling form stays whole), with
+        # the sample count on the chosen side of the top level's rule: the
+        # leading modes' moment is lead x lead, their projection s holds
+        # lead * ranks[-1] * n entries
+        rng = np.random.default_rng(seed)
+        dims = data.draw(st.lists(st.integers(2, 4), min_size=order, max_size=order))
+        ranks = [data.draw(st.integers(1, d)) for d in dims]
+        least = -(-math.prod(dims[:-1]) // ranks[-1])  # fewest samples taking it
+        if moment:
+            n = data.draw(st.integers(max(least, 2), max(least, 2) + 3))
+        else:
+            assume(least > 2)
+            n = data.draw(st.integers(2, least - 1))
+        assume(all(r <= math.prod(ranks + [n]) // r for r in ranks))
+        t = low_rank_tensor(rng, dims + [n], ranks)
+        n_s = data.draw(st.integers(1, n))
+        form, weight = mode_gram, np.eye(n)
+        if route == "eigen-phi":
+            t = SampleOperator.phi(n_s, n - n_s, 2.0, 0.1).apply(t)
+        elif route == "exact":
+            form = functools.partial(_mode_form, quad=SampleOperator.quadratic_form(
+                n_s, n - n_s, 2.0, 0.1
+            ))
+            weight = class_update_quadratic_form(n_s, n - n_s, 2.0, 0.1)
+        # ||Z||^2, times the largest absolute row sum of Q on the exact route
+        scale = frobenius_norm(t) ** 2 * np.max(np.sum(np.abs(weight), axis=1))
+        start = [rand_orth(rng, d, r) for d, r in zip(dims, ranks)]
+        got, want, forms, values = list(start), list(start), [], []
+
+        def solve(s, r):
+            forms.append(s)
+            return eig_sym_topk(s, r)
+
+        with pytest.MonkeyPatch.context() as patch:
+            if blocked:
+                patch.setattr(H, "_SWEEP_BLOCK_BYTES", data.draw(st.integers(8, 400)))
+            assume((H._sample_blocks(t, ranks) is not None) == blocked)
+            for _ in range(2):
+                patch.setattr(H, "eig_sym_topk", solve)
+                h, vals = sweep(t, got, ranks, form)
+                patch.setattr(H, "eig_sym_topk", eig_sym_topk)
+                h_want, vals_want = suffix_sweep(t, want, ranks, form)
+                assert (h is None) == (h_want is None)
+                assert (h is None) == (blocked and form is mode_gram)
+                if order == 2:
+                    # one leading mode: the same products as the oracle
+                    assert np.array_equal(vals, vals_want)
+                    assert all(np.array_equal(u, v) for u, v in zip(got, want))
+                    assert h is None or np.array_equal(h, h_want)
+                values.append(np.abs(vals - vals_want))
+        # every eigensolve had a unique top subspace, set apart by 1e-3 of
+        # the scale: rounding then turns it by some 1e-13
+        for i, f in enumerate(forms):
+            v, r = np.linalg.eigvalsh(f)[::-1], ranks[i % order]
+            assume(r == v.size or v[r - 1] - v[r] >= 1e-3 * scale)
+        assert projector_gap(got, want) <= 1e-12
+        assert all(np.all(gap <= 1e-12 * scale) for gap in values)
 
 
 class TestMomentSweep:
@@ -420,21 +520,24 @@ class TestMomentSweep:
         # be far smaller, by cancellation, and so be known only to eps times
         # this, in both computations
         scale = frobenius_norm(t) ** 2 * np.max(np.sum(np.abs(dense), axis=1))
-        forms = []
+        form = functools.partial(_mode_form, quad=quad)
+        forms = []  # every matrix the direct path solves, one per mode in turn
 
-        def form(h, m):
-            forms.append(_mode_form(h, m, quad))
-            return forms[-1]
+        def solve(s, r):
+            forms.append(s)
+            return eig_sym_topk(s, r)
 
         if warm:
             direct = [rand_orth(rng, d, r) for d, r in zip(dims, ranks)]
             moment = list(direct)
         else:
-            direct = [eig_sym_topk(form(swept, m), r)[1] for m, r in enumerate(ranks)]
+            direct = [solve(form(swept, m), r)[1] for m, r in enumerate(ranks)]
             moment = hosvd(t, ranks, skip_last=True, moment=g)
         gaps, values = [projector_gap(direct, moment)], []
         for _ in range(sweeps):
-            _, want = sweep(swept, direct, ranks, form)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(H, "eig_sym_topk", solve)
+                _, want = sweep(swept, direct, ranks, form)
             got = moment_sweep(g, dims, moment, ranks)
             gaps.append(projector_gap(direct, moment))
             values.append((got, want))
@@ -496,6 +599,9 @@ class TestSampleBlocks:
         rng = np.random.default_rng(seed)
         dims = data.draw(st.lists(st.integers(2, 4), min_size=order, max_size=order))
         ranks = [data.draw(st.integers(1, d)) for d in dims]
+        # each mode's form must have rank >= its rank, or its top subspace
+        # is not unique and the two sweeps may pick different ones
+        assume(all(r <= math.prod(ranks + [n]) // r for r in ranks))
         t = low_rank_tensor(rng, dims + [n], ranks)
         start = [rand_orth(rng, d, r) for d, r in zip(dims, ranks)]
         whole, blocked = list(start), list(start)
@@ -535,10 +641,11 @@ class TestSampleBlocks:
         res = hooi(t, ranks, skip_last=True, max_sweeps=3, tol=1e-300, init_factors=factors)
         sweeps = len(res.fit_history)
         assert len(solves) == sweeps * order
-        # a sweep: the suffix and the leading modes as before, then each
-        # block projected on the leading factors; the core: each block on
-        # every factor
-        per_sweep = (order - 1) + (order - 1) * (order - 2) // 2 + count * (order - 1)
+        # a sweep: the last mode's contraction s, then each block projected
+        # on the leading factors; the core: each block on every factor. The
+        # leading modes add no product: order 2 has one, and on order 3 s
+        # is 4x4x2x10, whose 16x16 moment over 20 columns they are swept on
+        per_sweep = 1 + count * (order - 1)
         assert len(products) == sweeps * per_sweep + count * order
 
     def test_a_form_that_couples_samples_stays_whole(self, monkeypatch):

@@ -12,13 +12,14 @@ synth`` and the benchmark write them. Options after ``--`` go to every
 One JSON line per data set and route reports whether the labels and the
 selection masks are equal, whether the written ``model.stdm``,
 ``predictions.txt`` and ``history.csv`` are byte-identical (by SHA-256)
-and which of them differ (``differing_files``), the largest confidence change, the largest projector change
-``||U U^T - V V^T||_2`` over every factor matrix, and the largest relative
-change of a history objective. Each line also gives the peak resident
-memory of each tree's fit process in MiB (``maxrss_mib``, its
-``ru_maxrss``), and the last line the largest of each tree. Each line, and
-a last line with the maxima and whether every file was identical, also
-gives the BLAS thread variables
+and which of them differ (``differing_files``), the largest confidence
+change, the largest projector change ``||U U^T - V V^T||_2`` over every
+factor matrix, and the largest relative change of a history objective.
+Each line also gives the peak resident memory of each tree's fit process
+in MiB (``maxrss_mib``, its ``ru_maxrss``) and the wall time of its
+``sdtdl fit`` call in seconds (``fit_s``); a last line gives the maxima of
+the changes, whether every file was identical, and each tree's largest
+memory and summed time. Every line also gives the BLAS thread variables
 the fits ran under (``blas_threads``, null where unset). Whatever they
 say, ``sdtdl`` holds BLAS at one thread while it fits and runs its class
 work, its source update and the blocks of its prediction passes on one
@@ -26,7 +27,8 @@ thread per core, so its written files do not depend on them. A tree from
 before that rule ran BLAS on the threads they name, and its history
 objectives may round differently under each setting. The exit code is 0
 when every comparison is within the tolerances, 1 when one is not, 2 on a
-usage error or a fit that failed; it does not depend on byte identity.
+usage error or a fit that failed; it depends on neither byte identity nor
+memory or time.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -53,8 +56,9 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 def run_fit(data: str, route: str, out: str, fit_options: list) -> None:
     """Fit ``data`` with the ``sdtdl`` on ``sys.path`` and save the fitted
     labels, selection mask, confidences, factor matrices, history
-    objectives, the SHA-256 of each written file and the process's peak
-    resident memory in MiB to ``out`` (``.npz``)."""
+    objectives, the SHA-256 of each written file, the process's peak
+    resident memory in MiB and the wall time of ``sdtdl fit`` in seconds to
+    ``out`` (``.npz``)."""
     from sdtdl import cli, solver
 
     fitted = []
@@ -69,7 +73,9 @@ def run_fit(data: str, route: str, out: str, fit_options: list) -> None:
         argv = ["fit", "--source", os.path.join(data, "source.stdl")]
         argv += ["--source-labels", os.path.join(data, "source_labels.txt")]
         argv += ["--target", os.path.join(data, "target.stdl"), "--out", tmp]
+        start = time.perf_counter()
         code = cli.main(argv + list(fit_options) + ["--class-update", route])
+        fit_s = time.perf_counter() - start
         if code != 0:
             raise SystemExit(f"sdtdl fit exited {code} on {data} ({route})")
         digests = {
@@ -84,6 +90,7 @@ def run_fit(data: str, route: str, out: str, fit_options: list) -> None:
     np.savez(
         out,
         maxrss_mib=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
+        fit_s=fit_s,
         labels=pl.labels,
         selected=pl.selected,
         conf=pl.combined_conf,
@@ -193,6 +200,7 @@ def main(argv=None) -> int:
     worst = dict.fromkeys(DELTAS, 0.0)
     sides = ("a", "b")
     peak = dict.fromkeys(sides, 0.0)
+    total_s = dict.fromkeys(sides, 0.0)
     blas = {var: os.environ.get(var) for var in BLAS_VARS}  # the children inherit them
     ok = identical = True
     with tempfile.TemporaryDirectory() as tmp:
@@ -214,14 +222,16 @@ def main(argv=None) -> int:
                 for key in DELTAS:
                     worst[key] = max(worst[key], diff[key])
                 rss = {side: float(f["maxrss_mib"]) for side, f in zip(sides, fits)}
+                secs = {side: float(f["fit_s"]) for side, f in zip(sides, fits)}
                 for side in sides:
                     peak[side] = max(peak[side], rss[side])
-                row = {"data": data, "route": route, **diff, "maxrss_mib": rss}
+                    total_s[side] += secs[side]
+                row = {"data": data, "route": route, **diff, "maxrss_mib": rss, "fit_s": secs}
                 row["blas_threads"] = blas
                 print(json.dumps(_printable(row)))
     summary = {
         "summary": True, "files_identical": identical, **worst, "pass": ok,
-        "maxrss_mib": peak, "blas_threads": blas,
+        "maxrss_mib": peak, "fit_s": total_s, "blas_threads": blas,
     }
     print(json.dumps(_printable(summary)))
     return 0 if ok else 1
