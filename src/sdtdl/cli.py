@@ -128,8 +128,8 @@ def read_predictions(path):
                 continue
             try:
                 index, label, conf = line.strip().split(",")
-                index, label, conf = int(index), int(label), float(conf)
-            except ValueError as exc:
+                index, label, conf = int(index), np.int64(int(label)), float(conf)
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(
                     f"{path}:{lineno}: expected index,label,confidence, got {line.strip()!r}"
                 ) from exc

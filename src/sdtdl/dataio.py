@@ -125,9 +125,14 @@ def write_labels(path, labels) -> None:
 
 
 def read_labels(path) -> np.ndarray:
+    """One integer label per non-blank line; a label that is not an
+    integer, or lies outside int64, raises ``ValueError``."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    labels = np.array([int(ln) for ln in lines], dtype=np.int64)
+    try:
+        labels = np.array([int(ln) for ln in lines], dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"{path}: a label is outside the 64-bit integer range") from exc
     if labels.size and labels.min() < 1:
         raise ValueError("labels must be 1-based positive integers")
     return labels

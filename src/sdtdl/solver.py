@@ -170,6 +170,36 @@ class LabeledTensorSet:
     def class_samples(self, c: int) -> np.ndarray:
         return _gather(self.samples, self.class_indices(c))
 
+    def _leading_slices(self):
+        """The samples one leading-mode slice at a time, as views."""
+        return iter(self.samples)
+
+
+@dataclass(frozen=True)
+class _Selection:
+    """Labeled columns of a sample tensor, read where they lie: sample
+    ``j`` is column ``columns[j]`` of ``samples``, of class ``labels[j]``.
+    It reads as a :class:`LabeledTensorSet` does; its class samples and
+    leading-mode slices are gathered from ``samples`` when they are read,
+    so the selection is never copied whole."""
+
+    samples: np.ndarray
+    columns: np.ndarray
+    labels: np.ndarray
+
+    @property
+    def n_samples(self) -> int:
+        return self.columns.size
+
+    def class_indices(self, c: int) -> np.ndarray:
+        return np.flatnonzero(self.labels == c)
+
+    def class_samples(self, c: int) -> np.ndarray:
+        return _gather(self.samples, self.columns[self.class_indices(c)])
+
+    def _leading_slices(self):
+        return (_gather(x, self.columns) for x in self.samples)
+
 
 @dataclass
 class SdtdlModel:
@@ -427,31 +457,34 @@ def _class_stack(source, selected, c: int, model, codes) -> ClassSubproblem:
     lo = 0
     for (tensor_set, domain_codes, factors), i in zip(domains, idx):
         cols = z[..., lo : lo + i.size]
-        cols[...] = _gather(tensor_set.samples, i)
+        cols[...] = tensor_set.class_samples(c)
         cols -= dict_apply(_gather(domain_codes, i), factors)
         lo += i.size
     return ClassSubproblem(z, idx[0].size)
 
 
-def _class_residuals(tensor_set: LabeledTensorSet, codes_by_class, dicts_by_class):
-    """Samples minus their class-dictionary reconstruction, in set order.
+def _class_residuals(tensor_set, codes_by_class, dicts_by_class):
+    """Samples minus their class-dictionary reconstruction, in set order,
+    for a :class:`LabeledTensorSet` or a :class:`_Selection`.
 
     Each class's reconstruction fills one run of a class-ordered buffer,
     which a gather by the inverse of the stable label sort puts back in set
-    order in place, one leading-mode slice at a time: no strided scatter
-    into the sample mode, and no second set-sized array.
+    order in place, one leading-mode slice at a time; the slice's samples,
+    gathered there from a selection, are then subtracted into it. No
+    strided scatter into the sample mode, and no second set-sized array.
     """
     counts = np.bincount(tensor_set.labels, minlength=len(dicts_by_class) + 1)[1:]
-    rec = np.empty_like(tensor_set.samples)
+    rec = np.empty(tensor_set.samples.shape[:-1] + (tensor_set.n_samples,))
     lo = 0
     for n, k, w in zip(counts, codes_by_class, dicts_by_class):
         if n:
             rec[..., lo : lo + n] = dict_apply(k, w)
             lo += n
     inverse = np.argsort(np.argsort(tensor_set.labels, kind="stable"))
-    for part in rec:
+    for part, x in zip(rec, tensor_set._leading_slices()):
         part[...] = np.take(part, inverse, axis=-1)
-    return np.subtract(tensor_set.samples, rec, out=rec)
+        np.subtract(x, part, out=part)
+    return rec
 
 
 def _hooi_dict(samples: np.ndarray, hyper: Hyperparams, factors):
@@ -491,10 +524,12 @@ def update_domain_source(source: LabeledTensorSet, model: SdtdlModel, codes: Sdt
     return _hooi_dict(resid, model.hyper, model.u_source)
 
 
-def update_domain_target(target_selected: LabeledTensorSet, model: SdtdlModel, codes: SdtdlCodes):
-    """Target-side analogue of :func:`update_domain_source`. The target
-    weight scales the subproblem uniformly, so the same HOOI solves it; the
-    returned fidelity is not yet weighted by ``theta``."""
+def update_domain_target(target_selected, model: SdtdlModel, codes: SdtdlCodes):
+    """Target-side analogue of :func:`update_domain_source`, on the
+    selected targets: a :class:`LabeledTensorSet`, or the selection
+    :func:`fit` reads in place. The target weight scales the subproblem
+    uniformly, so the same HOOI solves it; the returned fidelity is not yet
+    weighted by ``theta``."""
     resid = _class_residuals(target_selected, codes.b_class, model.w_class)
     return _hooi_dict(resid, model.hyper, model.u_target)
 
@@ -513,10 +548,10 @@ def _refresh_means(model: SdtdlModel, codes: SdtdlCodes) -> None:
     model.class_means_source = [class_means(k) for k in codes.a_class]
 
 
-def _selected_set(target: LabeledTensorSet, pl) -> LabeledTensorSet:
-    """The selected targets, labeled."""
+def _selection(target: LabeledTensorSet, pl) -> _Selection:
+    """The selected targets, labeled, read in place from ``target``."""
     idx = np.flatnonzero(pl.selected)
-    return LabeledTensorSet(samples=_gather(target.samples, idx), labels=pl.labels[idx])
+    return _Selection(target.samples, idx, pl.labels[idx])
 
 
 def _check_sample_dims(source: LabeledTensorSet, target: LabeledTensorSet) -> None:
@@ -628,14 +663,11 @@ def fit(
     )
 
     # --- init step 3: target dictionary from the selected residuals
-    selected = _selected_set(target, pl)
+    selected = _selection(target, pl)
     codes.b_class = [
         dict_project(selected.class_samples(c), model.w_class[c - 1]) for c in range(1, C + 1)
     ]
     model.u_target, codes.b0, fid_t = update_domain_target(selected, model, codes)
-    # no later step reads this selection; freed here, it is not held through
-    # the prediction passes, which set the fit's peak memory
-    del selected
 
     history = [history_row(0, pl, _objective_from_norms(hyper, codes, fid_s, fid_t))]
     if hyper.max_outer_iters == 0:
@@ -652,7 +684,7 @@ def fit(
         after = []
         value = run_block_updates(
             source,
-            _selected_set(target, pl),
+            _selection(target, pl),
             model,
             codes,
             class_update,
@@ -687,7 +719,7 @@ def nearest_centroid_labels(source: LabeledTensorSet, target: LabeledTensorSet) 
 
 def run_block_updates(
     source: LabeledTensorSet,
-    selected: LabeledTensorSet,
+    selected,
     model: SdtdlModel,
     codes: SdtdlCodes,
     class_update: str = CLASS_UPDATES[0],
@@ -696,14 +728,17 @@ def run_block_updates(
 ) -> float:
     """One full pass of class-dictionary and domain-dictionary updates,
     mutating ``model`` and ``codes`` in place. Pseudo-labels are taken as
-    fixed (they are baked into ``selected``). Returns the objective after
+    fixed (they are baked into ``selected``, a :class:`LabeledTensorSet` or
+    the selection :func:`fit` reads in place). Returns the objective after
     the pass, read from the norms the domain updates formed.
 
-    The target dictionary is updated before the source dictionary: neither
-    update reads what the other writes, and ``selected`` is released once
-    the target update returns. ``_beside`` is for :func:`fit`
-    alone: a job that reads no source-dictionary state, run beside the
-    source update (:func:`_run_jobs`) and joined before the return."""
+    The class jobs alone read the domain codes, so ``codes.a0`` and
+    ``codes.b0`` are released once they return, before the domain updates
+    replace them. The target dictionary is updated before the source
+    dictionary: neither update reads what the other writes. ``_beside`` is
+    for :func:`fit` alone: a job that reads no source-dictionary state, run
+    beside the source update (:func:`_run_jobs`) and joined before the
+    return."""
     hyper = model.hyper
 
     def class_job(c):
@@ -723,11 +758,9 @@ def run_block_updates(
         *_run_jobs([functools.partial(class_job, c) for c in range(1, model.class_count + 1)])
     )
     _refresh_means(model, codes)
+    codes.a0 = codes.b0 = None
 
     model.u_target, codes.b0, fid_t = update_domain_target(selected, model, codes)
-    # the class jobs and the target update were its only readers; freed
-    # here, it is not held through the source update and the pass beside it
-    del selected
     jobs = [functools.partial(update_domain_source, source, model, codes)]
     if _beside is not None:
         jobs.append(_beside)

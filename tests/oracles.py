@@ -74,6 +74,19 @@ def domain_residual(tensor_set: LabeledTensorSet, c: int, domain_codes, factors)
     return _gather(tensor_set.samples, idx) - dict_apply(_gather(domain_codes, idx), factors)
 
 
+def selected_set(target: LabeledTensorSet, pl) -> LabeledTensorSet:
+    """The selected targets of ``pl``, labeled, copied into a set of their
+    own. ``fit`` reads them in place from ``target``; this copy is what the
+    oracles that read ``selected.samples`` take."""
+    idx = np.flatnonzero(pl.selected)
+    return LabeledTensorSet(samples=_gather(target.samples, idx), labels=pl.labels[idx])
+
+
+def copied(selection) -> LabeledTensorSet:
+    """A selection that ``fit`` reads in place, as a set of its own."""
+    return LabeledTensorSet(_gather(selection.samples, selection.columns), selection.labels)
+
+
 def class_residuals(tensor_set: LabeledTensorSet, codes_by_class, dicts_by_class):
     """Samples minus their class-dictionary reconstruction, in set order,
     each class's residual scattered into the set's sample mode."""

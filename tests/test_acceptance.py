@@ -31,7 +31,6 @@ from sdtdl.solver import (
     run_block_updates,
     update_class_dict,
 )
-from sdtdl.solver import _selected_set
 from sdtdl.tensor import (
     dict_apply,
     dict_project,
@@ -45,6 +44,7 @@ from oracles import (
     compute_codes,
     mode_flatten,
     objective,
+    selected_set,
     stack_last,
 )
 
@@ -212,7 +212,7 @@ def test_criterion_5_block_coordinate_monotonicity():
         source, target, truth = generate_synthetic(spec)
         hyper = Hyperparams(ranks=(2, 2), theta=2.0, lam=0.1, max_outer_iters=1)
         model, pl, _ = fit(source, target, hyper)
-        selected = _selected_set(target, pl)
+        selected = selected_set(target, pl)
         codes = compute_codes(model, source, selected)
         before = objective(model, source, selected, codes)
         run_block_updates(source, selected, model, codes)

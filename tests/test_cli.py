@@ -153,6 +153,20 @@ class TestFitPredict:
         assert lines[0] == "iter,objective,n_selected,accuracy_if_truth_given"
         assert len(lines) >= 2
 
+    def test_source_label_outside_int64_exit_code(self, tmp_path, capsys):
+        # an integer label outside int64 is a configuration error, as a
+        # non-integer label is, not an OverflowError out of main
+        d = synth_dir(tmp_path, capsys)
+        labels = (d / "source_labels.txt").read_text().splitlines()
+        labels[0] = "99999999999999999999"
+        (d / "source_labels.txt").write_text("\n".join(labels) + "\n")
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, *fit_args(d, out))
+        assert code == 2
+        assert stdout == ""
+        assert "outside the 64-bit integer range" in err
+        assert not out.exists()
+
     def test_final_history_row_has_no_objective(self, tmp_path, capsys):
         d = synth_dir(tmp_path, capsys)
         out = tmp_path / "run"
@@ -706,6 +720,20 @@ class TestEval:
         assert code == 2
         assert stdout == ""
         assert f"pred.txt:{line}: " in err
+
+    def test_label_outside_int64_exit_code(self, tmp_path, capsys):
+        # an integer label outside int64 is a configuration error, as a
+        # non-integer label is, not an OverflowError out of main
+        pred = tmp_path / "pred.txt"
+        pred.write_text("index,label,confidence\n0,1,0.9\n1,99999999999999999999,0.9\n")
+        truth = tmp_path / "truth.txt"
+        truth.write_text("1\n2\n")
+        code, stdout, err = run(
+            capsys, "eval", "--predictions", str(pred), "--truth", str(truth)
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "pred.txt:3: " in err
 
 
 class TestBaseline:
