@@ -245,7 +245,10 @@ def cmd_decompose(args) -> int:
     # not depend on the caller's BLAS thread setting
     with jobs._one_blas_thread():
         res = hooi(t, _parse_ranks(args.ranks), max_sweeps=args.max_sweeps, tol=args.tol)
-        err = float(np.linalg.norm((t - res.reconstruct()).ravel()))
+        # the error formed in the reconstruction's buffer, the one temporary
+        diff = res.reconstruct()
+        np.subtract(t, diff, out=diff)
+        err = float(np.linalg.norm(diff.ravel()))
     os.makedirs(args.out, exist_ok=True)
     dataio.write_tensor(os.path.join(args.out, "core.stdl"), res.core)
     for m, u in enumerate(res.factors):

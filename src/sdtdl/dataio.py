@@ -114,8 +114,15 @@ def write_tensor(path, t: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
+    """Read a tensor file; a byte after its payload is a
+    :class:`TensorFileError` (a model file's blobs, read by
+    :func:`load_model`, are followed by others by design)."""
     with open(path, "rb") as fh:
-        return _read_tensor(fh, os.fstat(fh.fileno()).st_size)
+        size = os.fstat(fh.fileno()).st_size
+        t = _read_tensor(fh, size)
+        if fh.tell() != size:
+            raise TensorFileError(f"{size - fh.tell()} bytes after the tensor payload")
+        return t
 
 
 def write_labels(path, labels) -> None:

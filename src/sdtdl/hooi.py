@@ -116,9 +116,11 @@ def _sample_blocks(t: np.ndarray, ranks):
     mode's partial projection ``t x_{k < M-1} U_k^T`` would take more than
     ``_SWEEP_BLOCK_BYTES``: as few equal blocks as keep each block's
     projection within it. ``None`` below the budget, for a single mode
-    (whose partial projection is ``t``), and without a sample mode. Each
-    block is copied C-contiguous, the layout :func:`mode_product` and
-    :func:`mode_gram` take without a copy of their own."""
+    (whose partial projection is ``t``), and without a sample mode. A
+    sweep copies each block C-contiguous, the layout its leading-mode
+    products and :func:`mode_gram` take without a copy of their own; the
+    blocked core of :func:`hooi` projects the last mode first, which reads
+    a block in place."""
     last = len(ranks) - 1
     if last < 1 or t.ndim == len(ranks):
         return None
@@ -279,8 +281,9 @@ def hooi(
     The returned core is formed once, from the last sweep's last partial
     projection; when that projection is formed by sample blocks (see
     :func:`sweep`), the core is formed per block instead, each block's core
-    written into its sample columns, so no whole-set product is built after
-    the last sweep either.
+    written into its sample columns: each block is read in place, its last
+    mode projected first, so neither a block copy nor a whole-set product
+    is built after the last sweep.
 
     A cold start with ``skip_last`` and at least as many samples as feature
     entries forms the sample moment once, no larger than ``t``, and takes
@@ -318,10 +321,11 @@ def hooi(
     blocks = _sample_blocks(t, ranks)
     if blocks is not None:
         core = np.empty(tuple(ranks) + t.shape[-1:])
-        # the last mode first, as a sweep starts: on the object shape its
-        # product leaves 28/64 of a block, where mode 0's leaves 6/7
+        # the last mode first, as a sweep starts: its product reads the
+        # sample slice in place, and on the object shape it leaves 28/64 of
+        # a block, where mode 0's leaves 6/7
         for cols in blocks:
-            core[..., cols] = _project(np.ascontiguousarray(t[..., cols]), factors, modes[::-1])
+            core[..., cols] = _project(t[..., cols], factors, modes[::-1])
     elif g is None:
         core = mode_product(h, factors[-1].T, modes[-1])
     else:

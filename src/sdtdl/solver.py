@@ -170,6 +170,10 @@ class LabeledTensorSet:
     def class_samples(self, c: int) -> np.ndarray:
         return _gather(self.samples, self.class_indices(c))
 
+    def _class_columns(self, c: int) -> np.ndarray:
+        """The columns of ``samples`` that hold class ``c``."""
+        return self.class_indices(c)
+
     def _leading_slices(self):
         """The samples one leading-mode slice at a time, as views."""
         return iter(self.samples)
@@ -195,7 +199,10 @@ class _Selection:
         return np.flatnonzero(self.labels == c)
 
     def class_samples(self, c: int) -> np.ndarray:
-        return _gather(self.samples, self.columns[self.class_indices(c)])
+        return _gather(self.samples, self._class_columns(c))
+
+    def _class_columns(self, c: int) -> np.ndarray:
+        return self.columns[self.class_indices(c)]
 
     def _leading_slices(self):
         return (_gather(x, self.columns) for x in self.samples)
@@ -441,13 +448,13 @@ def update_class_dict(
 
 def _class_stack(source, selected, c: int, model, codes) -> ClassSubproblem:
     """Class ``c``'s source residuals, then its selected targets' residuals,
-    in one array along the sample mode: each domain's samples are gathered
-    into that domain's columns, and their domain-dictionary reconstruction
-    is subtracted in place."""
-    # the gathered copy is freed before the reconstruction is formed.
-    # Writing the difference of the two into the columns saved 2 ms per
-    # wide-n block pass, but with two class jobs live at once it raised
-    # exact-n's peak RSS from 103 to 112 MiB (benchmark medians, 2 vCPUs).
+    in one array along the sample mode: each domain's reconstruction is
+    written into that domain's columns, and its samples, gathered one
+    leading-mode slice at a time, are subtracted into them."""
+    # the reconstruction is formed in the stack and the samples are never
+    # gathered whole, so the only domain-sized temporaries are the
+    # reconstruction's inner products: with 5 sources to 4 targets a stack
+    # peaks at 1.18 of itself on 16x16 and 1.63 on 7x7x64 (tracemalloc)
     domains = [
         (source, codes.a0, model.u_source),
         (selected, codes.b0, model.u_target),
@@ -457,8 +464,10 @@ def _class_stack(source, selected, c: int, model, codes) -> ClassSubproblem:
     lo = 0
     for (tensor_set, domain_codes, factors), i in zip(domains, idx):
         cols = z[..., lo : lo + i.size]
-        cols[...] = tensor_set.class_samples(c)
-        cols -= dict_apply(_gather(domain_codes, i), factors)
+        dict_apply(_gather(domain_codes, i), factors, out=cols)
+        columns = tensor_set._class_columns(c)
+        for part, x in zip(cols, tensor_set.samples):
+            np.subtract(_gather(x, columns), part, out=part)
         lo += i.size
     return ClassSubproblem(z, idx[0].size)
 
@@ -467,18 +476,18 @@ def _class_residuals(tensor_set, codes_by_class, dicts_by_class):
     """Samples minus their class-dictionary reconstruction, in set order,
     for a :class:`LabeledTensorSet` or a :class:`_Selection`.
 
-    Each class's reconstruction fills one run of a class-ordered buffer,
-    which a gather by the inverse of the stable label sort puts back in set
-    order in place, one leading-mode slice at a time; the slice's samples,
-    gathered there from a selection, are then subtracted into it. No
-    strided scatter into the sample mode, and no second set-sized array.
+    Each class's reconstruction is written into one run of a class-ordered
+    buffer, which a gather by the inverse of the stable label sort puts back
+    in set order in place, one leading-mode slice at a time; the slice's
+    samples, gathered there from a selection, are then subtracted into it.
+    No strided scatter into the sample mode, and no second set-sized array.
     """
     counts = np.bincount(tensor_set.labels, minlength=len(dicts_by_class) + 1)[1:]
     rec = np.empty(tensor_set.samples.shape[:-1] + (tensor_set.n_samples,))
     lo = 0
     for n, k, w in zip(counts, codes_by_class, dicts_by_class):
         if n:
-            rec[..., lo : lo + n] = dict_apply(k, w)
+            dict_apply(k, w, out=rec[..., lo : lo + n])
             lo += n
     inverse = np.argsort(np.argsort(tensor_set.labels, kind="stable"))
     for part, x in zip(rec, tensor_set._leading_slices()):
@@ -653,6 +662,7 @@ def fit(
     # no target is selected yet; the domain codes come from the HOOI calls
     # below, the target class codes from init step 3
     codes = SdtdlCodes(a0=None, b0=None, a_class=list(a_class), b_class=None)
+    del a_class  # held by ``codes`` alone, which a block pass empties
     _refresh_means(model, codes)
 
     # --- init step 2: predict target labels with the U_t contribution
@@ -732,10 +742,13 @@ def run_block_updates(
     the selection :func:`fit` reads in place). Returns the objective after
     the pass, read from the norms the domain updates formed.
 
-    The class jobs alone read the domain codes, so ``codes.a0`` and
-    ``codes.b0`` are released once they return, before the domain updates
-    replace them. The target dictionary is updated before the source
-    dictionary: neither update reads what the other writes. ``_beside`` is
+    No class job reads the class codes, so ``codes.a_class`` and
+    ``codes.b_class`` are emptied before the jobs start, and stay empty if
+    a job raises. The class jobs alone read the domain codes, so
+    ``codes.a0`` and ``codes.b0`` are released once they return, before
+    the domain updates replace them. The target dictionary is updated
+    before the source dictionary: neither update reads what the other
+    writes. ``_beside`` is
     for :func:`fit` alone: a job that reads no source-dictionary state, run
     beside the source update (:func:`_run_jobs`) and joined before the
     return."""
@@ -752,8 +765,11 @@ def run_block_updates(
             w_init=model.w_class[c - 1],
         )
 
-    # the class jobs read only the domain parts, so the model and the codes
-    # are written after every job has returned
+    # the class jobs read only the domain parts, so the stale class codes
+    # are released before the first job starts, and the model is written
+    # after every job has returned
+    codes.a_class.clear()
+    codes.b_class.clear()
     model.w_class[:], codes.a_class[:], codes.b_class[:] = zip(
         *_run_jobs([functools.partial(class_job, c) for c in range(1, model.class_count + 1)])
     )

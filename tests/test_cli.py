@@ -4,6 +4,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -365,6 +366,26 @@ class TestFitPredict:
         )
         assert code == 3
         assert "io error" in err
+
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_bytes_after_the_target_payload_exit_code(self, tmp_path, capsys, command):
+        # a target file with 8 bytes after its payload used to be read as
+        # the tensor before them
+        d = synth_dir(tmp_path, capsys)
+        bad = tmp_path / "bad.stdl"
+        bad.write_bytes((d / "target.stdl").read_bytes() + bytes(8))
+        out = tmp_path / "run"
+        if command == "fit":
+            argv = fit_args(d, out)
+            argv[argv.index("--target") + 1] = str(bad)
+        else:
+            assert run(capsys, *fit_args(d, out))[0] == 0
+            argv = ["predict", "--model", str(out / "model.stdm"), "--target", str(bad),
+                    "--out", str(tmp_path / "p.txt")]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 3
+        assert stdout == ""
+        assert err == "io error: 8 bytes after the tensor payload\n"
 
     def test_predict_empty_target(self, tmp_path, capsys):
         d = synth_dir(tmp_path, capsys)
@@ -936,6 +957,36 @@ class TestDecompose:
         assert code == 2
         assert stdout == ""
         assert "bad ranks '2,,2,3'" in err
+        assert not (tmp_path / "dec").exists()
+
+    def test_error_takes_one_tensor_sized_temporary(self, tmp_path, capsys):
+        # the input, the reconstruction the error is formed in, and the
+        # HOOI's inner products: 2.21 of the input, where forming
+        # t - reconstruction as a new array took 3.06
+        t = np.random.default_rng(3).standard_normal((20, 20, 30, 40))
+        dataio.write_tensor(tmp_path / "t.stdl", t)
+        tracemalloc.start()
+        try:
+            code, _, err = run(
+                capsys, "decompose", "--input", str(tmp_path / "t.stdl"),
+                "--ranks", "3,4,5,6", "--out", str(tmp_path / "dec"),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < 2.6 * t.nbytes
+
+    def test_bytes_after_the_payload_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "t.stdl"
+        bad.write_bytes(dataio.tensor_to_bytes(np.ones((3, 3))) + bytes(8))
+        code, stdout, err = run(
+            capsys, "decompose", "--input", str(bad),
+            "--ranks", "1,1", "--out", str(tmp_path / "dec"),
+        )
+        assert code == 3
+        assert stdout == ""
+        assert err == "io error: 8 bytes after the tensor payload\n"
         assert not (tmp_path / "dec").exists()
 
     @pytest.mark.parametrize("dims", [(131072, 65536), (2**31, 2**31)])

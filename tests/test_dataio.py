@@ -130,6 +130,20 @@ class TestTensorFile:
             with pytest.raises(TruncatedPayloadError):
                 read_tensor(cut)
 
+    @pytest.mark.parametrize("extra", [1, 8])
+    def test_bytes_after_the_payload_are_a_file_error(self, tmp_path, extra):
+        # a 2x3 file with 8 bytes appended used to read back as the 2x3 tensor
+        buf = tensor_to_bytes(np.arange(6.0).reshape(2, 3))
+        path = tmp_path / "t.stdl"
+        path.write_bytes(buf + bytes(extra))
+        with pytest.raises(TensorFileError, match=f"{extra} bytes after the tensor payload"):
+            read_tensor(path)
+        # a model file's blobs are followed by others: the blob reader stops
+        # at the payload's end
+        fh = io.BytesIO(buf + bytes(extra))
+        assert np.array_equal(_read_tensor(fh, len(buf) + extra), np.arange(6.0).reshape(2, 3))
+        assert fh.tell() == len(buf)
+
     @pytest.mark.parametrize("dims", [(131072, 65536), (2**31, 2**31)])
     def test_oversized_header_is_truncated(self, tmp_path, dims):
         # checked against the file size before the payload is allocated

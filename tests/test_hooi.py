@@ -648,6 +648,42 @@ class TestSampleBlocks:
         per_sweep = 1 + count * (order - 1)
         assert len(products) == sweeps * per_sweep + count * order
 
+    def test_the_blocked_core_reads_each_block_in_place(self, monkeypatch):
+        # past the last sweep the core stage holds the core, a block's
+        # last-mode product (7/16 of the block) and its mode-0 product (a
+        # quarter): 0.7 of a block beside the core, where a copy of the
+        # block took 1.44
+        dims, ranks = (5, 4, 16, 120), (3, 3, 7)
+        rng = np.random.default_rng(6)
+        t = rng.standard_normal(dims)
+        start = [rand_orth(rng, d, r) for d, r in zip(dims, ranks)]
+        monkeypatch.setattr(H, "_SWEEP_BLOCK_BYTES", projection_bytes(dims, ranks) // 4)
+        real_blocks, held = H._sample_blocks, []
+
+        def blocks(x, r):
+            # called by each sweep and, last, by the core stage
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return real_blocks(x, r)
+
+        monkeypatch.setattr(H, "_sample_blocks", blocks)
+        tracemalloc.start()
+        try:
+            res = hooi(t, ranks, skip_last=True, max_sweeps=2, tol=1e-300, init_factors=start)
+            peak = tracemalloc.get_traced_memory()[1] - held[-1]
+        finally:
+            tracemalloc.stop()
+        cols = real_blocks(t, ranks)
+        assert len(cols) == 4
+        block_bytes = t[..., cols[0]].nbytes
+        assert peak - res.core.nbytes < block_bytes
+        # the same products as on C-contiguous block copies, bit for bit
+        want = np.concatenate(
+            [H._project(np.ascontiguousarray(t[..., c]), res.factors, [2, 1, 0]) for c in cols],
+            axis=-1,
+        )
+        assert res.core.tobytes() == want.tobytes()
+
     def test_a_form_that_couples_samples_stays_whole(self, monkeypatch):
         rng = np.random.default_rng(3)
         t = rng.standard_normal((4, 3, 12))

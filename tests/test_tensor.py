@@ -228,6 +228,60 @@ class TestMultiProduct:
         assert np.array_equal(dict_project(t, ws), dict_apply(t, [w.T for w in ws]))
 
 
+class TestDictApplyOut:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_sample_slice_takes_the_product_bitwise(self, dims, data, seed):
+        rng = np.random.default_rng(seed)
+        ranks = [data.draw(st.integers(1, d)) for d in dims]
+        lo, n, after = (data.draw(st.integers(0, 4)) for _ in range(3))
+        codes = rng.standard_normal(ranks + [n])
+        factors = [rng.standard_normal((d, r)) for d, r in zip(dims, ranks)]
+        z = np.full(dims + [lo + n + after], np.nan)
+        cols = z[..., lo : lo + n]
+        assert dict_apply(codes, factors, out=cols) is cols
+        assert cols.tobytes() == dict_apply(codes, factors).tobytes()
+        # the columns around the slice are untouched
+        assert np.isnan(z[..., :lo]).all() and np.isnan(z[..., lo + n :]).all()
+
+    def test_a_whole_c_order_tensor_takes_the_product(self):
+        rng = np.random.default_rng(9)
+        t = rng.standard_normal((2, 3, 4))
+        factors = [rng.standard_normal((d + 1, d)) for d in t.shape]
+        out = np.empty((3, 4, 5))
+        assert dict_apply(t, factors, out=out) is out
+        assert out.tobytes() == dict_apply(t, factors).tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.zeros((3, 4, 5, 6), order="F"),
+            lambda: np.zeros((3, 5, 5, 6))[:, :4],  # a leading-mode slice
+            lambda: np.zeros((3, 4, 5, 6), dtype=np.float32),
+            lambda: np.zeros((3, 4, 5, 7)),
+        ],
+        ids=["fortran-order", "leading-slice", "float32", "wrong-shape"],
+    )
+    def test_an_out_that_needs_a_copy_is_rejected(self, make):
+        rng = np.random.default_rng(10)
+        codes = rng.standard_normal((2, 2, 2, 6))
+        factors = [rng.standard_normal((d, 2)) for d in (3, 4, 5)]
+        out = make()
+        with pytest.raises(ValueError):
+            dict_apply(codes, factors, out=out)
+        assert not out.any()
+
+    def test_an_out_without_a_product_is_rejected(self):
+        t, out = np.ones((3, 4)), np.zeros((3, 4))
+        with pytest.raises(ValueError, match="no"):
+            dict_apply(t, [], out=out)
+        assert not out.any()
+
+
 class TestTucker:
     def test_reconstruct_is_dict_apply(self):
         rng = np.random.default_rng(12)
