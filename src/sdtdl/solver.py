@@ -168,10 +168,12 @@ class LabeledTensorSet:
         return np.flatnonzero(self._labeled() == c)
 
     def class_samples(self, c: int) -> np.ndarray:
-        return _gather(self.samples, self.class_indices(c))
+        return _gather(self.samples, self._class_columns(c))
 
     def _class_columns(self, c: int) -> np.ndarray:
-        """The columns of ``samples`` that hold class ``c``."""
+        """The columns of ``samples`` that hold class ``c``: the class
+        indices here, mirroring :meth:`_Selection._class_columns`, so that
+        :func:`_class_stack` reads both set types alike."""
         return self.class_indices(c)
 
     def _leading_slices(self):

@@ -58,7 +58,7 @@ def mode_product(t: np.ndarray, u: np.ndarray, mode: int, out=None) -> np.ndarra
         return np.matmul(a, b).reshape(new_dims)
     if out.shape != new_dims or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array of shape {new_dims}")
-    # raises ValueError when the view would need a copy
+    # ``copy=False`` (NumPy 2.1+) raises ValueError when the view would need a copy
     np.matmul(a, b, out=out.reshape(view, copy=False))
     return out
 

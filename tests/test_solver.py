@@ -625,6 +625,20 @@ class TestBlockPass:
             assert np.allclose(a_c, project_dict(x, w), rtol=0, atol=1e-12)
             assert np.allclose(b_c, project_dict(y, w), rtol=0, atol=1e-12)
 
+    def test_a_raising_class_job_leaves_the_class_codes_empty(self, monkeypatch):
+        model, source, selected, codes = make_fitted_state(seed=4)
+        assert codes.a_class and codes.b_class
+
+        def failing_update(*args, **kwargs):
+            raise FloatingPointError("class job failed")
+
+        monkeypatch.setattr(S, "update_class_dict", failing_update)
+        with pytest.raises(FloatingPointError):
+            run_block_updates(source, selected, model, codes)
+        # the stale codes are released before the jobs run, so codes that
+        # no longer match the model are never left behind
+        assert codes.a_class == [] and codes.b_class == []
+
     def test_empty_selected_class_fallback(self):
         model, source, selected, codes = make_fitted_state(seed=3)
         # drop class 2 from the selected set entirely

@@ -28,8 +28,9 @@ it, so a peak is never missed, but the phases that overlap share the
 peaks of their common intervals.
 
 The phase boundaries are found by wrapping ``sdtdl.solver`` functions from
-outside, in every ``sdtdl`` module namespace that binds them, as
-``perfbench/tracer.py`` does; nothing in ``src/`` is patched. The exit code
+outside, in the ``sdtdl.solver`` and ``sdtdl.pseudolabel`` namespaces
+that bind them, and put back when the fit ends; nothing in ``src/`` is
+patched. The exit code
 is ``sdtdl fit``'s.
 """
 
@@ -102,15 +103,6 @@ class PhasePeaks:
         return max(keys, default=None)
 
 
-def _replace(package, original, wrapper):
-    """Bind ``wrapper`` wherever a ``package`` module binds ``original``."""
-    for name, module in list(sys.modules.items()):
-        if name == package or name.startswith(package + "."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    setattr(module, key, wrapper)
-
-
 # (solver function, the phase its call starts, the open phase its call ends
 # first, whether its phase ends with the call). A phase that does not end
 # with its call is ended by the next call that names it.
@@ -123,9 +115,12 @@ BOUNDARIES = [
 ]
 
 
-def install(peaks: PhasePeaks) -> None:
-    """Wrap the solver functions whose calls bound the phases."""
-    from sdtdl import solver
+def install(peaks: PhasePeaks):
+    """Wrap the solver functions whose calls bound the phases, in
+    ``sdtdl.solver`` and in ``sdtdl.pseudolabel``, the two modules through
+    which ``solver.fit`` and ``sdtdl fit`` call them. Returns a function
+    that puts the originals back."""
+    from sdtdl import pseudolabel, solver
 
     def wrap(fn, name, ends, spans_call):
         @functools.wraps(fn)
@@ -141,9 +136,20 @@ def install(peaks: PhasePeaks) -> None:
 
         return wrapper
 
+    patches = []
     for attr, name, ends, spans_call in BOUNDARIES:
         original = getattr(solver, attr)
-        _replace("sdtdl", original, wrap(original, name, ends, spans_call))
+        wrapper = wrap(original, name, ends, spans_call)
+        for module in (solver, pseudolabel):
+            if getattr(module, attr, None) is original:
+                setattr(module, attr, wrapper)
+                patches.append((module, attr, original))
+
+    def restore():
+        for module, attr, original in patches:
+            setattr(module, attr, original)
+
+    return restore
 
 
 def main(argv=None) -> int:
@@ -155,7 +161,7 @@ def main(argv=None) -> int:
     from sdtdl import cli
 
     peaks = PhasePeaks()
-    install(peaks)
+    restore = install(peaks)
     stop = threading.Event()
 
     def poller():
@@ -179,6 +185,7 @@ def main(argv=None) -> int:
                 peaks.end(key)
             peaks.poll()
             tracemalloc.stop()
+            restore()
     for line in peaks.done:
         print(json.dumps(line))
     overall = round(peaks.overall / MIB, 2)
