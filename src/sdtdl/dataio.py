@@ -23,8 +23,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .solver import Hyperparams, LabeledTensorSet, SdtdlModel, _count
-from .tensor import dict_apply
+from .solver import Hyperparams, LabeledTensorSet, SdtdlModel
+from .tensor import _count, dict_apply
 
 __all__ = [
     "TensorFileError",

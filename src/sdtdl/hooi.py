@@ -3,7 +3,8 @@ iteration, plus the dense symmetric eigen-solver backing it.
 
 The sample mode (last mode) of a data tensor can be left uncompressed with
 ``skip_last=True``; the returned factor list then covers the leading modes
-only, with an implicit identity on the sample mode.
+only, with a symmetric operator on the sample mode: the identity, or the
+one :func:`hooi` is given (a class update's ``Phi^T Phi`` or ``Q``).
 
 With the sample mode kept, each mode's matrix depends on the data only
 through the ``P x P`` sample moment of the ``P`` feature entries (Kolda &
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import dict_apply, mode_gram, mode_product
+from .tensor import _count, dict_apply, mode_gram, mode_product
 
 __all__ = [
     "TuckerResult", "eig_sym_topk", "hosvd", "takes_moment", "sweep", "moment_sweep", "hooi",
@@ -33,7 +34,9 @@ __all__ = [
 class TuckerResult:
     core: np.ndarray
     factors: list  # one orthonormal matrix per compressed mode
-    fit_history: list = field(default_factory=list)  # core squared norm per sweep
+    # per sweep, the sum of the last mode's top eigenvalues: the squared core
+    # norm when the sample-mode operator is the identity
+    fit_history: list = field(default_factory=list)
 
     def reconstruct(self) -> np.ndarray:
         """The Tucker tensor; a skipped sample mode stays as it is in the core."""
@@ -74,25 +77,26 @@ def eig_sym_topk(s: np.ndarray, k: int):
 
 def _check_ranks(t: np.ndarray, ranks, skip_last: bool):
     n_modes = t.ndim - 1 if skip_last else t.ndim
-    ranks = [int(r) for r in ranks]
+    ranks = [_count(r, "ranks", 1) for r in ranks]
     if not ranks or len(ranks) != n_modes:
         raise ValueError(f"expected {n_modes} ranks (at least one), got {len(ranks)}")
     for m, r in enumerate(ranks):
-        if not 1 <= r <= t.shape[m]:
+        if r > t.shape[m]:
             raise ValueError(f"rank {r} out of range for mode {m} with extent {t.shape[m]}")
     return ranks
 
 
-def hosvd(t: np.ndarray, ranks, skip_last: bool = False, moment=None) -> list:
-    """Truncated HOSVD factors: per mode, the top eigenvectors of the Gram
-    matrix of the mode flattening. Standard deterministic initializer for
-    HOOI; no core is formed. With ``skip_last``, each mode's matrix may be
-    read from ``t``'s sample ``moment`` instead (:func:`moment_sweep`), with
-    every other mode traced out."""
+def hosvd(t: np.ndarray, ranks, skip_last: bool = False, moment=None, form=mode_gram) -> list:
+    """Truncated HOSVD factors: per mode, the top eigenvectors of ``form``
+    of ``t`` at that mode, the Gram matrix of the mode flattening by
+    default. Standard deterministic initializer for HOOI; no core is
+    formed. With ``skip_last``, each mode's matrix may be read from ``t``'s
+    sample ``moment`` instead (:func:`moment_sweep`), with every other mode
+    traced out."""
     t = np.asarray(t, dtype=np.float64)
     ranks = _check_ranks(t, ranks, skip_last)
     if moment is None:
-        forms = (mode_gram(t, m) for m in range(len(ranks)))
+        forms = (form(t, m) for m in range(len(ranks)))
     else:
         forms = (_moment_form(moment, t.shape[:-1], m) for m in range(len(ranks)))
     return [eig_sym_topk(s, r)[1] for s, r in zip(forms, ranks)]
@@ -261,73 +265,88 @@ def hooi(
     ranks,
     skip_last: bool = False,
     max_sweeps: int = 20,
-    tol: float = 1e-6,
+    tol: float | None = 1e-6,
     init_factors=None,
+    op=None,
 ) -> TuckerResult:
-    """Higher-order orthogonal iteration.
+    """Higher-order orthogonal iteration, with a symmetric operator ``M`` on
+    a kept sample mode: ``op``, or the identity when it is ``None``.
 
-    Each :func:`sweep` updates every compressed mode in turn: the factor
-    becomes the top eigenvectors of the Gram matrix of the partial
-    projection flattened at that mode (the leading modes' read from their
-    moment once the last mode is contracted, where that is no larger).
-    Each sweep starts after the previous one's partial projection is
-    released, so a warm HOOI holds no more than one sweep needs.
-    Initialized from HOSVD unless ``init_factors`` warm-starts it. A
-    sweep's fit history value is the squared norm of the core under its
-    factors, read from the sum of the last mode's top eigenvalues, so no
-    sweep projects the tensor again. Stops when the relative change of that
-    value falls below ``tol`` or after ``max_sweeps`` sweeps; the recorded
-    fit history is non-decreasing.
-    The returned core is formed once, from the last sweep's last partial
-    projection; when that projection is formed by sample blocks (see
-    :func:`sweep`), the core is formed per block instead, each block's core
-    written into its sample columns: each block is read in place, its last
-    mode projected first, so neither a block copy nor a whole-set product
-    is built after the last sweep.
+    Each sweep updates every compressed mode in turn: the factor becomes the
+    top eigenvectors of the partial projection's matrix at that mode, with
+    ``M`` on the sample mode; for the identity, the Gram matrix of the
+    projection flattened there. ``op`` gives that form two ways:
+    ``op.moment(t)`` is the sample moment ``Z M Z^T`` of ``t``'s flattening
+    ``Z`` (feature entries by samples), and ``op.sweep_input(t)`` is the
+    tensor a direct :func:`sweep` projects, with its form. Each sweep starts
+    after the previous one's partial projection is released, so a warm HOOI
+    holds no more than one sweep needs. Initialized by :func:`hosvd` of the
+    same form unless ``init_factors`` warm-starts it, one ``I_m x r_m``
+    matrix per compressed mode. A sweep's fit history value is the sum of
+    the last mode's top eigenvalues, which for the identity is the squared
+    norm of the core under its factors, so no sweep projects the tensor
+    again. Stops when the relative change of that value falls below ``tol``
+    or after ``max_sweeps`` sweeps; with ``tol=None`` every sweep runs. For
+    the identity the recorded fit history is non-decreasing.
 
-    A cold start with ``skip_last`` and at least as many samples as feature
-    entries forms the sample moment once, no larger than ``t``, and takes
-    the HOSVD and every sweep from it (:func:`moment_sweep`); the core is
-    then ``t`` projected on the factors, by the same sample blocks above
-    the budget. A warm start, which stops after a few sweeps, keeps
-    :func:`sweep`.
+    One rule picks the path: with ``skip_last``, at least as many samples
+    as feature entries, and a cold start or ``tol=None``, the sample moment
+    is formed once, no larger than ``t``, and the HOSVD and every sweep
+    read it (:func:`moment_sweep`). Otherwise each sweep is a direct
+    :func:`sweep`: a warm start that stops on ``tol`` after a few sweeps
+    does not pay for the moment.
+
+    The returned core is ``t`` projected on the factors. When the sweeps
+    projected ``t`` itself, it is formed once from the last sweep's last
+    partial projection. Otherwise (the moment path, a weighted tensor
+    swept, or a projection formed by sample blocks) ``t`` is projected one
+    product per mode; above the budget by the blocks of :func:`sweep`, each
+    block's core written into its sample columns: each block is read in
+    place, its last mode projected first, so neither a block copy nor a
+    whole-set product is built after the last sweep.
     """
     t = np.asarray(t, dtype=np.float64)
     ranks = _check_ranks(t, ranks, skip_last)
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
-    if not 0 < tol < np.inf:
+    max_sweeps = _count(max_sweeps, "max_sweeps", 1)
+    if tol is not None and not 0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
-    g = None
-    if init_factors is None:
-        if skip_last and takes_moment(t, t.ndim - 1):
-            g = _sample_moment(t)
-        factors = hosvd(t, ranks, skip_last, moment=g)
-    else:
-        if len(init_factors) != len(ranks):
-            raise ValueError("init_factors length does not match ranks")
+    factors = None
+    if init_factors is not None:
         factors = [np.asarray(u, dtype=np.float64) for u in init_factors]
+        if [u.shape for u in factors] != [(t.shape[m], r) for m, r in enumerate(ranks)]:
+            raise ValueError("init_factors must hold one I_m x r_m matrix per compressed mode")
+    g = h = None
+    swept, form = t, mode_gram
+    if skip_last and takes_moment(t, t.ndim - 1) and (factors is None or tol is None):
+        g = _sample_moment(t) if op is None else op.moment(t)
+    elif op is not None:
+        swept, form = op.sweep_input(t)
+    if factors is None:
+        factors = hosvd(swept, ranks, skip_last, moment=g, form=form)
     history = []
     for _ in range(max_sweeps):
         if g is None:
             h = None  # the previous sweep's projection, freed before this one
-            h, vals = sweep(t, factors, ranks)
+            h, vals = sweep(swept, factors, ranks, form)
         else:
             vals = moment_sweep(g, t.shape[:-1], factors, ranks)
         history.append(float(np.sum(vals)))
-        if len(history) > 1 and abs(history[-1] - history[-2]) <= tol * max(history[-2], 1e-300):
-            break
+        if tol is not None and len(history) > 1:
+            if abs(history[-1] - history[-2]) <= tol * max(history[-2], 1e-300):
+                break
+    if swept is not t:
+        swept = h = None  # a weighted copy and its projection, freed before the core
     modes = range(len(ranks))
     blocks = _sample_blocks(t, ranks)
-    if blocks is not None:
+    if h is not None:
+        core = mode_product(h, factors[-1].T, modes[-1])
+    elif blocks is not None:
         core = np.empty(tuple(ranks) + t.shape[-1:])
         # the last mode first, as a sweep starts: its product reads the
         # sample slice in place, and on the object shape it leaves 28/64 of
         # a block, where mode 0's leaves 6/7
         for cols in blocks:
             core[..., cols] = _project(t[..., cols], factors, modes[::-1])
-    elif g is None:
-        core = mode_product(h, factors[-1].T, modes[-1])
     else:
         core = _project(t, factors, modes)
     return TuckerResult(core=core, factors=factors, fit_history=history)

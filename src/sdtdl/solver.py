@@ -4,8 +4,9 @@ A structured dictionary holds a source-domain dictionary ``U_s``, a target
 dictionary ``U_t`` and one class dictionary ``W_c`` per class, each a set of
 per-mode orthonormal factor matrices. The alternating fit loop interleaves
 pseudo-label prediction on the target set with block updates of the class
-dictionaries (eigen update on the Phi-transformed stacked residuals), the
-source dictionary and the target dictionary (both by warm-started HOOI).
+dictionaries, the source dictionary and the target dictionary, all by
+warm-started HOOI (:func:`sdtdl.hooi.hooi`): on the stacked class residuals
+under the route's sample-mode operator, and on each domain's residuals.
 
 Class-dictionary updates support two routes:
 
@@ -28,15 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hooi import eig_sym_topk, hooi, hosvd, moment_sweep, sweep, takes_moment
+# not called here: test_real_package_bindings_are_wrapped_and_restored wraps
+# eig_sym_topk and mode_product in this namespace
+from .hooi import eig_sym_topk, hooi
 from .jobs import _one_blas_thread, _run_jobs
 from .pseudolabel import predict_labels
 from .tensor import (
+    _count,
     dict_apply,
     dict_project,
     frobenius_norm,
     mode_gram,
-    # not called here: test_real_package_bindings_are_wrapped_and_restored wraps it
     mode_product,
     require_orthonormal,
 )
@@ -63,13 +66,6 @@ __all__ = [
 
 
 CLASS_UPDATES = ("eigen-phi", "exact")
-
-
-def _count(value, name: str, low: int) -> int:
-    """``value`` as an int; a fractional, non-finite or below-``low`` value is rejected."""
-    if not (float(value).is_integer() and value >= low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
 
 
 @dataclass
@@ -288,8 +284,9 @@ def _objective_from_norms(
 
 @dataclass(frozen=True)
 class SampleOperator:
-    """A sample-mode operator on ``n_s`` source samples stacked before
-    ``n_t`` target samples, kept in structured form.
+    """A symmetric sample-mode operator on ``n_s`` source samples stacked
+    before ``n_t`` target samples, kept in structured form: the ``op`` a
+    class update gives :func:`sdtdl.hooi.hooi`.
 
     Entry ``(i, j)`` is ``scale[d(i)] * [i == j] + block[d(i)][d(j)]``, where
     ``d`` maps a sample to its domain (0 source, 1 target): a scaled identity
@@ -297,11 +294,14 @@ class SampleOperator:
     both have this form, so :meth:`apply` costs a per-sample scale and a
     broadcast of the per-domain sample sums, ``O(N F)`` for ``N`` samples of
     ``F`` entries, where the dense ``N x N`` matrix costs ``O(N^2 F)``.
+    An operator made by :meth:`gram` keeps its ``root``: ``Phi^T Phi``
+    remembers ``Phi``.
     """
 
     n_s: int
     scale: tuple  # (source, target)
     block: tuple  # ((source-source, source-target), (target-source, target-target))
+    root: SampleOperator | None = None  # R for the R^T R that gram() gave
 
     @classmethod
     def phi(cls, n_s: int, n_t: int, theta: float, lam: float) -> SampleOperator:
@@ -337,14 +337,15 @@ class SampleOperator:
         )
 
     def gram(self, n_t: int) -> SampleOperator:
-        """``M^T M`` for this operator ``M`` and ``n_t`` target samples: the
-        scales ``a`` square, and block ``(d, e)`` becomes ``a_d b_de + a_e
-        b_ed + sum_f n_f b_fd b_fe`` for the domain sizes ``n``."""
+        """``M^T M`` for this operator ``M`` and ``n_t`` target samples, with
+        ``M`` as its ``root``: the scales ``a`` square, and block ``(d, e)``
+        becomes ``a_d b_de + a_e b_ed + sum_f n_f b_fd b_fe`` for the domain
+        sizes ``n``."""
         a, b = np.array(self.scale), np.array(self.block)
         n = np.array([self.n_s, n_t], dtype=np.float64)
         ab = a[:, None] * b
         c = ab + ab.T + b.T @ (n[:, None] * b)
-        return SampleOperator(self.n_s, tuple(a**2), tuple(map(tuple, c)))
+        return SampleOperator(self.n_s, tuple(a**2), tuple(map(tuple, c)), root=self)
 
     def moment(self, z: np.ndarray) -> np.ndarray:
         """``Z M Z^T`` for the flattening ``Z`` of ``z`` (feature entries by
@@ -361,6 +362,15 @@ class SampleOperator:
                 part = flat[:, cols]
                 g += scale * (part @ part.T)
         return g
+
+    def sweep_input(self, z: np.ndarray):
+        """The tensor a direct sweep projects for this operator on ``z``'s
+        sample mode, with its per-mode form: ``z x_N R`` with the plain Gram
+        matrix, which a sweep may sum over sample blocks, when this is
+        ``R^T R``; else ``z`` itself with this operator inside the form."""
+        if self.root is not None:
+            return self.root.apply(z), mode_gram
+        return z, functools.partial(_mode_form, quad=self)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """``z x_N M``: the operator acting on the last (sample) mode of ``z``."""
@@ -393,59 +403,37 @@ def update_class_dict(
     lam: float,
     w_init=None,
 ):
-    """Solve one class-dictionary subproblem by ``inner_sweeps`` alternating
-    per-mode eigen updates on the stacked residual.
+    """Solve one class-dictionary subproblem by ``inner_sweeps`` HOOI sweeps
+    on the stacked residual, the sample mode kept under the route's
+    operator (:func:`sdtdl.hooi.hooi`, every sweep run).
+
+    ``method`` selects that operator, built from ``theta`` and ``lam`` in
+    structured form (:class:`SampleOperator`): ``"eigen-phi"`` maximizes the
+    core norm of the Phi-weighted stack, whose per-mode forms put ``Phi^T
+    Phi`` on the sample mode; ``"exact"`` puts the quadratic form Q there.
+    ``hooi`` picks the path (the sample moment, or direct sweeps on the
+    Phi-weighted copy or on the stack with Q in the form) and the cold start
+    without ``w_init``: the HOSVD of the same form.
 
     Returns ``(w_c, a_c, b_c)``: the updated factor matrices and the class
-    codes of the source / target residuals under them, both taken from one
-    projection of the stack. ``method`` selects the sample-mode operator,
-    built from ``theta`` and ``lam`` in structured form
-    (:class:`SampleOperator`): ``"eigen-phi"`` maximizes the core norm of
-    the Phi-weighted stack, whose per-mode forms put ``Phi^T Phi`` on the
-    sample mode; ``"exact"`` puts the quadratic form Q there.
-
-    With at least as many samples as feature entries, every sweep runs on
-    the stack's sample moment under that operator, formed once
-    (:func:`sdtdl.hooi.moment_sweep`). Otherwise each is
-    :func:`sdtdl.hooi.sweep`, on a Phi-weighted copy of the stack or on the
-    stack itself with Q on the sample mode.
-
-    Without ``w_init`` each mode starts from the top eigenvectors of its
-    form on the uncompressed tensor: the HOSVD of the Phi-weighted stack on
-    the Phi route, and of ``Z_(m) (I kron Q) Z_(m)^T`` on the exact route.
-    With ``Q = Phi^T Phi`` the two starts coincide.
+    codes of the source / target residuals under them, split from ``hooi``'s
+    core, the stack projected on ``w_c``.
     """
     z, n_s = sub.z, sub.n_s
     n_t = z.shape[-1] - n_s
-    ranks = [int(r) for r in ranks]
     if method == "eigen-phi":
-        op = SampleOperator.phi(n_s, n_t, theta, lam)
+        op = SampleOperator.phi(n_s, n_t, theta, lam).gram(n_t)
     elif method == "exact":
         op = SampleOperator.quadratic_form(n_s, n_t, theta, lam)
     else:
         raise ValueError(f"unknown class-update method: {method}")
-    w = None if w_init is None else [np.asarray(u, dtype=np.float64) for u in w_init]
-    if takes_moment(z, z.ndim - 1):
-        g = (op.gram(n_t) if method == "eigen-phi" else op).moment(z)
-        if w is None:
-            w = hosvd(z, ranks, skip_last=True, moment=g)
-        for _ in range(inner_sweeps):
-            moment_sweep(g, z.shape[:-1], w, ranks)
-    else:
-        if method == "exact":
-            swept, form = z, functools.partial(_mode_form, quad=op)
-        else:
-            # the plain Gram form, which sweep may sum over sample blocks
-            swept, form = op.apply(z), mode_gram
-        if w is None:
-            w = [eig_sym_topk(form(swept, m), r)[1] for m, r in enumerate(ranks)]
-        for _ in range(inner_sweeps):
-            sweep(swept, w, ranks, form)
-        del swept
-    k = dict_project(z, w)
+    res = hooi(
+        z, ranks, skip_last=True, max_sweeps=inner_sweeps, tol=None, init_factors=w_init, op=op
+    )
+    k = res.core
     # each domain's codes in an array of its own, C-contiguous, as later
     # products expect of a class's codes
-    return w, np.ascontiguousarray(k[..., :n_s]), np.ascontiguousarray(k[..., n_s:])
+    return res.factors, np.ascontiguousarray(k[..., :n_s]), np.ascontiguousarray(k[..., n_s:])
 
 
 def _class_stack(source, selected, c: int, model, codes) -> ClassSubproblem:

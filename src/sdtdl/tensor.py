@@ -25,6 +25,13 @@ __all__ = [
 ORTHO_TOL = 1e-8
 
 
+def _count(value, name: str, low: int) -> int:
+    """``value`` as an int; a fractional, non-finite or below-``low`` value is rejected."""
+    if not (float(value).is_integer() and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _check_mode(t: np.ndarray, mode: int) -> None:
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")

@@ -5,24 +5,37 @@ from norms its updates already form, Phi and Q as structured sample-mode
 operators, mode products and Gram matrices on C-order views instead of
 flattened copies, class residuals through a class-ordered buffer instead
 of a scatter. These direct forms are what that arithmetic is checked
-against, and a HOOI sweep that projects the tensor for every mode is
-what the sweep on the leading modes' moment is checked against. The
+against, a HOOI sweep that projects the tensor for every mode is what
+the sweep on the leading modes' moment is checked against, and the class
+update with a loop of its own is what the class update through ``hooi``
+is checked against. The
 mode-``m`` flattening is the unfolding of Kolda & Bader
 (SIAM Review 2009), with the column order induced by C-order layout.
 """
 
+import functools
 import math
 
 import numpy as np
 
-from sdtdl.hooi import _project, _sample_blocks, eig_sym_topk
+from sdtdl.hooi import (
+    _project,
+    _sample_blocks,
+    eig_sym_topk,
+    hosvd,
+    moment_sweep,
+    sweep,
+    takes_moment,
+)
 from sdtdl.solver import (
     ClassSubproblem,
     LabeledTensorSet,
+    SampleOperator,
     SdtdlCodes,
     SdtdlModel,
     _discriminant,
     _gather,
+    _mode_form,
     _refresh_means,
 )
 from sdtdl.tensor import (
@@ -225,3 +238,71 @@ def suffix_sweep(t: np.ndarray, factors: list, ranks, form=mode_gram):
             s = form(h, m)
         vals, factors[m] = eig_sym_topk(s, ranks[m])
     return h, vals
+
+
+def class_update(
+    sub: ClassSubproblem,
+    ranks,
+    inner_sweeps: int,
+    method: str,
+    theta: float,
+    lam: float,
+    w_init=None,
+):
+    """:func:`sdtdl.solver.update_class_dict` as written before it became
+    one :func:`sdtdl.hooi.hooi` call, with its own path choice, cold start
+    and sweep loop. Its docstring as it was:
+
+    Solve one class-dictionary subproblem by ``inner_sweeps`` alternating
+    per-mode eigen updates on the stacked residual.
+
+    Returns ``(w_c, a_c, b_c)``: the updated factor matrices and the class
+    codes of the source / target residuals under them, both taken from one
+    projection of the stack. ``method`` selects the sample-mode operator,
+    built from ``theta`` and ``lam`` in structured form
+    (:class:`SampleOperator`): ``"eigen-phi"`` maximizes the core norm of
+    the Phi-weighted stack, whose per-mode forms put ``Phi^T Phi`` on the
+    sample mode; ``"exact"`` puts the quadratic form Q there.
+
+    With at least as many samples as feature entries, every sweep runs on
+    the stack's sample moment under that operator, formed once
+    (:func:`sdtdl.hooi.moment_sweep`). Otherwise each is
+    :func:`sdtdl.hooi.sweep`, on a Phi-weighted copy of the stack or on the
+    stack itself with Q on the sample mode.
+
+    Without ``w_init`` each mode starts from the top eigenvectors of its
+    form on the uncompressed tensor: the HOSVD of the Phi-weighted stack on
+    the Phi route, and of ``Z_(m) (I kron Q) Z_(m)^T`` on the exact route.
+    With ``Q = Phi^T Phi`` the two starts coincide.
+    """
+    z, n_s = sub.z, sub.n_s
+    n_t = z.shape[-1] - n_s
+    ranks = [int(r) for r in ranks]
+    if method == "eigen-phi":
+        op = SampleOperator.phi(n_s, n_t, theta, lam)
+    elif method == "exact":
+        op = SampleOperator.quadratic_form(n_s, n_t, theta, lam)
+    else:
+        raise ValueError(f"unknown class-update method: {method}")
+    w = None if w_init is None else [np.asarray(u, dtype=np.float64) for u in w_init]
+    if takes_moment(z, z.ndim - 1):
+        g = (op.gram(n_t) if method == "eigen-phi" else op).moment(z)
+        if w is None:
+            w = hosvd(z, ranks, skip_last=True, moment=g)
+        for _ in range(inner_sweeps):
+            moment_sweep(g, z.shape[:-1], w, ranks)
+    else:
+        if method == "exact":
+            swept, form = z, functools.partial(_mode_form, quad=op)
+        else:
+            # the plain Gram form, which sweep may sum over sample blocks
+            swept, form = op.apply(z), mode_gram
+        if w is None:
+            w = [eig_sym_topk(form(swept, m), r)[1] for m, r in enumerate(ranks)]
+        for _ in range(inner_sweeps):
+            sweep(swept, w, ranks, form)
+        del swept
+    k = dict_project(z, w)
+    # each domain's codes in an array of its own, C-contiguous, as later
+    # products expect of a class's codes
+    return w, np.ascontiguousarray(k[..., :n_s]), np.ascontiguousarray(k[..., n_s:])

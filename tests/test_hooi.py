@@ -17,7 +17,13 @@ from sdtdl.solver import (
 )
 from sdtdl.tensor import dict_apply, dict_project, frobenius_norm, mode_gram, mode_product
 
-from oracles import build_phi, class_update_quadratic_form, mode_flatten, suffix_sweep
+from oracles import (
+    build_phi,
+    class_update,
+    class_update_quadratic_form,
+    mode_flatten,
+    suffix_sweep,
+)
 
 # the module itself: the package attribute ``sdtdl.hooi`` is the function
 H = importlib.import_module("sdtdl.hooi")
@@ -206,6 +212,21 @@ class TestHooi:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]
+
+    @pytest.mark.parametrize("case", ["fractional-rank", "fractional-sweeps", "wide-factor"])
+    def test_a_malformed_argument_raises(self, case):
+        # each one a ValueError, not a rank truncated to 2, a TypeError from
+        # the sweep loop, or a 5x3 start swept for a rank-2 mode of extent 5
+        rng = np.random.default_rng(14)
+        t = rng.standard_normal((5, 4, 3))
+        start = [rand_orth(rng, 5, 3), rand_orth(rng, 4, 2), rand_orth(rng, 3, 2)]
+        args, message = {
+            "fractional-rank": ({"ranks": (2.5, 2, 2)}, "ranks must"),
+            "fractional-sweeps": ({"ranks": (2, 2, 2), "max_sweeps": 2.5}, "max_sweeps must"),
+            "wide-factor": ({"ranks": (2, 2, 2), "init_factors": start}, "init_factors must"),
+        }[case]
+        with pytest.raises(ValueError, match=message):
+            hooi(t, **args)
 
     def test_bad_args(self):
         t = np.zeros((3, 3))
@@ -404,13 +425,18 @@ class TestSweep:
                 else:
                     assert len(calls) == len(res.fit_history) * per_sweep + 1
 
-        # the class update: the same sweep, inner_sweeps times, or on the
-        # moment no product at all
+        # the class update: hooi with every sweep run, the same sweep
+        # inner_sweeps times, or on the moment no product at all; then its
+        # core. The exact route's direct path sweeps the stack itself, so
+        # the core is one product on the last partial projection; the
+        # moment path and eigen-phi's Phi-weighted copy project the stack,
+        # one product per mode
         sub = ClassSubproblem(t, 2)
         for method in ("eigen-phi", "exact"):
             calls.clear()
             update_class_dict(sub, ranks, 5, method=method, theta=2.0, lam=0.1, w_init=factors)
-            assert len(calls) == (0 if moment else 5 * per_sweep)
+            core = 1 if method == "exact" and not moment else order
+            assert len(calls) == (0 if moment else 5 * per_sweep) + core
 
 
 class TestLeadingMoment:
@@ -549,6 +575,84 @@ class TestMomentSweep:
         assert max(gaps) <= 1e-12
         for got, want in values:
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+class TestClassUpdateThroughHooi:
+    @pytest.mark.parametrize("blocked", [False, True])
+    @settings(max_examples=120, deadline=None)
+    @given(
+        order=st.integers(1, 3),
+        route=st.sampled_from(["eigen-phi", "exact"]),
+        moment=st.booleans(),
+        warm=st.booleans(),
+        theta=st.floats(0.5, 4.0),
+        lam=st.floats(0.0, 1.5),
+        sweeps=st.integers(1, 3),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_update_with_its_own_loop(
+        self, blocked, order, route, moment, warm, theta, lam, sweeps, data, seed
+    ):
+        # the class update as one hooi call against the oracle that chose its
+        # own path, cold start and sweep loop, on both sides of P <= N.
+        # Blocked, the budget lies below every partial projection: the
+        # sweeps then block as the oracle's do, and the codes come from a
+        # blocked core where the oracle projected the whole stack
+        rng = np.random.default_rng(seed)
+        dims = data.draw(st.lists(st.integers(2, 4), min_size=order, max_size=order))
+        ranks = [data.draw(st.integers(1, d)) for d in dims]
+        entries = math.prod(dims)
+        n = data.draw(st.integers(entries, entries + 4) if moment else st.integers(1, entries - 1))
+        sub = ClassSubproblem(rng.standard_normal(dims + [n]), data.draw(st.integers(1, n)))
+        w_init = [rand_orth(rng, d, r) for d, r in zip(dims, ranks)] if warm else None
+        with pytest.MonkeyPatch.context() as patch:
+            if blocked:
+                patch.setattr(H, "_SWEEP_BLOCK_BYTES", 1)
+            want = class_update(sub, ranks, sweeps, route, theta, lam, w_init)
+            got = update_class_dict(sub, ranks, sweeps, route, theta, lam, w_init)
+        assert all(u.tobytes() == v.tobytes() for u, v in zip(got[0], want[0]))
+        for a, b in zip(got[1:], want[1:]):
+            assert a.shape == b.shape and a.flags.c_contiguous
+            if blocked:
+                assert np.max(np.abs(a - b), initial=0.0) <= 1e-13 * np.max(np.abs(b), initial=0.0)
+            else:
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("route", [None, "eigen-phi", "exact"])
+    def test_the_moment_is_formed_for_a_cold_start_or_every_sweep(self, route, monkeypatch):
+        # 12 feature entries and 40 samples; a warm start that stops on tol
+        # sweeps directly, and so does any start with fewer samples
+        rng = np.random.default_rng(21)
+        t = low_rank_tensor(rng, (4, 3, 40), (2, 2))
+        formed = []
+        real_moment, real_op_moment = H._sample_moment, SampleOperator.moment
+        monkeypatch.setattr(H, "_sample_moment", lambda z: formed.append(1) or real_moment(z))
+        monkeypatch.setattr(
+            SampleOperator, "moment", lambda self, z: formed.append(1) or real_op_moment(self, z)
+        )
+        warm = hosvd(t, (2, 2), skip_last=True)
+
+        def moments(x, **kwargs):
+            n_s, n_t = x.shape[-1] // 2, x.shape[-1] - x.shape[-1] // 2
+            op = None
+            if route == "eigen-phi":
+                op = SampleOperator.phi(n_s, n_t, 2.0, 0.1).gram(n_t)
+            elif route == "exact":
+                op = SampleOperator.quadratic_form(n_s, n_t, 2.0, 0.1)
+            formed.clear()
+            res = hooi(x, (2, 2), skip_last=True, max_sweeps=30, op=op, **kwargs)
+            return len(formed), len(res.fit_history)
+
+        count, sweeps = moments(t, init_factors=warm)
+        assert count == 0 and sweeps < 30  # stopped on tol
+        assert moments(t, init_factors=warm, tol=None) == (1, 30)
+        assert moments(t)[0] == 1
+        assert moments(t, tol=None) == (1, 30)
+        # fewer samples than feature entries: never
+        few = t[..., :10]
+        assert moments(few, init_factors=warm, tol=None) == (0, 30)
+        assert moments(few)[0] == 0
 
 
 def projection_bytes(dims, ranks):

@@ -427,6 +427,13 @@ class TestUpdateClassDict:
         with pytest.raises(ValueError, match="out of range"):
             update_class_dict(sub, (3, 2), 1, "eigen-phi", theta=1.0, lam=0.0)
 
+    @pytest.mark.parametrize("method", ["eigen-phi", "exact"])
+    def test_a_fractional_rank_raises(self, method):
+        # hooi's checks are the class update's: rank 2.5 is not run as 2
+        sub = ClassSubproblem(np.random.default_rng(3).standard_normal((4, 4, 5)), 2)
+        with pytest.raises(ValueError, match="ranks must be an integer"):
+            update_class_dict(sub, (2.5, 2), 1, method, theta=1.0, lam=0.1)
+
     def class_objective(self, x, y, w, theta, lam):
         a = project_dict(x, w)
         b = project_dict(y, w)
