@@ -31,7 +31,6 @@ __all__ = [
     "BadMagicError",
     "UnsupportedVersionError",
     "TruncatedPayloadError",
-    "tensor_to_bytes",
     "read_tensor",
     "write_tensor",
     "read_labels",
@@ -69,10 +68,13 @@ def _header(t: np.ndarray) -> bytes:
     return TENSOR_MAGIC + struct.pack(f"<HH{t.ndim}Q", VERSION, t.ndim, *t.shape)
 
 
-def tensor_to_bytes(t: np.ndarray) -> bytes:
+def _write_tensor(fh, t: np.ndarray) -> None:
+    """Write ``t`` as a tensor file at the position of ``fh``: the header,
+    then the payload."""
     # not np.ascontiguousarray, which gives an order-0 tensor one dimension
     t = np.asarray(t, dtype="<f8", order="C")
-    return _header(t) + t.tobytes()
+    fh.write(_header(t))
+    fh.write(t.data)
 
 
 def _read(fh, n: int, what: str) -> bytes:
@@ -104,13 +106,10 @@ def _read_tensor(fh, size: int) -> np.ndarray:
 
 
 def write_tensor(path, t: np.ndarray) -> None:
-    """Write ``t`` as a tensor file: the bytes of :func:`tensor_to_bytes`,
-    the payload written straight from the array, with no copy of a
-    C-contiguous float64 one."""
-    t = np.asarray(t, dtype="<f8", order="C")
+    """Write ``t`` as a tensor file, the payload straight from the array,
+    with no copy of a C-contiguous float64 one."""
     with open(path, "wb") as fh:
-        fh.write(_header(t))
-        fh.write(t.data)
+        _write_tensor(fh, t)
 
 
 def read_tensor(path) -> np.ndarray:
@@ -172,21 +171,21 @@ def _model_entries(model: SdtdlModel):
 
 
 def save_model(path, model: SdtdlModel) -> None:
+    """Write a model file: the manifest, then each entry's blob as
+    :func:`write_tensor` writes a tensor file."""
     entries = _model_entries(model)
     names = [name.encode() for name, _ in entries]
-    manifest_size = 4 + 2 + 4 + sum(2 + len(n) + 8 for n in names)
-    blobs = [tensor_to_bytes(t) for _, t in entries]
     offsets = []
-    pos = manifest_size
-    for blob in blobs:
+    pos = 4 + 2 + 4 + sum(2 + len(n) + 8 for n in names)
+    for _, t in entries:
         offsets.append(pos)
-        pos += len(blob)
+        pos += len(_header(t)) + 8 * t.size  # a float64 payload
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC + struct.pack("<HI", VERSION, len(entries)))
         for name, off in zip(names, offsets):
             fh.write(struct.pack("<H", len(name)) + name + struct.pack("<Q", off))
-        for blob in blobs:
-            fh.write(blob)
+        for _, t in entries:
+            _write_tensor(fh, t)
 
 
 def load_model(path) -> SdtdlModel:

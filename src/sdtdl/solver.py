@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -141,7 +141,7 @@ class LabeledTensorSet:
             raise ValueError("samples contain non-finite values")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.samples.shape[-1],):
+            if self.labels.shape != (self.n_samples,):
                 raise ValueError("label count does not match sample count")
             if self.labels.size and self.labels.min() < 1:
                 raise ValueError("labels must be 1-based positive integers")
@@ -167,9 +167,8 @@ class LabeledTensorSet:
         return _gather(self.samples, self._class_columns(c))
 
     def _class_columns(self, c: int) -> np.ndarray:
-        """The columns of ``samples`` that hold class ``c``: the class
-        indices here, mirroring :meth:`_Selection._class_columns`, so that
-        :func:`_class_stack` reads both set types alike."""
+        """The columns of ``samples`` that hold class ``c``: its class
+        indices, which :class:`_Selection` maps through its columns."""
         return self.class_indices(c)
 
     def _leading_slices(self):
@@ -177,27 +176,18 @@ class LabeledTensorSet:
         return iter(self.samples)
 
 
-@dataclass(frozen=True)
-class _Selection:
+@dataclass
+class _Selection(LabeledTensorSet):
     """Labeled columns of a sample tensor, read where they lie: sample
     ``j`` is column ``columns[j]`` of ``samples``, of class ``labels[j]``.
-    It reads as a :class:`LabeledTensorSet` does; its class samples and
-    leading-mode slices are gathered from ``samples`` when they are read,
-    so the selection is never copied whole."""
+    Its class samples and leading-mode slices are gathered from ``samples``
+    when they are read, so the selection is never copied whole."""
 
-    samples: np.ndarray
-    columns: np.ndarray
-    labels: np.ndarray
+    columns: np.ndarray = field(kw_only=True)
 
     @property
     def n_samples(self) -> int:
         return self.columns.size
-
-    def class_indices(self, c: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == c)
-
-    def class_samples(self, c: int) -> np.ndarray:
-        return _gather(self.samples, self._class_columns(c))
 
     def _class_columns(self, c: int) -> np.ndarray:
         return self.columns[self.class_indices(c)]
@@ -386,10 +376,8 @@ class SampleOperator:
 
 def _mode_form(h, m, quad):
     """Symmetric mode-``m`` matrix whose top eigenvectors maximize the route's
-    form: the Gram matrix of ``h``'s mode-``m`` flattening, or with ``quad``
-    on the sample mode, ``H_(m) (I kron Q) H_(m)^T`` symmetrized."""
-    if quad is None:
-        return mode_gram(h, m)
+    form with ``quad`` on the sample mode: ``H_(m) (I kron Q) H_(m)^T`` of
+    ``h``'s mode-``m`` flattening, symmetrized."""
     s = mode_gram(h, m, quad.apply(h))
     return 0.5 * (s + s.T)
 
@@ -427,16 +415,17 @@ def update_class_dict(
         op = SampleOperator.quadratic_form(n_s, n_t, theta, lam)
     else:
         raise ValueError(f"unknown class-update method: {method}")
-    res = hooi(
-        z, ranks, skip_last=True, max_sweeps=inner_sweeps, tol=None, init_factors=w_init, op=op
-    )
+    sweeps = _count(inner_sweeps, "inner_sweeps", 1)
+    res = hooi(z, ranks, skip_last=True, max_sweeps=sweeps, tol=None, init_factors=w_init, op=op)
     k = res.core
     # each domain's codes in an array of its own, C-contiguous, as later
     # products expect of a class's codes
     return res.factors, np.ascontiguousarray(k[..., :n_s]), np.ascontiguousarray(k[..., n_s:])
 
 
-def _class_stack(source, selected, c: int, model, codes) -> ClassSubproblem:
+def _class_stack(
+    source: LabeledTensorSet, selected: LabeledTensorSet, c: int, model, codes
+) -> ClassSubproblem:
     """Class ``c``'s source residuals, then its selected targets' residuals,
     in one array along the sample mode: each domain's reconstruction is
     written into that domain's columns, and its samples, gathered one
@@ -462,9 +451,8 @@ def _class_stack(source, selected, c: int, model, codes) -> ClassSubproblem:
     return ClassSubproblem(z, idx[0].size)
 
 
-def _class_residuals(tensor_set, codes_by_class, dicts_by_class):
-    """Samples minus their class-dictionary reconstruction, in set order,
-    for a :class:`LabeledTensorSet` or a :class:`_Selection`.
+def _class_residuals(tensor_set: LabeledTensorSet, codes_by_class, dicts_by_class):
+    """Samples minus their class-dictionary reconstruction, in set order.
 
     Each class's reconstruction is written into one run of a class-ordered
     buffer, which a gather by the inverse of the stable label sort puts back
@@ -523,12 +511,13 @@ def update_domain_source(source: LabeledTensorSet, model: SdtdlModel, codes: Sdt
     return _hooi_dict(resid, model.hyper, model.u_source)
 
 
-def update_domain_target(target_selected, model: SdtdlModel, codes: SdtdlCodes):
+def update_domain_target(
+    target_selected: LabeledTensorSet, model: SdtdlModel, codes: SdtdlCodes
+):
     """Target-side analogue of :func:`update_domain_source`, on the
-    selected targets: a :class:`LabeledTensorSet`, or the selection
-    :func:`fit` reads in place. The target weight scales the subproblem
-    uniformly, so the same HOOI solves it; the returned fidelity is not yet
-    weighted by ``theta``."""
+    selected targets. The target weight scales the subproblem uniformly, so
+    the same HOOI solves it; the returned fidelity is not yet weighted by
+    ``theta``."""
     resid = _class_residuals(target_selected, codes.b_class, model.w_class)
     return _hooi_dict(resid, model.hyper, model.u_target)
 
@@ -550,7 +539,7 @@ def _refresh_means(model: SdtdlModel, codes: SdtdlCodes) -> None:
 def _selection(target: LabeledTensorSet, pl) -> _Selection:
     """The selected targets, labeled, read in place from ``target``."""
     idx = np.flatnonzero(pl.selected)
-    return _Selection(target.samples, idx, pl.labels[idx])
+    return _Selection(target.samples, pl.labels[idx], columns=idx)
 
 
 def _check_sample_dims(source: LabeledTensorSet, target: LabeledTensorSet) -> None:
@@ -719,7 +708,7 @@ def nearest_centroid_labels(source: LabeledTensorSet, target: LabeledTensorSet) 
 
 def run_block_updates(
     source: LabeledTensorSet,
-    selected,
+    selected: LabeledTensorSet,
     model: SdtdlModel,
     codes: SdtdlCodes,
     class_update: str = CLASS_UPDATES[0],
@@ -728,8 +717,7 @@ def run_block_updates(
 ) -> float:
     """One full pass of class-dictionary and domain-dictionary updates,
     mutating ``model`` and ``codes`` in place. Pseudo-labels are taken as
-    fixed (they are baked into ``selected``, a :class:`LabeledTensorSet` or
-    the selection :func:`fit` reads in place). Returns the objective after
+    fixed (they are baked into ``selected``). Returns the objective after
     the pass, read from the norms the domain updates formed.
 
     No class job reads the class codes, so ``codes.a_class`` and

@@ -15,6 +15,7 @@ mode-``m`` flattening is the unfolding of Kolda & Bader
 
 import functools
 import math
+import struct
 
 import numpy as np
 
@@ -46,6 +47,16 @@ from sdtdl.tensor import (
     mode_gram,
     mode_product,
 )
+
+
+def tensor_to_bytes(t) -> bytes:
+    """A tensor file's bytes, from the layout in :mod:`sdtdl.dataio`'s
+    docstring: magic ``b"STDL"``, version 1 and the order as uint16, each
+    dim as uint64, then the float64 payload in C order, all little-endian."""
+    t = np.asarray(t, dtype=np.float64)
+    head = b"STDL" + struct.pack("<HH", 1, t.ndim)
+    head += b"".join(struct.pack("<Q", d) for d in t.shape)
+    return head + t.astype("<f8").tobytes(order="C")
 
 
 def mode_flatten(t: np.ndarray, mode: int) -> np.ndarray:

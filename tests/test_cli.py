@@ -15,6 +15,8 @@ from sdtdl import dataio, jobs, solver
 from sdtdl.cli import build_parser, main, read_predictions
 from sdtdl.hooi import hooi
 
+from oracles import tensor_to_bytes
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -979,7 +981,7 @@ class TestDecompose:
 
     def test_bytes_after_the_payload_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "t.stdl"
-        bad.write_bytes(dataio.tensor_to_bytes(np.ones((3, 3))) + bytes(8))
+        bad.write_bytes(tensor_to_bytes(np.ones((3, 3))) + bytes(8))
         code, stdout, err = run(
             capsys, "decompose", "--input", str(bad),
             "--ranks", "1,1", "--out", str(tmp_path / "dec"),

@@ -13,6 +13,7 @@ from sdtdl.dataio import (
     TensorFileError,
     TruncatedPayloadError,
     UnsupportedVersionError,
+    _model_entries,
     _read_tensor,
     draw_structure,
     generate_synthetic,
@@ -20,12 +21,13 @@ from sdtdl.dataio import (
     read_labels,
     read_tensor,
     save_model,
-    tensor_to_bytes,
     write_labels,
     write_tensor,
 )
 from sdtdl.solver import Hyperparams, SdtdlModel, nearest_centroid_labels
 from sdtdl.tensor import dict_apply
+
+from oracles import tensor_to_bytes
 
 
 def rand_orth(rng, n, k):
@@ -268,6 +270,31 @@ class TestModelFile:
                 assert np.array_equal(a, b)
         for a, b in zip(model.class_means_source, back.class_means_source):
             assert np.array_equal(a, b)
+
+    def test_every_blob_sits_at_its_manifest_offset(self, tmp_path):
+        # the blobs run back to back after the manifest, each the encoded
+        # tensor of its entry; an F-order factor and float32 class means
+        # are written as C-order float64, as the layout says
+        model = make_model(np.random.default_rng(6))
+        model.u_source[0] = np.asfortranarray(model.u_source[0])
+        model.class_means_source[0] = model.class_means_source[0].astype(np.float32)
+        path = tmp_path / "model.stdm"
+        save_model(path, model)
+        buf = path.read_bytes()
+        entries = _model_entries(model)
+        assert struct.unpack_from("<4sHI", buf) == (b"STDM", 1, len(entries))
+        pos, offsets = 10, []
+        for name, _ in entries:
+            (size,) = struct.unpack_from("<H", buf, pos)
+            assert buf[pos + 2 : pos + 2 + size] == name.encode()
+            offsets += struct.unpack_from("<Q", buf, pos + 2 + size)
+            pos += 2 + size + 8
+        for off, (_, t) in zip(offsets, entries):
+            blob = tensor_to_bytes(t)
+            assert off == pos
+            assert buf[off : off + len(blob)] == blob
+            pos += len(blob)
+        assert pos == len(buf)
 
     def test_a_file_with_target_class_means_still_loads(self, tmp_path):
         # files written before the model dropped its target class means hold

@@ -313,8 +313,9 @@ class TestSweep:
         assume(all(separated(f, r) for f, r in zip(forms, ranks)))
         start = [eig_sym_topk(f, r)[1] for f, r in zip(forms, ranks)]
         got, want = list(start), list(start)
+        form = mode_gram if quad is None else functools.partial(_mode_form, quad=quad)
         for _ in range(2):
-            sweep(t, got, ranks, functools.partial(_mode_form, quad=quad))
+            sweep(t, got, ranks, form)
             reference_sweep(t, want, ranks, functools.partial(flatten_form, quad=quad))
         assert projector_gap(got, want) <= 1e-10
 
@@ -546,7 +547,7 @@ class TestMomentSweep:
         # be far smaller, by cancellation, and so be known only to eps times
         # this, in both computations
         scale = frobenius_norm(t) ** 2 * np.max(np.sum(np.abs(dense), axis=1))
-        form = functools.partial(_mode_form, quad=quad)
+        form = mode_gram if quad is None else functools.partial(_mode_form, quad=quad)
         forms = []  # every matrix the direct path solves, one per mode in turn
 
         def solve(s, r):
