@@ -22,6 +22,7 @@ from . import dataio, jobs, pseudolabel, solver
 from .dataio import TensorFileError
 from .hooi import hooi
 from .solver import CLASS_UPDATES, Hyperparams, LabeledTensorSet
+from .tensor import frobenius_norm
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -248,7 +249,7 @@ def cmd_decompose(args) -> int:
         # the error formed in the reconstruction's buffer, the one temporary
         diff = res.reconstruct()
         np.subtract(t, diff, out=diff)
-        err = float(np.linalg.norm(diff.ravel()))
+        err = frobenius_norm(diff)
     os.makedirs(args.out, exist_ok=True)
     dataio.write_tensor(os.path.join(args.out, "core.stdl"), res.core)
     for m, u in enumerate(res.factors):

@@ -98,7 +98,12 @@ def _read_tensor(fh, size: int) -> np.ndarray:
     dims = struct.unpack(f"<{order}Q", _read(fh, 8 * order, "dims"))
     if 8 * math.prod(dims) > size - fh.tell():
         raise TruncatedPayloadError("truncated payload")
-    t = np.empty(dims, dtype="<f8")
+    try:
+        # dims that pass the size check may still be refused by numpy: an
+        # extent past its index range beside a zero one, or over 64 modes
+        t = np.empty(dims, dtype="<f8")
+    except ValueError as exc:
+        raise TensorFileError(f"dims {dims} cannot be allocated: {exc}") from exc
     fh.readinto(t)
     if not np.all(np.isfinite(t)):
         raise TensorFileError("tensor contains non-finite values")

@@ -13,11 +13,17 @@ Bader, SIAM Review 2009): :func:`moment_sweep` sweeps on it, where
 once the last mode is contracted, the leading modes depend on the
 projection only through its moment over them, which :func:`sweep` forms
 and sweeps when it is no larger than the projection. :func:`takes_moment`
-is the one rule for both.
+is the one rule for both, and :func:`_moment` forms the sample moment
+under the identity and every moment inside a sweep.
+
+A sweep hands :func:`hooi` only the last mode's top eigenvalues, its fit
+value; no projection outlives it. The returned core is formed once after
+the last sweep, from the tensor itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -116,22 +122,21 @@ _SWEEP_BLOCK_BYTES = 8 << 20
 
 
 def _sample_blocks(t: np.ndarray, ranks):
-    """Slices of ``t``'s sample mode, in order, when the last compressed
-    mode's partial projection ``t x_{k < M-1} U_k^T`` would take more than
-    ``_SWEEP_BLOCK_BYTES``: as few equal blocks as keep each block's
-    projection within it. ``None`` below the budget, for a single mode
-    (whose partial projection is ``t``), and without a sample mode. A
-    sweep copies each block C-contiguous, the layout its leading-mode
-    products and :func:`mode_gram` take without a copy of their own; the
-    blocked core of :func:`hooi` projects the last mode first, which reads
-    a block in place."""
-    last = len(ranks) - 1
-    if last < 1 or t.ndim == len(ranks):
-        return None
-    nbytes = 8 * math.prod(ranks[:last]) * math.prod(t.shape[last:])
-    count = -(-nbytes // _SWEEP_BLOCK_BYTES)
+    """Slices of ``t``'s sample mode, in order: as few equal blocks as keep
+    each block's share of the last compressed mode's partial projection
+    ``t x_{k < M-1} U_k^T`` within ``_SWEEP_BLOCK_BYTES``. One whole block
+    below the budget, for a single mode (whose partial projection is
+    ``t``), and without a sample mode. A sweep copies each block
+    C-contiguous, the layout its leading-mode products and
+    :func:`mode_gram` take without a copy of their own (a whole block of a
+    C-order tensor is not copied); the blocked core of :func:`hooi`
+    projects the last mode first, which reads a block in place."""
+    last, count = len(ranks) - 1, 1
+    if last > 0 and t.ndim > len(ranks):
+        nbytes = 8 * math.prod(ranks[:last]) * math.prod(t.shape[last:])
+        count = -(-nbytes // _SWEEP_BLOCK_BYTES)
     if count < 2:
-        return None
+        return [slice(None)]
     step = -(-t.shape[-1] // count)
     return [slice(lo, lo + step) for lo in range(0, t.shape[-1], step)]
 
@@ -141,6 +146,14 @@ def _project(h: np.ndarray, factors: list, modes) -> np.ndarray:
     for k in modes:
         h = mode_product(h, factors[k].T, k)
     return h
+
+
+def _moment(z: np.ndarray, modes: int, form=mode_gram) -> np.ndarray:
+    """``form`` of ``z`` flattened at its first ``modes`` modes, their
+    entries by the columns of every later mode: with the Gram matrix,
+    ``Z Z^T`` for that flattening ``Z``. An overflow is left for
+    :func:`eig_sym_topk` to report."""
+    return form(z.reshape((math.prod(z.shape[:modes]),) + z.shape[modes:]), 0)
 
 
 def takes_moment(z: np.ndarray, modes: int) -> bool:
@@ -171,54 +184,39 @@ def sweep(t: np.ndarray, factors: list, ranks, form=mode_gram):
     ``t x_{k > m} U_k^T`` of a plain sweep, ``(M-1) + M(M-1)/2`` products
     in all; with it at the top, ``M`` on an order-``M`` sweep.
 
-    With the Gram matrix as ``form`` (the default), a sum over samples, the
-    last mode's partial projection is formed one sample block at a time
-    when it would pass ``_SWEEP_BLOCK_BYTES`` (:func:`_sample_blocks`):
-    each C-contiguous block copy is projected on the updated leading
-    factors, and the blocks' Gram matrices are added in block order. A form
-    that couples samples is always taken on the whole projection.
+    The last mode's matrix is summed over the sample blocks of
+    :func:`_sample_blocks`, in block order: each C-contiguous block copy is
+    projected on the updated leading factors and takes ``form``. With the
+    Gram matrix as ``form`` (the default), a sum over samples, the
+    projection passes ``_SWEEP_BLOCK_BYTES`` only one block at a time; a
+    form that couples samples takes one whole block. Each block's
+    projection is released once its matrix is formed.
 
-    Returns the last mode's partial projection ``h``, or ``None`` when it
-    was formed by blocks, and its top eigenvalues. When ``form`` is the Gram
+    Returns the last mode's top eigenvalues. When ``form`` is the Gram
     matrix, their sum is the squared norm of the core under the updated
-    factors, ``h x_{M-1} U_{M-1}^T``.
+    factors, ``t x_k U_k^T`` over every compressed mode ``k``.
     """
-    blocks = _sample_blocks(t, ranks) if form is mode_gram else None
+    blocks = _sample_blocks(t, ranks) if form is mode_gram else [slice(None)]
     return _sweep_modes(t, factors, ranks, form, len(factors), blocks)
 
 
-def _sweep_modes(t, factors, ranks, form, count, blocks=None):
-    """:func:`sweep` of ``t``'s first ``count`` modes, the last one over
-    ``blocks`` of samples when given."""
+def _sweep_modes(t, factors, ranks, form, count, blocks):
+    """:func:`sweep` of ``t``'s first ``count`` modes, the last one's matrix
+    summed over ``blocks`` of samples."""
     last = count - 1
     if last > 0:
         s = mode_product(t, factors[last].T, last)
         if last > 1 and takes_moment(s, last):
-            lead = math.prod(s.shape[:last])
-            g = form(s.reshape((lead,) + s.shape[last:]), 0)
-            moment_sweep(g, s.shape[:last], factors, ranks)
+            moment_sweep(_moment(s, last, form), s.shape[:last], factors, ranks)
         else:
-            _sweep_modes(s, factors, ranks, form, last)
+            _sweep_modes(s, factors, ranks, form, last, [slice(None)])
         del s
-    if blocks is None:
-        h = _project(t, factors, range(last))
-        mat = form(h, last)
-    else:
-        h = None
-        mat = sum(
-            mode_gram(_project(np.ascontiguousarray(t[..., c]), factors, range(last)), last)
-            for c in blocks
-        )
+    mat = functools.reduce(np.add, (
+        form(_project(np.ascontiguousarray(t[..., c]), factors, range(last)), last)
+        for c in blocks
+    ))
     vals, factors[last] = eig_sym_topk(mat, ranks[last])
-    return h, vals
-
-
-def _sample_moment(t: np.ndarray) -> np.ndarray:
-    """``Z Z^T`` for the flattening ``Z`` of ``t``, feature entries by
-    samples; an overflow is left for :func:`eig_sym_topk` to report."""
-    flat = t.reshape(math.prod(t.shape[:-1]), t.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return flat @ flat.T
+    return vals
 
 
 def _moment_form(g: np.ndarray, dims, m: int, factors=None) -> np.ndarray:
@@ -278,11 +276,11 @@ def hooi(
     projection flattened there. ``op`` gives that form two ways:
     ``op.moment(t)`` is the sample moment ``Z M Z^T`` of ``t``'s flattening
     ``Z`` (feature entries by samples), and ``op.sweep_input(t)`` is the
-    tensor a direct :func:`sweep` projects, with its form. Each sweep starts
-    after the previous one's partial projection is released, so a warm HOOI
-    holds no more than one sweep needs. Initialized by :func:`hosvd` of the
-    same form unless ``init_factors`` warm-starts it, one ``I_m x r_m``
-    matrix per compressed mode. A sweep's fit history value is the sum of
+    tensor a direct :func:`sweep` projects, with its form. A sweep returns
+    only its eigenvalues, so a warm HOOI holds no more than one sweep
+    needs. Initialized by :func:`hosvd` of the same form unless
+    ``init_factors`` warm-starts it, one ``I_m x r_m`` matrix per
+    compressed mode. A sweep's fit history value is the sum of
     the last mode's top eigenvalues, which for the identity is the squared
     norm of the core under its factors, so no sweep projects the tensor
     again. Stops when the relative change of that value falls below ``tol``
@@ -296,14 +294,13 @@ def hooi(
     :func:`sweep`: a warm start that stops on ``tol`` after a few sweeps
     does not pay for the moment.
 
-    The returned core is ``t`` projected on the factors. When the sweeps
-    projected ``t`` itself, it is formed once from the last sweep's last
-    partial projection. Otherwise (the moment path, a weighted tensor
-    swept, or a projection formed by sample blocks) ``t`` is projected one
-    product per mode; above the budget by the blocks of :func:`sweep`, each
-    block's core written into its sample columns: each block is read in
-    place, its last mode projected first, so neither a block copy nor a
-    whole-set product is built after the last sweep.
+    The returned core is ``t`` projected on the factors, one product per
+    mode, after a weighted tensor swept and the moment are released. Below
+    the budget ``t`` is projected whole, from mode 0 on. Above it, by the
+    blocks of :func:`sweep`, each block's core written into its sample
+    columns: each block is read in place, its last mode projected first,
+    so neither a block copy nor a whole-set product is built after the
+    last sweep.
     """
     t = np.asarray(t, dtype=np.float64)
     ranks = _check_ranks(t, ranks, skip_last)
@@ -315,10 +312,10 @@ def hooi(
         factors = [np.asarray(u, dtype=np.float64) for u in init_factors]
         if [u.shape for u in factors] != [(t.shape[m], r) for m, r in enumerate(ranks)]:
             raise ValueError("init_factors must hold one I_m x r_m matrix per compressed mode")
-    g = h = None
+    g = None
     swept, form = t, mode_gram
     if skip_last and takes_moment(t, t.ndim - 1) and (factors is None or tol is None):
-        g = _sample_moment(t) if op is None else op.moment(t)
+        g = _moment(t, t.ndim - 1) if op is None else op.moment(t)
     elif op is not None:
         swept, form = op.sweep_input(t)
     if factors is None:
@@ -326,27 +323,23 @@ def hooi(
     history = []
     for _ in range(max_sweeps):
         if g is None:
-            h = None  # the previous sweep's projection, freed before this one
-            h, vals = sweep(swept, factors, ranks, form)
+            vals = sweep(swept, factors, ranks, form)
         else:
             vals = moment_sweep(g, t.shape[:-1], factors, ranks)
         history.append(float(np.sum(vals)))
         if tol is not None and len(history) > 1:
             if abs(history[-1] - history[-2]) <= tol * max(history[-2], 1e-300):
                 break
-    if swept is not t:
-        swept = h = None  # a weighted copy and its projection, freed before the core
+    del swept, g  # a weighted copy and the moment, freed before the core
     modes = range(len(ranks))
     blocks = _sample_blocks(t, ranks)
-    if h is not None:
-        core = mode_product(h, factors[-1].T, modes[-1])
-    elif blocks is not None:
+    if len(blocks) == 1:
+        core = _project(t, factors, modes)
+    else:
         core = np.empty(tuple(ranks) + t.shape[-1:])
         # the last mode first, as a sweep starts: its product reads the
         # sample slice in place, and on the object shape it leaves 28/64 of
         # a block, where mode 0's leaves 6/7
         for cols in blocks:
             core[..., cols] = _project(t[..., cols], factors, modes[::-1])
-    else:
-        core = _project(t, factors, modes)
     return TuckerResult(core=core, factors=factors, fit_history=history)

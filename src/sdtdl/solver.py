@@ -139,6 +139,9 @@ class LabeledTensorSet:
         self.samples = np.ascontiguousarray(self.samples, dtype=np.float64)
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples contain non-finite values")
+        self._check_labels()
+
+    def _check_labels(self):
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.n_samples,):
@@ -181,9 +184,13 @@ class _Selection(LabeledTensorSet):
     """Labeled columns of a sample tensor, read where they lie: sample
     ``j`` is column ``columns[j]`` of ``samples``, of class ``labels[j]``.
     Its class samples and leading-mode slices are gathered from ``samples``
-    when they are read, so the selection is never copied whole."""
+    when they are read, so the selection is never copied whole. Its
+    samples are a checked set's, so only its labels are checked."""
 
     columns: np.ndarray = field(kw_only=True)
+
+    def __post_init__(self):
+        self._check_labels()
 
     @property
     def n_samples(self) -> int:

@@ -230,25 +230,24 @@ def suffix_sweep(t: np.ndarray, factors: list, ranks, form=mode_gram):
     back, and each is released once its mode has used it; mode ``m`` then
     adds only its ``m`` products by the updated factors, ``(M-1) + M(M-1)/2``
     mode products over ``M`` factors. The last mode takes the same sample
-    blocks as the package's sweep. Returns what that sweep returns."""
+    blocks as the package's sweep. Returns the last mode's top
+    eigenvalues, as that sweep does."""
     last = len(factors) - 1
-    blocks = _sample_blocks(t, ranks) if form is mode_gram else None
+    blocks = _sample_blocks(t, ranks) if form is mode_gram else [slice(None)]
     suffix = [t]
     for k in range(last, 0, -1):
         suffix.append(mode_product(suffix[-1], factors[k].T, k))
     for m in range(last + 1):
         h = suffix.pop()
-        if m == last and blocks is not None:
-            h = None
+        if m == last and len(blocks) > 1:
             s = sum(
                 mode_gram(_project(np.ascontiguousarray(t[..., c]), factors, range(m)), m)
                 for c in blocks
             )
         else:
-            h = _project(h, factors, range(m))
-            s = form(h, m)
+            s = form(_project(h, factors, range(m)), m)
         vals, factors[m] = eig_sym_topk(s, ranks[m])
-    return h, vals
+    return vals
 
 
 def class_update(

@@ -519,6 +519,35 @@ class TestFitPredict:
         assert "Traceback" not in err
         assert not pred.exists()
 
+    def test_predict_a_model_blob_of_unallocatable_dims(self, tmp_path, capsys):
+        # dims of no entries pass the size check, but numpy cannot index a
+        # 2**63 extent; this used to exit 2 with numpy's message alone
+        d = synth_dir(tmp_path, capsys)
+        out = tmp_path / "run"
+        code, _, _ = run(capsys, *fit_args(d, out))
+        assert code == 0
+        buf = bytearray((out / "model.stdm").read_bytes())
+        pos, offsets = 10, {}
+        for _ in range(struct.unpack_from("<I", buf, 6)[0]):
+            (size,) = struct.unpack_from("<H", buf, pos)
+            name = buf[pos + 2 : pos + 2 + size].decode()
+            offsets[name] = struct.unpack_from("<Q", buf, pos + 2 + size)[0]
+            pos += 2 + size + 8
+        off = offsets["mean_src/2"]
+        assert struct.unpack_from("<4sHH2Q", buf, off) == (b"STDL", 1, 2, 3, 3)
+        struct.pack_into("<2Q", buf, off + 8, 0, 2**63)
+        bad = tmp_path / "bad.stdm"
+        bad.write_bytes(bytes(buf))
+        pred = tmp_path / "p.txt"
+        code, stdout, err = run(
+            capsys, "predict", "--model", str(bad),
+            "--target", str(d / "target.stdl"), "--out", str(pred),
+        )
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("io error: model entry 'mean_src/2': dims (0, 9223372036854775808)")
+        assert not pred.exists()
+
     @pytest.mark.parametrize("scale", [1e155, 1e300])
     @pytest.mark.filterwarnings("error")
     def test_predict_on_an_overflowing_target(self, tmp_path, capsys, scale):
@@ -989,6 +1018,22 @@ class TestDecompose:
         assert code == 3
         assert stdout == ""
         assert err == "io error: 8 bytes after the tensor payload\n"
+        assert not (tmp_path / "dec").exists()
+
+    @pytest.mark.parametrize("dims", [(0, 2**63), (0, 2**62, 4), (1,) * 65])
+    def test_unallocatable_dims_exit_code(self, tmp_path, capsys, dims):
+        # a payload of at most one entry passes the size check, but numpy
+        # cannot index a 2**63 extent, hold 2**65 entries or take 65 modes;
+        # these used to exit 2 with numpy's message
+        bad = tmp_path / "t.stdl"
+        bad.write_bytes(b"STDL" + struct.pack(f"<HH{len(dims)}Q", 1, len(dims), *dims) + bytes(8))
+        code, stdout, err = run(
+            capsys, "decompose", "--input", str(bad),
+            "--ranks", "1,1", "--out", str(tmp_path / "dec"),
+        )
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith(f"io error: dims {dims} cannot be allocated: ")
         assert not (tmp_path / "dec").exists()
 
     @pytest.mark.parametrize("dims", [(131072, 65536), (2**31, 2**31)])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sdtdl.hooi import TuckerResult, _sample_moment, eig_sym_topk, hooi, hosvd, moment_sweep, sweep
+from sdtdl.hooi import TuckerResult, _moment, eig_sym_topk, hooi, hosvd, moment_sweep, sweep
 from sdtdl.solver import (
     ClassSubproblem,
     SampleOperator,
@@ -197,7 +197,7 @@ class TestHooi:
     def test_a_second_sweep_holds_no_more_than_the_first(self):
         # below the sample-block budget a sweep builds the last mode's whole
         # partial projection, 6/7 and then 36/49 of the object shape's class
-        # stack; hooi frees the previous sweep's before the next sweep
+        # stack; a sweep frees it before it returns
         dims, ranks = (7, 7, 64, 200), (6, 6, 28)
         assert projection_bytes(dims, ranks) <= H._SWEEP_BLOCK_BYTES
         rng = np.random.default_rng(13)
@@ -408,11 +408,11 @@ class TestSweep:
         sweep(t, list(factors), ranks)
         assert len(calls) == per_sweep
 
-        # hooi, warm or cold started: the sweeps' products plus the one that
-        # forms the returned core, and no projection of the tensor through
-        # the tensor module (every dict_apply and dict_project goes through
-        # its binding). A cold start on the moment makes no product per
-        # sweep, and forms the core with one product per mode.
+        # hooi, warm or cold started: the sweeps' products, then one product
+        # per mode for the returned core, the tensor projected from mode 0
+        # on, and no projection of the tensor through the tensor module
+        # (every dict_apply and dict_project goes through its binding). A
+        # cold start on the moment makes no product per sweep.
         def no_projection(*args):
             raise AssertionError("hooi projected the tensor")
 
@@ -421,23 +421,18 @@ class TestSweep:
             for init in (factors, None):
                 calls.clear()
                 res = hooi(t, ranks, skip_last=True, max_sweeps=3, tol=1e-300, init_factors=init)
-                if init is None and moment:
-                    assert len(calls) == order
-                else:
-                    assert len(calls) == len(res.fit_history) * per_sweep + 1
+                swept = 0 if init is None and moment else per_sweep
+                assert len(calls) == len(res.fit_history) * swept + order
+                assert calls[-order:] == list(range(order))
 
         # the class update: hooi with every sweep run, the same sweep
         # inner_sweeps times, or on the moment no product at all; then its
-        # core. The exact route's direct path sweeps the stack itself, so
-        # the core is one product on the last partial projection; the
-        # moment path and eigen-phi's Phi-weighted copy project the stack,
-        # one product per mode
+        # core, the stack projected one product per mode on either route
         sub = ClassSubproblem(t, 2)
         for method in ("eigen-phi", "exact"):
             calls.clear()
             update_class_dict(sub, ranks, 5, method=method, theta=2.0, lam=0.1, w_init=factors)
-            core = 1 if method == "exact" and not moment else order
-            assert len(calls) == (0 if moment else 5 * per_sweep) + core
+            assert len(calls) == (0 if moment else 5 * per_sweep) + order
 
 
 class TestLeadingMoment:
@@ -480,28 +475,35 @@ class TestLeadingMoment:
         # ||Z||^2, times the largest absolute row sum of Q on the exact route
         scale = frobenius_norm(t) ** 2 * np.max(np.sum(np.abs(weight), axis=1))
         start = [rand_orth(rng, d, r) for d, r in zip(dims, ranks)]
-        got, want, forms, values = list(start), list(start), [], []
+        got, want, forms, values, widths = list(start), list(start), [], [], set()
 
         def solve(s, r):
             forms.append(s)
             return eig_sym_topk(s, r)
 
+        real_project = H._project
+
+        def project(h, factors, modes):
+            widths.add(h.shape[-1])
+            return real_project(h, factors, modes)
+
         with pytest.MonkeyPatch.context() as patch:
             if blocked:
                 patch.setattr(H, "_SWEEP_BLOCK_BYTES", data.draw(st.integers(8, 400)))
-            assume((H._sample_blocks(t, ranks) is not None) == blocked)
+            assume((len(H._sample_blocks(t, ranks)) > 1) == blocked)
             for _ in range(2):
                 patch.setattr(H, "eig_sym_topk", solve)
-                h, vals = sweep(t, got, ranks, form)
+                patch.setattr(H, "_project", project)
+                vals = sweep(t, got, ranks, form)
                 patch.setattr(H, "eig_sym_topk", eig_sym_topk)
-                h_want, vals_want = suffix_sweep(t, want, ranks, form)
-                assert (h is None) == (h_want is None)
-                assert (h is None) == (blocked and form is mode_gram)
+                patch.setattr(H, "_project", real_project)
+                vals_want = suffix_sweep(t, want, ranks, form)
+                # the last mode took sample blocks only on the Gram forms
+                assert (widths != {n}) == (blocked and form is mode_gram)
                 if order == 2:
                     # one leading mode: the same products as the oracle
                     assert np.array_equal(vals, vals_want)
                     assert all(np.array_equal(u, v) for u, v in zip(got, want))
-                    assert h is None or np.array_equal(h, h_want)
                 values.append(np.abs(vals - vals_want))
         # every eigensolve had a unique top subspace, set apart by 1e-3 of
         # the scale: rounding then turns it by some 1e-13
@@ -535,7 +537,7 @@ class TestMomentSweep:
         t = low_rank_tensor(rng, dims + [n_s + n_t], ranks)
         quad, n = None, n_s + n_t
         if route == "identity":
-            swept, g, dense = t, _sample_moment(t), np.eye(n)
+            swept, g, dense = t, _moment(t, order), np.eye(n)
         elif route == "eigen-phi":
             phi = SampleOperator.phi(n_s, n_t, 2.0, lam)
             swept, g = phi.apply(t), phi.gram(n_t).moment(t)
@@ -564,7 +566,7 @@ class TestMomentSweep:
         for _ in range(sweeps):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(H, "eig_sym_topk", solve)
-                _, want = sweep(swept, direct, ranks, form)
+                want = sweep(swept, direct, ranks, form)
             got = moment_sweep(g, dims, moment, ranks)
             gaps.append(projector_gap(direct, moment))
             values.append((got, want))
@@ -627,8 +629,16 @@ class TestClassUpdateThroughHooi:
         rng = np.random.default_rng(21)
         t = low_rank_tensor(rng, (4, 3, 40), (2, 2))
         formed = []
-        real_moment, real_op_moment = H._sample_moment, SampleOperator.moment
-        monkeypatch.setattr(H, "_sample_moment", lambda z: formed.append(1) or real_moment(z))
+        real_moment, real_op_moment = H._moment, SampleOperator.moment
+
+        def moment(z, modes, form=mode_gram):
+            # the sample moment, over every feature mode; a sweep's moment of
+            # its leading modes leaves the last feature mode out
+            if modes == z.ndim - 1:
+                formed.append(1)
+            return real_moment(z, modes, form)
+
+        monkeypatch.setattr(H, "_moment", moment)
         monkeypatch.setattr(
             SampleOperator, "moment", lambda self, z: formed.append(1) or real_op_moment(self, z)
         )
@@ -656,6 +666,43 @@ class TestClassUpdateThroughHooi:
         assert moments(few)[0] == 0
 
 
+class TestCore:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        order=st.integers(1, 3),
+        route=st.sampled_from([None, "eigen-phi", "exact"]),
+        moment=st.booleans(),
+        warm=st.booleans(),
+        sweeps=st.integers(1, 3),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_an_unblocked_core_is_the_projection_on_the_factors(
+        self, order, route, moment, warm, sweeps, data, seed
+    ):
+        # every path below the block budget: the identity's direct and
+        # moment paths, eigen-phi's weighted copy and its moment, exact's
+        # stack and its moment. Each forms the core as dict_project does,
+        # from mode 0 on, so the two agree bit for bit
+        rng = np.random.default_rng(seed)
+        dims = data.draw(st.lists(st.integers(2, 4), min_size=order, max_size=order))
+        ranks = [data.draw(st.integers(1, d)) for d in dims]
+        entries = math.prod(dims)
+        n = data.draw(st.integers(entries, entries + 4) if moment else st.integers(1, entries - 1))
+        t = rng.standard_normal(dims + [n])
+        n_s = data.draw(st.integers(1, n))
+        op = None
+        if route == "eigen-phi":
+            op = SampleOperator.phi(n_s, n - n_s, 2.0, 0.1).gram(n - n_s)
+        elif route == "exact":
+            op = SampleOperator.quadratic_form(n_s, n - n_s, 2.0, 0.1)
+        start = [rand_orth(rng, d, r) for d, r in zip(dims, ranks)] if warm else None
+        assert H.takes_moment(t, order) == moment
+        assert H._sample_blocks(t, ranks) == [slice(None)]
+        res = hooi(t, ranks, skip_last=True, max_sweeps=sweeps, tol=None, init_factors=start, op=op)
+        assert res.core.tobytes() == dict_project(t, res.factors).tobytes()
+
+
 def projection_bytes(dims, ranks):
     """Bytes of the last compressed mode's partial projection of a tensor
     with ``dims``, the sample mode last: the quantity the block rule reads."""
@@ -681,7 +728,7 @@ class TestSampleBlocks:
     def test_rule_at_the_budget(self, dims, ranks, count):
         blocks = H._sample_blocks(np.empty(dims), ranks)
         if count is None:
-            assert blocks is None
+            assert blocks == [slice(None)]
             return
         assert len(blocks) == count
         cols = np.arange(dims[-1])
@@ -712,13 +759,13 @@ class TestSampleBlocks:
         whole, blocked = list(start), list(start)
         forms = []
         for _ in range(2):
-            h, want = sweep(t, whole, ranks)
-            forms.append(mode_gram(h, order - 1))
+            want = sweep(t, whole, ranks)
+            # the last mode's matrix: the projection on the updated leading factors
+            forms.append(mode_gram(H._project(t, whole, range(order - 1)), order - 1))
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(H, "_SWEEP_BLOCK_BYTES", budget)
-                assume(H._sample_blocks(t, ranks) is not None)
-                h, got = sweep(t, blocked, ranks)
-            assert h is None
+                assume(len(H._sample_blocks(t, ranks)) > 1)
+                got = sweep(t, blocked, ranks)
             # the block sums add the same terms in another order
             assert np.all(np.abs(got - want) <= 1e-12 * frobenius_norm(t) ** 2)
         assume(all(separated(f, ranks[-1]) for f in forms))
@@ -800,8 +847,9 @@ class TestSampleBlocks:
             seen.append(h.shape[-1])
             return _mode_form(h, m, quad)
 
-        h, _ = sweep(t, hosvd(t, (2, 2), skip_last=True), (2, 2), form)
-        assert h.shape == (2, 3, 12) and seen == [12, 12]
+        sweep(t, hosvd(t, (2, 2), skip_last=True), (2, 2), form)
+        # mode 0 on the last mode's contraction, then mode 1 in one whole block
+        assert seen == [12, 12]
 
     def test_warm_hooi_holds_less_than_the_stack(self):
         # the object shape's source set passes the budget: the last mode's

@@ -201,6 +201,16 @@ class TestLabeledTensorSet:
         with pytest.raises(ValueError, match=message):
             S._Selection(samples=samples, labels=labels, columns=np.array([0, 2, 4]))
 
+    def test_building_a_selection_scans_no_sample(self):
+        # the target set checked its samples once; a selection of it reads
+        # only its labels, so a NaN planted after that check, in a selected
+        # column, goes unseen, and the samples are the set's own array
+        target = LabeledTensorSet(np.zeros((2, 3, 5)))
+        target.samples[1, 2, 3] = np.nan
+        selected = S._Selection(target.samples, np.array([2, 1]), columns=np.array([1, 3]))
+        assert selected.samples is target.samples
+        assert np.array_equal(selected.labels, [2, 1])
+
 
 class TestClassMeans:
     def test_single_sample(self):
