@@ -98,9 +98,14 @@ def _build_hyper(args) -> Hyperparams:
         raise ConfigError("ranks are required (flag --ranks or a preset)")
     # every field after ranks, cast to the type of its default
     for f in dataclasses.fields(Hyperparams)[1:]:
-        value = getattr(args, "max_iters" if f.name == "max_outer_iters" else f.name)
+        key = "max_iters" if f.name == "max_outer_iters" else f.name
+        value = getattr(args, key)
         if value is not None:
-            given[f.name] = type(f.default)(value)
+            try:
+                given[f.name] = type(f.default)(value)
+            except ValueError as exc:
+                # a flag's value is cast already: only a config string fails
+                raise ConfigError(f"{args.config}: bad {key} {value!r}: {exc}") from exc
     return presets.get(args.preset, Hyperparams)(**given)
 
 

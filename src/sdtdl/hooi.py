@@ -18,7 +18,8 @@ under the identity and every moment inside a sweep.
 
 A sweep hands :func:`hooi` only the last mode's top eigenvalues, its fit
 value; no projection outlives it. The returned core is formed once after
-the last sweep, from the tensor itself.
+the last sweep, from the tensor itself. Every projection on the factors,
+a sweep's and the core's, is :func:`sdtdl.tensor.dict_project`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import _count, dict_apply, mode_gram, mode_product
+from .tensor import _count, dict_apply, dict_project, mode_gram, mode_product
 
 __all__ = [
     "TuckerResult", "eig_sym_topk", "hosvd", "takes_moment", "sweep", "moment_sweep", "hooi",
@@ -141,13 +142,6 @@ def _sample_blocks(t: np.ndarray, ranks):
     return [slice(lo, lo + step) for lo in range(0, t.shape[-1], step)]
 
 
-def _project(h: np.ndarray, factors: list, modes) -> np.ndarray:
-    """``h`` projected on ``factors[k]`` for each ``k`` in ``modes``."""
-    for k in modes:
-        h = mode_product(h, factors[k].T, k)
-    return h
-
-
 def _moment(z: np.ndarray, modes: int, form=mode_gram) -> np.ndarray:
     """``form`` of ``z`` flattened at its first ``modes`` modes, their
     entries by the columns of every later mode: with the Gram matrix,
@@ -189,7 +183,8 @@ def sweep(t: np.ndarray, factors: list, ranks, form=mode_gram):
     projected on the updated leading factors and takes ``form``. With the
     Gram matrix as ``form`` (the default), a sum over samples, the
     projection passes ``_SWEEP_BLOCK_BYTES`` only one block at a time; a
-    form that couples samples takes one whole block. Each block's
+    form that couples samples takes one whole block. :func:`dict_project`
+    frees each block copy after its first product, and each block's
     projection is released once its matrix is formed.
 
     Returns the last mode's top eigenvalues. When ``form`` is the Gram
@@ -212,7 +207,7 @@ def _sweep_modes(t, factors, ranks, form, count, blocks):
             _sweep_modes(s, factors, ranks, form, last, [slice(None)])
         del s
     mat = functools.reduce(np.add, (
-        form(_project(np.ascontiguousarray(t[..., c]), factors, range(last)), last)
+        form(dict_project(np.ascontiguousarray(t[..., c]), factors[:last]), last)
         for c in blocks
     ))
     vals, factors[last] = eig_sym_topk(mat, ranks[last])
@@ -294,13 +289,13 @@ def hooi(
     :func:`sweep`: a warm start that stops on ``tol`` after a few sweeps
     does not pay for the moment.
 
-    The returned core is ``t`` projected on the factors, one product per
-    mode, after a weighted tensor swept and the moment are released. Below
-    the budget ``t`` is projected whole, from mode 0 on. Above it, by the
-    blocks of :func:`sweep`, each block's core written into its sample
-    columns: each block is read in place, its last mode projected first,
-    so neither a block copy nor a whole-set product is built after the
-    last sweep.
+    The returned core is ``t`` projected on the factors by
+    :func:`dict_project`, one product per mode, after a weighted tensor
+    swept and the moment are released. Below the budget ``t`` is projected
+    whole, from mode 0 on. Above it, by the blocks of :func:`sweep`, each
+    block's core written into its sample columns: each block is read in
+    place, its ``modes`` taken last first, so neither a block copy nor a
+    whole-set product is built after the last sweep.
     """
     t = np.asarray(t, dtype=np.float64)
     ranks = _check_ranks(t, ranks, skip_last)
@@ -334,12 +329,12 @@ def hooi(
     modes = range(len(ranks))
     blocks = _sample_blocks(t, ranks)
     if len(blocks) == 1:
-        core = _project(t, factors, modes)
+        core = dict_project(t, factors)
     else:
         core = np.empty(tuple(ranks) + t.shape[-1:])
         # the last mode first, as a sweep starts: its product reads the
         # sample slice in place, and on the object shape it leaves 28/64 of
         # a block, where mode 0's leaves 6/7
         for cols in blocks:
-            core[..., cols] = _project(t[..., cols], factors, modes[::-1])
+            core[..., cols] = dict_project(t[..., cols], factors, modes[::-1])
     return TuckerResult(core=core, factors=factors, fit_history=history)

@@ -125,6 +125,19 @@ def _gather(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.take(t, idx, axis=-1)
 
 
+def _int64_labels(labels: np.ndarray) -> np.ndarray:
+    """``labels`` as int64. A float label must be an integer within int64
+    (2.0 is kept): a cast alone would truncate 2.7 and wrap 1e30."""
+    if labels.dtype.kind != "f" or np.all(
+        (np.floor(labels) == labels) & (np.abs(labels) < 2.0**63)
+    ):
+        try:
+            return labels.astype(np.int64)
+        except OverflowError:  # a Python int beyond int64
+            pass
+    raise ValueError("labels must be integers within the int64 range")
+
+
 @dataclass
 class LabeledTensorSet:
     """A batch of order-M samples stacked along a trailing sample mode.
@@ -143,7 +156,9 @@ class LabeledTensorSet:
 
     def _check_labels(self):
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            self.labels = np.asarray(self.labels)
+            if self.labels.dtype != np.int64:
+                self.labels = _int64_labels(self.labels)
             if self.labels.shape != (self.n_samples,):
                 raise ValueError("label count does not match sample count")
             if self.labels.size and self.labels.min() < 1:

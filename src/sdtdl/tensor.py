@@ -108,10 +108,18 @@ def dict_apply(t: np.ndarray, factors, out=None) -> np.ndarray:
     return res
 
 
-def dict_project(t: np.ndarray, factors) -> np.ndarray:
-    """Project ``t`` onto ``factors``: :func:`dict_apply` with each factor
-    transposed. With one factor per mode this is the Tucker core."""
-    return dict_apply(t, [np.asarray(u).T for u in factors])
+def dict_project(t: np.ndarray, factors, modes=None) -> np.ndarray:
+    """Project ``t`` onto ``factors``: apply ``factors[m].T`` to mode ``m``
+    for each ``m`` in ``modes``, in that order (every mode below
+    ``len(factors)`` from 0 on when None). With one factor per mode this is
+    the Tucker core.
+
+    The fold rebinds ``t``, so a temporary passed in (a sweep's sample-block
+    copy) is freed after the first product; :func:`dict_apply` keeps its
+    input, and a wrapper around a fold would hold it in its own frame."""
+    for m in range(len(factors)) if modes is None else modes:
+        t = mode_product(t, np.asarray(factors[m]).T, m)
+    return t
 
 
 def frobenius_norm(t: np.ndarray) -> float:

@@ -20,7 +20,6 @@ import struct
 import numpy as np
 
 from sdtdl.hooi import (
-    _project,
     _sample_blocks,
     eig_sym_topk,
     hosvd,
@@ -241,11 +240,11 @@ def suffix_sweep(t: np.ndarray, factors: list, ranks, form=mode_gram):
         h = suffix.pop()
         if m == last and len(blocks) > 1:
             s = sum(
-                mode_gram(_project(np.ascontiguousarray(t[..., c]), factors, range(m)), m)
+                mode_gram(dict_project(np.ascontiguousarray(t[..., c]), factors[:m]), m)
                 for c in blocks
             )
         else:
-            s = form(_project(h, factors, range(m)), m)
+            s = form(dict_project(h, factors[:m]), m)
         vals, factors[m] = eig_sym_topk(s, ranks[m])
     return vals
 

@@ -255,6 +255,31 @@ class TestFitPredict:
         assert code == 2
         assert "expected key=value" in err
 
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [("theta", "abc", "could not convert"), ("max_iters", "2.5", "invalid literal")],
+    )
+    def test_config_value_that_fails_its_cast_names_its_key(
+        self, tmp_path, capsys, key, value, reason
+    ):
+        # a float key and an int key: the error used to name neither the
+        # key nor the file
+        d = synth_dir(tmp_path, capsys)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"ranks=3,3\n{key}={value}\n")
+        out = tmp_path / "run"
+        code, stdout, err = run(
+            capsys, "fit", "--config", str(cfg),
+            "--source", str(d / "source.stdl"),
+            "--source-labels", str(d / "source_labels.txt"),
+            "--target", str(d / "target.stdl"),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert f"run.cfg: bad {key} {value!r}: {reason}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fit", "baseline"])
     @pytest.mark.parametrize("key", ["lambda", "thetta", "config"])
     def test_unknown_config_key(self, tmp_path, capsys, command, key):

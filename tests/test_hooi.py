@@ -394,7 +394,10 @@ class TestSweep:
         factors = hosvd(t, ranks, skip_last=True)
         calls = []
         real = H.mode_product
-        monkeypatch.setattr(H, "mode_product", lambda *a: calls.append(a[2]) or real(*a))
+        # a sweep contracts through hooi's binding, and projects through
+        # dict_project's, the tensor module's
+        for module in (H, T):
+            monkeypatch.setattr(module, "mode_product", lambda *a: calls.append(a[2]) or real(*a))
         # a sweep contracts the last mode, sweeps the leading modes of that
         # projection s, then projects t on the order - 1 leading factors.
         # The leading modes take their moment only when there are two or
@@ -410,20 +413,13 @@ class TestSweep:
 
         # hooi, warm or cold started: the sweeps' products, then one product
         # per mode for the returned core, the tensor projected from mode 0
-        # on, and no projection of the tensor through the tensor module
-        # (every dict_apply and dict_project goes through its binding). A
-        # cold start on the moment makes no product per sweep.
-        def no_projection(*args):
-            raise AssertionError("hooi projected the tensor")
-
-        with monkeypatch.context() as guard:
-            guard.setattr(T, "mode_product", no_projection)
-            for init in (factors, None):
-                calls.clear()
-                res = hooi(t, ranks, skip_last=True, max_sweeps=3, tol=1e-300, init_factors=init)
-                swept = 0 if init is None and moment else per_sweep
-                assert len(calls) == len(res.fit_history) * swept + order
-                assert calls[-order:] == list(range(order))
+        # on. A cold start on the moment makes no product per sweep.
+        for init in (factors, None):
+            calls.clear()
+            res = hooi(t, ranks, skip_last=True, max_sweeps=3, tol=1e-300, init_factors=init)
+            swept = 0 if init is None and moment else per_sweep
+            assert len(calls) == len(res.fit_history) * swept + order
+            assert calls[-order:] == list(range(order))
 
         # the class update: hooi with every sweep run, the same sweep
         # inner_sweeps times, or on the moment no product at all; then its
@@ -481,9 +477,9 @@ class TestLeadingMoment:
             forms.append(s)
             return eig_sym_topk(s, r)
 
-        real_project = H._project
+        real_project = H.dict_project
 
-        def project(h, factors, modes):
+        def project(h, factors, modes=None):
             widths.add(h.shape[-1])
             return real_project(h, factors, modes)
 
@@ -493,10 +489,10 @@ class TestLeadingMoment:
             assume((len(H._sample_blocks(t, ranks)) > 1) == blocked)
             for _ in range(2):
                 patch.setattr(H, "eig_sym_topk", solve)
-                patch.setattr(H, "_project", project)
+                patch.setattr(H, "dict_project", project)
                 vals = sweep(t, got, ranks, form)
                 patch.setattr(H, "eig_sym_topk", eig_sym_topk)
-                patch.setattr(H, "_project", real_project)
+                patch.setattr(H, "dict_project", real_project)
                 vals_want = suffix_sweep(t, want, ranks, form)
                 # the last mode took sample blocks only on the Gram forms
                 assert (widths != {n}) == (blocked and form is mode_gram)
@@ -761,7 +757,7 @@ class TestSampleBlocks:
         for _ in range(2):
             want = sweep(t, whole, ranks)
             # the last mode's matrix: the projection on the updated leading factors
-            forms.append(mode_gram(H._project(t, whole, range(order - 1)), order - 1))
+            forms.append(mode_gram(dict_project(t, whole[: order - 1]), order - 1))
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(H, "_SWEEP_BLOCK_BYTES", budget)
                 assume(len(H._sample_blocks(t, ranks)) > 1)
@@ -788,7 +784,10 @@ class TestSampleBlocks:
         assert count == 4
         products, solves = [], []
         real_product, real_solve = H.mode_product, H.eig_sym_topk
-        monkeypatch.setattr(H, "mode_product", lambda *a: products.append(a[2]) or real_product(*a))
+        for module in (H, T):
+            monkeypatch.setattr(
+                module, "mode_product", lambda *a: products.append(a[2]) or real_product(*a)
+            )
         monkeypatch.setattr(H, "eig_sym_topk", lambda *a: solves.append(1) or real_solve(*a))
         res = hooi(t, ranks, skip_last=True, max_sweeps=3, tol=1e-300, init_factors=factors)
         sweeps = len(res.fit_history)
@@ -831,7 +830,7 @@ class TestSampleBlocks:
         assert peak - res.core.nbytes < block_bytes
         # the same products as on C-contiguous block copies, bit for bit
         want = np.concatenate(
-            [H._project(np.ascontiguousarray(t[..., c]), res.factors, [2, 1, 0]) for c in cols],
+            [dict_project(np.ascontiguousarray(t[..., c]), res.factors, [2, 1, 0]) for c in cols],
             axis=-1,
         )
         assert res.core.tobytes() == want.tobytes()

@@ -165,6 +165,19 @@ class TestLabeledTensorSet:
         with pytest.raises(ValueError, match="1-based"):
             LabeledTensorSet(samples=np.zeros((2, 2, 2)), labels=[0, 1])
 
+    def test_non_integral_labels_are_rejected(self):
+        # a cast used to truncate them to [1, 2, 1]; an integral float stays
+        with pytest.raises(ValueError, match="labels must be integers"):
+            LabeledTensorSet(samples=np.zeros((2, 2, 3)), labels=[1.5, 2.7, 1.0])
+        kept = LabeledTensorSet(samples=np.zeros((2, 2, 3)), labels=[1.0, 2.0, 1.0]).labels
+        assert kept.dtype == np.int64 and kept.tolist() == [1, 2, 1]
+
+    @pytest.mark.parametrize("big", [1e30, 2.0**63, 2**70])
+    def test_labels_beyond_int64_are_rejected(self, big):
+        # the cast used to raise OverflowError, not ValueError
+        with pytest.raises(ValueError, match="within the int64 range"):
+            LabeledTensorSet(samples=np.zeros((2, 2, 2)), labels=[big, 1])
+
     def test_class_count_is_the_largest_label(self):
         assert LabeledTensorSet(np.zeros((2, 2, 3)), [1, 3, 1]).class_count == 3
         assert LabeledTensorSet(np.zeros((2, 2, 0)), []).class_count == 0
@@ -313,14 +326,23 @@ class TestSampleOperator:
         lead=st.lists(st.integers(1, 3), min_size=1, max_size=2),
         seed=st.integers(0, 2**32 - 1),
     )
+    # subnormal lam: the source-target entries of Phi^T Phi lie below the
+    # normal range, where the two sums differ by two subnormal spacings
+    @example(n_s=2, n_t=4, theta=2.0, lam=2.225073858507e-311, lead=[1], seed=0)
+    @example(n_s=2, n_t=2, theta=2.0, lam=2.2250738585e-313, lead=[1], seed=0)
     def test_phi_gram_and_moments_equal_dense_products(self, n_s, n_t, theta, lam, lead, seed):
         n = n_s + n_t
         phi = build_phi(n_s, n_t, theta, lam)
         gram = SampleOperator.phi(n_s, n_t, theta, lam).gram(n_t)
         # entry (i, j) of the identity times the operator on its sample mode
         got = gram.apply(np.eye(n))
-        # relative to the magnitudes summed into each entry
-        assert np.all(np.abs(got - phi.T @ phi) <= 1e-12 * (np.abs(phi).T @ np.abs(phi)))
+        # relative to the magnitudes summed into each entry; below the normal
+        # range, where doubles are evenly spaced and no relative bound holds,
+        # within one subnormal spacing per term summed
+        bound = np.maximum(
+            1e-12 * (np.abs(phi).T @ np.abs(phi)), n * np.finfo(float).smallest_subnormal
+        )
+        assert np.all(np.abs(got - phi.T @ phi) <= bound)
         z = np.random.default_rng(seed).standard_normal(tuple(lead) + (n,))
         flat = z.reshape(-1, n)
         pairs = (
@@ -1070,6 +1092,46 @@ class TestFit:
         )
         return generate_synthetic(spec)[:2]
 
+    @staticmethod
+    def fit_with_margin(source, target, hyper, route):
+        """Fit, and return the model, the pseudo-labels and how far every
+        prediction pass was from a tie: the least gap between a sample's
+        two top combined probabilities, and, when the selection is partial,
+        between the confidences on either side of its cut."""
+        margins = []
+        predict = S.predict_labels
+
+        def recorded(target, model):
+            pl = predict(target, model)
+            gamma = model.hyper.gamma
+            top = np.sort(gamma * pl.fidelity_probs + (1 - gamma) * pl.centroid_probs)
+            margins.append(np.min(top[:, -1] - top[:, -2]))
+            k = pseudolabel.selection_count(pl.n_samples, model.hyper.delta)
+            if k < pl.n_samples:
+                conf = np.sort(pl.combined_conf)[::-1]
+                margins.append(conf[k - 1] - conf[k])
+            return pl
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(S, "predict_labels", recorded)
+            model, pl, _ = fit(source, target, hyper, class_update=route)
+        return model, pl, min(margins)
+
+    @staticmethod
+    def conf_bound(pl, gamma, rho):
+        """How far each confidence of ``pl`` may move when rounding moves
+        every squared norm of its prediction pass by a relative ``rho``: each
+        distance over its row's median moves by at most ``2 rho`` times
+        itself, and each probability by at most a quarter of the spread of
+        those moves, ``rho Z`` with ``Z = max(d)/sigma <= 1 + ln(p_max/p_min)``,
+        since the row's least norm lies below its median. A confidence mixes
+        the two softmax rows by ``gamma``."""
+
+        def spread(p):
+            return 1.0 + np.log(p.max(axis=1) / p.min(axis=1))
+
+        return rho * (gamma * spread(pl.fidelity_probs) + (1 - gamma) * spread(pl.centroid_probs))
+
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
@@ -1082,37 +1144,19 @@ class TestFit:
         # (see test_labels_follow_target_order_with_partial_selection)
         hyper = Hyperparams(ranks=(2, 2), theta=2.0, lam=0.1, delta=1.0, max_outer_iters=3)
         source, target = self.order_problem(seed)
-        margins = []
-
-        def fit_recording_margins(source, target):
-            """Fit, and record how far each prediction pass is from a tie."""
-            predict = S.predict_labels
-
-            def recorded(target, model):
-                pl = predict(target, model)
-                gamma = model.hyper.gamma
-                top = np.sort(gamma * pl.fidelity_probs + (1 - gamma) * pl.centroid_probs)
-                margins.append(np.min(top[:, -1] - top[:, -2]))
-                return pl
-
-            S.predict_labels = recorded
-            try:
-                return fit(source, target, hyper, class_update=route)[1]
-            finally:
-                S.predict_labels = predict
-
-        pl = fit_recording_margins(source, target)
+        _, pl, margin = self.fit_with_margin(source, target, hyper, route)
         # away from a tie in every pass, rounding in the reordered sums
         # cannot change a label
-        assume(min(margins) > 1e-4)
+        assume(margin > 1e-4)
 
         perm = np.array(data.draw(st.permutations(range(target.n_samples))))
         shuffled = LabeledTensorSet(target.samples[..., perm])
-        assert np.array_equal(fit_recording_margins(source, shuffled).labels, pl.labels[perm])
+        got = self.fit_with_margin(source, shuffled, hyper, route)[1]
+        assert np.array_equal(got.labels, pl.labels[perm])
 
         perm = np.array(data.draw(st.permutations(range(source.n_samples))))
         relisted = LabeledTensorSet(source.samples[..., perm], source.labels[perm])
-        assert np.array_equal(fit_recording_margins(relisted, target).labels, pl.labels)
+        assert np.array_equal(self.fit_with_margin(relisted, target, hyper, route)[1].labels, pl.labels)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -1207,17 +1251,12 @@ class TestFit:
     @example(seed=55, route="exact", shape=INVARIANCE_SHAPES[0])
     def test_sample_block_sweeps_change_the_fit_in_rounding_only(self, seed, route, shape):
         # every sweep and HOOI core over sample blocks against the whole
-        # ones, within rounding: 1e-12 for projectors and relative history
-        # objectives, tools/compare_fits.py's defaults. A confidence mixes
-        # two softmax rows of squared norms, each divided by its row's
-        # median sigma. If rounding moves every such norm d by a relative
-        # rho, each d/sigma moves by at most 2*rho*d/sigma, and each
-        # probability by at most p(1-p) <= 1/4 of the spread of those moves:
-        # rho*Z, with Z = max(d)/sigma <= 1 + ln(p_max/p_min), since the
-        # row's least norm lies below its median. Here rho is 1e-12 too.
-        # Over seeds 0-199 of every case the worst changes were 1.4e-13
-        # (projectors), a relative 5.7e-14 (history objectives) and 3.5e-15
-        # times a sample's gamma*Z_fid + (1-gamma)*Z_cen (confidences)
+        # ones, within rounding: 1e-12 for projectors, relative history
+        # objectives and the relative change of each squared norm that a
+        # confidence is read from (conf_bound), tools/compare_fits.py's
+        # defaults. Over seeds 0-199 of every case the worst changes were
+        # 1.4e-13 (projectors), a relative 5.7e-14 (history objectives) and
+        # 3.5e-15 times a sample's gamma*Z_fid + (1-gamma)*Z_cen (confidences)
         source, target, hyper = self.invariance_problem(shape, seed)
         model, pl, history = fit(source, target, hyper, class_update=route)
         with pytest.MonkeyPatch.context() as patch:
@@ -1225,13 +1264,8 @@ class TestFit:
             blocked, pl_blocked, history_blocked = fit(source, target, hyper, class_update=route)
         assert np.array_equal(pl_blocked.labels, pl.labels)
         assert np.array_equal(pl_blocked.selected, pl.selected)
-
-        def spread(p):
-            return 1.0 + np.log(p.max(axis=1) / p.min(axis=1))
-
-        gamma = hyper.gamma
-        z = gamma * spread(pl.fidelity_probs) + (1 - gamma) * spread(pl.centroid_probs)
-        assert np.all(np.abs(pl_blocked.combined_conf - pl.combined_conf) <= 1e-12 * z)
+        bound = self.conf_bound(pl, hyper.gamma, 1e-12)
+        assert np.all(np.abs(pl_blocked.combined_conf - pl.combined_conf) <= bound)
         for (_, u), (_, v) in zip(self.model_factors(model), self.model_factors(blocked)):
             assert np.linalg.norm(u @ u.T - v @ v.T, 2) <= 1e-12
         a = np.array([row.objective for row in history])
@@ -1281,6 +1315,87 @@ class TestFit:
         assert np.array_equal(pl_scaled.selected, pl.selected)
         for (_, u), (_, v) in zip(self.model_factors(model), self.model_factors(scaled)):
             assert u.tobytes() == v.tobytes()
+
+    @staticmethod
+    def adapting_problem(seed):
+        """A 4-class problem whose labels change over several passes, with a
+        partial selection, and the hyperparameters to fit it with."""
+        spec = SyntheticSpec(
+            class_count=4, dims=(6, 5), ranks=(2, 2), n_source_per_class=5,
+            n_target_per_class=8, noise=0.3, shift=0.8, seed=seed,
+        )
+        source, target, _ = generate_synthetic(spec)
+        hyper = Hyperparams(ranks=(2, 2), theta=2.0, lam=0.1, delta=0.8, max_outer_iters=5)
+        return source, target, hyper
+
+    # Class ids and the source order enter a fit only through rounding:
+    # every class step is per class, neither the softmax's row median nor
+    # the selection's ranking depends on the class order, and each HOOI
+    # depends on the sample order only through sums. Away from a tie in
+    # every pass (fit_with_margin), labels and mask are exact, and every
+    # confidence lies within conf_bound of a relative 1e-12 change of its
+    # squared norms. Over seeds 0-99 of both routes no label or mask
+    # changed, the least margin was 4.6e-6, and the confidences moved by at
+    # most 8.1e-5 (relabeled) and 4.4e-3 (reordered) of that bound.
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        route=st.sampled_from(["eigen-phi", "exact"]),
+        perm=st.permutations([1, 2, 3, 4]),
+    )
+    def test_relabeled_source_classes_relabel_the_fit(self, seed, route, perm):
+        source, target, hyper = self.adapting_problem(seed)
+        _, pl, margin = self.fit_with_margin(source, target, hyper, route)
+        assume(margin > 1e-9)
+        pi = np.array([0, *perm])
+        relabeled = LabeledTensorSet(source.samples, pi[source.labels])
+        got = self.fit_with_margin(relabeled, target, hyper, route)[1]
+        assert np.array_equal(got.labels, pi[pl.labels])
+        assert np.array_equal(got.selected, pl.selected)
+        bound = self.conf_bound(pl, hyper.gamma, 1e-12)
+        assert np.all(np.abs(got.combined_conf - pl.combined_conf) <= bound)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        route=st.sampled_from(["eigen-phi", "exact"]),
+        data=st.data(),
+    )
+    def test_reordered_source_samples_leave_the_fit(self, seed, route, data):
+        source, target, hyper = self.adapting_problem(seed)
+        _, pl, margin = self.fit_with_margin(source, target, hyper, route)
+        assume(margin > 1e-9)
+        perm = np.array(data.draw(st.permutations(range(source.n_samples))))
+        relisted = LabeledTensorSet(source.samples[..., perm], source.labels[perm])
+        got = self.fit_with_margin(relisted, target, hyper, route)[1]
+        assert np.array_equal(got.labels, pl.labels)
+        assert np.array_equal(got.selected, pl.selected)
+        bound = self.conf_bound(pl, hyper.gamma, 1e-12)
+        assert np.all(np.abs(got.combined_conf - pl.combined_conf) <= bound)
+
+    def test_adaptation_beats_the_baseline_where_the_domains_differ(self):
+        # 10 labeled source samples per class, class means close (mean
+        # separation 2) and a rotated target domain (shift 2, noise 0.5):
+        # the nearest source centroid misses a tenth of the targets, and
+        # the default fit recovers most of them. Measured on generator
+        # seeds 0-7 (numpy 2.4, 2 cores): fit mean 0.996 (per seed 1.0,
+        # 1.0, 0.998, 1.0, 0.984, 0.990, 0.994, 1.0), baseline mean 0.909.
+        # The bounds keep 0.016 of the fit's mean and two thirds of its
+        # 0.087 gain. Every seed counts: the per-seed gain is not always
+        # positive (seed 5: 0.990 against 0.996).
+        acc, base = [], []
+        for seed in range(8):
+            spec = SyntheticSpec(
+                class_count=5, dims=(16, 16), ranks=(4, 4), n_source_per_class=10,
+                n_target_per_class=100, noise=0.5, shift=2.0, seed=seed,
+                mean_separation=2.0, domain_strength=2.0,
+            )
+            source, target, truth = generate_synthetic(spec)
+            hyper = Hyperparams(ranks=(4, 4), theta=2.0, lam=0.1, gamma=0.25, delta=0.8)
+            acc.append(np.mean(fit(source, target, hyper)[1].labels == truth))
+            base.append(np.mean(nearest_centroid_labels(source, target) == truth))
+        assert np.mean(acc) >= 0.98, acc
+        assert np.mean(acc) - np.mean(base) >= 0.06, (acc, base)
 
     @pytest.mark.xfail(
         strict=True,
